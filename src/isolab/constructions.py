@@ -1,6 +1,7 @@
 """The approximation constructions: diagonalizing bases, orthonormal-system
-doubling, the 2-isometric net targeting 2*id, and the five-step pipeline
-approximating an arbitrary expansive operator, with measured certificates.
+doubling, the five-step pipeline approximating an arbitrary expansive
+operator, its T = 2*id case (the 2-isometric net targeting 2*id), and
+measured certificates.
 """
 
 from __future__ import annotations
@@ -12,43 +13,24 @@ import numpy as np
 from .errors import NotExpansive, SubspaceNotContained
 from .linalg import gram_schmidt, extend_ons, hermitian_eig
 from .operators import (BrownianBlock, DefectReport, DenseOperator,
-                        LazyIsometry, compressed_gram, defect_report,
-                        direct_sum_power)
+                        LazyIsometry, ScalarOperator, compressed_gram,
+                        defect_report, direct_sum_power)
 from .spaces import AmbientSpace, Vector
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
 
 @dataclass
-class ConstructionParams:
-    """Knobs for one construction run."""
-    n: int
-    epsilon: float | None = None      # defaults to 1/n
-    build_tol: float = 1e-12
-    verify_tol: float = 1e-9
-    capacity: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-
-
-@dataclass
 class ConstructionTrace:
     """Every intermediate orthonormal system of a construction run."""
     x: list                      # diagonalizing ONB of F
-    y1: list
-    y2: list
+    y1: list                     # inputs of R
+    y2: list                     # ONB of the corner K
     z1: list
     z2: list
     sigmas: list
     norms_Tx: list
-    yhat1: list | None = None
-    yhat1_shift: list | None = None
-    yhat2: list | None = None
-    orthogonality_max: float = 0.0
+    orthogonality_max: float     # max |<target(z_i^(k)), y2_j>|
 
 
 @dataclass
@@ -130,41 +112,6 @@ def split_pair(xs, c: float, partner):
     return y1, y2
 
 
-def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
-    """2-isometric Brownian block within 1/dim(F) of 2*id on F.
-
-    Splits an ONB of F twice (coefficients sqrt(1-eps^2), eps, then 1/2,
-    sqrt(3)/2), takes K spanned by the second splitting's complements, and
-    assembles the block (R, sigma V; 0, id_K) with
-    sigma = sqrt(3(1-eps^2))/eps.  On F the block satisfies
-    ||(B - 2 id)x|| = eps ||x|| exactly.
-    """
-    x = gram_schmidt(F_basis)
-    n = len(x)
-    eps = 1.0 / n if epsilon is None else float(epsilon)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    s = np.sqrt(1.0 - eps * eps)
-
-    xt = extend_ons(x, n, space)
-    y1 = [s * x[i] + eps * xt[i] for i in range(n)]
-    y2 = [eps * x[i] - s * xt[i] for i in range(n)]
-
-    # second splitting, inside L = K^perp (fresh coordinates are
-    # automatically orthogonal to K)
-    yt = extend_ons(y1, n, space)
-    half, tri = 0.5, np.sqrt(3.0) / 2.0
-    z1 = [half * y1[i] - tri * yt[i] for i in range(n)]
-    z2 = [tri * y1[i] + half * yt[i] for i in range(n)]
-
-    sigma = np.sqrt(3.0 * (1.0 - eps * eps)) / eps
-    R = LazyIsometry(space, inputs=y1, outputs=z1)
-    block = BrownianBlock(R, K_basis=y2, V_images=z2, sigma_scale=sigma)
-    trace = ConstructionTrace(x=x, y1=y1, y2=y2, z1=z1, z2=z2,
-                              sigmas=[sigma] * n, norms_Tx=[1.0] * n)
-    return block, trace
-
-
 def _clamped_complement(a: float) -> float:
     """sqrt(1 - a^2) with roundoff clamping; a = 1/||Tx_i|| <= 1."""
     val = 1.0 - a * a
@@ -173,14 +120,76 @@ def _clamped_complement(a: float) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _assemble(x, norms_Tx, target, partner1, partner2, epsilon):
+    """Steps 1-3 shared by both constructions; returns (block, trace).
+
+    `x` is an ONB of F whose `target`-images are pairwise orthogonal with
+    norms `norms_Tx` (all >= 1).  `partner1` maps the x_i, and `partner2`
+    the y1_i, isometrically onto a copy orthogonal to everything built so
+    far, and `target` must commute with both.  The block is
+    (R, V; 0, id_K) with K spanned by the first splitting's complements y2,
+    R lazily extended from y1_i -> target(z1_i)/||Tx_i||, and
+    V(y2_i) = sigma_i target(z2_i),
+    sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
+    """
+    n = len(x)
+    eps = 1.0 / n if epsilon is None else float(epsilon)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+
+    # Step 1: split across the first partner copy
+    y1, y2 = split_pair(x, eps, partner1)
+
+    # Step 2: split the y1 once more, across the second partner copy
+    y1_shift = [partner2(v) for v in y1]
+    a = [1.0 / t for t in norms_Tx]
+    b = [_clamped_complement(ai) for ai in a]
+    z1 = [a[i] * y1[i] + b[i] * y1_shift[i] for i in range(n)]
+    z2 = [b[i] * y1[i] - a[i] * y1_shift[i] for i in range(n)]
+
+    # Step 3: K on the y2, V scaled per direction, R lazily extended
+    sigmas = [np.sqrt(1.0 - eps * eps) * b[i] / eps for i in range(n)]
+    tz1 = [target.apply(v) for v in z1]
+    tz2 = [target.apply(v) for v in z2]
+    R = LazyIsometry(x[0].space, inputs=y1,
+                     outputs=[a[i] * tz1[i] for i in range(n)])
+    block = BrownianBlock(R, K_basis=y2,
+                          V_images=[sigmas[i] * tz2[i] for i in range(n)])
+
+    ortho = max(abs(u.inner(w)) for u in tz1 + tz2 for w in y2)
+    trace = ConstructionTrace(x=x, y1=y1, y2=y2, z1=z1, z2=z2,
+                              sigmas=sigmas, norms_Tx=norms_Tx,
+                              orthogonality_max=ortho)
+    return block, trace
+
+
+def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
+    """2-isometric Brownian block within 1/dim(F) of 2*id on F.
+
+    The Theorem-2 assembly with T = 2*id: any ONB of F diagonalizes it and
+    every ||Tx_i|| is 2.  Because 2*id commutes with every isometry, both
+    partner copies are fresh coordinates (2 dim(F) of them) instead of
+    copies of H, and F may be any subspace of `space`.  On F the block
+    satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
+    """
+    x = gram_schmidt(F_basis)
+
+    def fresh(v):
+        # called once per member of the system being split, so the system
+        # goes isometrically onto as many fresh coordinates
+        return extend_ons([v], 1, space)[0]
+
+    return _assemble(x, [2.0] * len(x), ScalarOperator(2.0), fresh, fresh,
+                     epsilon)
+
+
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
                        epsilon=None):
     """2-isometric Brownian block within (||T||+1)/dim(F) of T^(4) on F+0.
 
     Five-step pipeline on four labeled copies of H: diagonalize the
-    compression of T*T on F, split twice across the copies, place K on the
-    first splitting's complements, scale V by
-    sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps, and extend R lazily.
+    compression of T*T on F, then split twice across the copies and
+    assemble the block (see `_assemble`).
 
     Returns (block, T4, trace).  Raises NotExpansive if some ||Tx_i|| < 1
     beyond tolerance.
@@ -198,49 +207,15 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
 
     T1 = T.embedded(space, h1)
     x = diagonalizing_basis(T1, F_basis)
-    n = len(x)
-    eps = 1.0 / n if epsilon is None else float(epsilon)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-
     norms_Tx = [T1.apply(xi).norm() for xi in x]
     if min(norms_Tx) < 1.0 - 1e-10:
         raise NotExpansive(f"min ||Tx_i|| = {min(norms_Tx)} < 1")
 
     T4 = direct_sum_power(T, 4, space,
                           indices=np.concatenate([h1, h2, h3, h4]))
-
-    # Step 1: split across the first pair of copies
-    y1, y2 = split_pair(x, eps, lambda v: translate(v, h1, h2))
-
-    # Step 2: split the y1 once more, across the two H-pair copies
-    yhat1 = y1
-    yhat1_shift = [translate(v, first_pair, second_pair) for v in y1]
-    yhat2 = y2
-    a = [1.0 / t for t in norms_Tx]
-    b = [_clamped_complement(ai) for ai in a]
-    z1 = [a[i] * yhat1[i] + b[i] * yhat1_shift[i] for i in range(n)]
-    z2 = [b[i] * yhat1[i] - a[i] * yhat1_shift[i] for i in range(n)]
-
-    # Step 3: K on the yhat2, V scaled per direction, R lazily extended
-    sigmas = [np.sqrt(1.0 - eps * eps) * b[i] / eps for i in range(n)]
-    t4z1 = [T4.apply(v) for v in z1]
-    t4z2 = [T4.apply(v) for v in z2]
-    v_images = [sigmas[i] * t4z2[i] for i in range(n)]
-    r_outputs = [a[i] * t4z1[i] for i in range(n)]
-    R = LazyIsometry(space, inputs=yhat1, outputs=r_outputs)
-    block = BrownianBlock(R, K_basis=yhat2, V_images=v_images)
-
-    ortho = 0.0
-    for imgs in (t4z1, t4z2):
-        for u in imgs:
-            for w in yhat2:
-                ortho = max(ortho, abs(u.inner(w)))
-
-    trace = ConstructionTrace(x=x, y1=y1, y2=y2, z1=z1, z2=z2,
-                              sigmas=sigmas, norms_Tx=norms_Tx,
-                              yhat1=yhat1, yhat1_shift=yhat1_shift,
-                              yhat2=yhat2, orthogonality_max=ortho)
+    block, trace = _assemble(
+        x, norms_Tx, T4, lambda v: translate(v, h1, h2),
+        lambda v: translate(v, first_pair, second_pair), epsilon)
     return block, T4, trace
 
 

@@ -42,4 +42,4 @@ class SubspaceNotContained(IsolabError):
 
 
 class UsageError(IsolabError):
-    """Bad command line or config file input."""
+    """Bad command line, config file or input operator file."""

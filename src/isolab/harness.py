@@ -37,7 +37,6 @@ class RunConfig:
     family: str = "scalar:2"
     seed: int = 0
     capacity: int | None = None
-    tol_build: float = 1e-12
     tol_verify: float = 1e-9
     samples: int = 100
     out: str | None = None
@@ -84,7 +83,6 @@ def _build_parser() -> _Parser:
                        help="scalar:<t> | diag:<d1,d2,...> | svd-random | id-plus-psd")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--capacity", type=int, default=None)
-        p.add_argument("--tol-build", type=float, default=None)
         p.add_argument("--tol-verify", type=float, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
@@ -100,7 +98,7 @@ def _build_parser() -> _Parser:
 
 
 _CONFIG_KEYS = {"dim_h", "dim_f", "n", "family", "seed", "capacity",
-                "tol_build", "tol_verify", "samples", "out", "format", "input"}
+                "tol_verify", "samples", "out", "format", "input"}
 
 
 def parse_config(argv) -> RunConfig:
@@ -135,10 +133,10 @@ def parse_config(argv) -> RunConfig:
         if any(v < 1 for v in cfg.n_list):
             raise UsageError("--n: entries must be positive")
     for attr, key in (("dim_h", "dim_h"), ("dim_f", "dim_f"), ("seed", "seed"),
-                      ("capacity", "capacity"), ("tol_build", "tol_build"),
-                      ("tol_verify", "tol_verify"), ("samples", "samples"),
-                      ("out", "out"), ("format", "format"),
-                      ("family", "family"), ("input_path", "input")):
+                      ("capacity", "capacity"), ("tol_verify", "tol_verify"),
+                      ("samples", "samples"), ("out", "out"),
+                      ("format", "format"), ("family", "family"),
+                      ("input_path", "input")):
         if merged.get(key) is not None:
             setattr(cfg, attr, merged[key])
 
@@ -148,6 +146,12 @@ def parse_config(argv) -> RunConfig:
         cfg.n_list = [cfg.dim_f]
     if cfg.command == "sweep" and not cfg.n_list:
         raise UsageError("--n is required for sweep")
+    if cfg.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if cfg.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if cfg.tol_verify <= 0:
+        raise UsageError("--tol-verify must be positive")
     if cfg.command == "verify":
         if cfg.input_path is None:
             raise UsageError("--input is required for verify")
@@ -158,22 +162,26 @@ def parse_config(argv) -> RunConfig:
     if max(cfg.n_list) > cfg.dim_h:
         raise UsageError(f"--dim-f: dim(F)={max(cfg.n_list)} exceeds "
                          f"--dim-h={cfg.dim_h}")
-    if cfg.tol_build <= 0 or cfg.tol_verify <= 0:
-        raise UsageError("--tol-build/--tol-verify must be positive")
+    if cfg.capacity is not None and cfg.capacity < 1:
+        raise UsageError("--capacity must be positive")
     return cfg
 
 
 def _family_operator(cfg: RunConfig) -> DenseOperator:
     spec = cfg.family
-    if spec.startswith("scalar:"):
-        return expansive_generator(cfg.dim_h, "scalar", scale=float(spec[7:]))
-    if spec.startswith("diag:"):
-        entries = [float(v) for v in spec[5:].split(",") if v]
-        if not entries:
-            raise UsageError("--family diag: needs entries")
-        # tile prescribed entries cyclically to fill dim(H)
-        tiled = [entries[i % len(entries)] for i in range(cfg.dim_h)]
-        return expansive_generator(cfg.dim_h, "diagonal", diag=tiled)
+    try:
+        if spec.startswith("scalar:"):
+            return expansive_generator(cfg.dim_h, "scalar",
+                                       scale=float(spec[7:]))
+        if spec.startswith("diag:"):
+            entries = [float(v) for v in spec[5:].split(",") if v]
+            if not entries:
+                raise UsageError("--family diag: needs entries")
+            # tile prescribed entries cyclically to fill dim(H)
+            tiled = [entries[i % len(entries)] for i in range(cfg.dim_h)]
+            return expansive_generator(cfg.dim_h, "diagonal", diag=tiled)
+    except ValueError as exc:
+        raise UsageError(f"--family {spec}: {exc}") from exc
     if spec == "svd-random":
         return expansive_generator(cfg.dim_h, "svd_random", seed=cfg.seed)
     if spec == "id-plus-psd":
@@ -192,38 +200,36 @@ def _certificate_row(cert: Certificate, wall_ms: float) -> SweepRow:
                     wall_ms=wall_ms)
 
 
-def run_theorem1(cfg: RunConfig, n: int) -> SweepRow:
+def run_construction(cfg: RunConfig, n: int,
+                     T: DenseOperator | None) -> SweepRow:
+    """Construct and certify one row: theorem1 approximates 2*id within
+    1/n, every other command T^(4) within (||T||+1)/n."""
     start = time.perf_counter()
     space = prepare_space(cfg.dim_h, cfg.capacity)
     f_basis = standard_f_basis(space, n)
-    block, trace = theorem1_construct(f_basis, space)
-    cert = certificate_evaluate(ScalarOperator(2.0), block, trace, f_basis,
-                                cfg.samples, operator_norm_T=2.0,
-                                bound_theoretical=1.0 / n, seed=cfg.seed)
-    return _certificate_row(cert, 1e3 * (time.perf_counter() - start))
-
-
-def run_theorem2(cfg: RunConfig, n: int) -> SweepRow:
-    start = time.perf_counter()
-    T = _family_operator(cfg)
-    space = prepare_space(cfg.dim_h, cfg.capacity)
-    f_basis = standard_f_basis(space, n)
-    block, T4, trace = theorem2_construct(T, f_basis, space)
-    norm_T = T.operator_norm
-    cert = certificate_evaluate(T4, block, trace, f_basis, cfg.samples,
+    if cfg.command == "theorem1":
+        block, trace = theorem1_construct(f_basis, space)
+        target, norm_T, bound = ScalarOperator(2.0), 2.0, 1.0 / n
+    else:
+        block, target, trace = theorem2_construct(T, f_basis, space)
+        norm_T = T.operator_norm
+        bound = (norm_T + 1.0) / n
+    cert = certificate_evaluate(target, block, trace, f_basis, cfg.samples,
                                 operator_norm_T=norm_T,
-                                bound_theoretical=(norm_T + 1.0) / n,
-                                seed=cfg.seed)
+                                bound_theoretical=bound, seed=cfg.seed)
     return _certificate_row(cert, 1e3 * (time.perf_counter() - start))
 
 
 def run_sweep(cfg: RunConfig):
-    """One SweepRow per n, increasing; failed rows carry an error marker."""
-    runner = run_theorem1 if cfg.command == "theorem1" else run_theorem2
+    """One SweepRow per n, increasing; failed rows carry an error marker.
+
+    T is built once, before any row, so a bad --family ends the run
+    instead of failing every row."""
+    T = None if cfg.command == "theorem1" else _family_operator(cfg)
     rows = []
     for n in sorted(cfg.n_list):
         try:
-            rows.append(runner(cfg, n))
+            rows.append(run_construction(cfg, n, T))
         except IsolabError as exc:
             rows.append(SweepRow(n=n, epsilon=1.0 / n, norm_T=np.nan,
                                  bound_theoretical=np.nan, bound_measured=np.nan,
@@ -282,8 +288,15 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
     Exit status 0 iff the operator is certified expansive at tol_verify;
     the m-isometry verdicts are informational.
     """
-    matrix = read_operator(cfg.input_path)
-    op = DenseOperator(matrix)
+    try:
+        op = DenseOperator(read_operator(cfg.input_path))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"--input {cfg.input_path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    rows, cols = op.matrix.shape
+    if rows != cols or rows == 0:
+        raise UsageError(f"--input {cfg.input_path}: need a nonempty square "
+                         f"matrix, got {rows}x{cols}")
     rng = np.random.default_rng(cfg.seed)
     dim = op.dim
     scale = max(1.0, op.operator_norm ** 2)
@@ -296,7 +309,7 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
         verdict = "yes" if worst <= cfg.tol_verify * scale ** m else "no"
         stream.write(f"defect order {m}: max |d_{m}| = {_fmt(worst)} "
                      f"({m}-isometry: {verdict})\n")
-    smin = float(np.linalg.svd(matrix, compute_uv=False).min())
+    smin = float(np.linalg.svd(op.matrix, compute_uv=False).min())
     expansive = smin >= 1.0 - cfg.tol_verify
     stream.write(f"sigma_min: {_fmt(smin)} "
                  f"(expansive: {'yes' if expansive else 'no'})\n")
@@ -310,6 +323,10 @@ def main(argv=None) -> int:
             return run_verify(cfg)
         rows = run_sweep(cfg)
         text = emit_report(rows, cfg.format, cfg.out)
+        if cfg.format == "csv":  # the report format carries errors inline
+            for row in rows:
+                if row.error is not None:
+                    print(f"error: n={row.n}: {row.error}", file=sys.stderr)
         if not cfg.out:
             sys.stdout.write(text)
         return 0 if all(row.ok for row in rows) else 1

@@ -12,12 +12,6 @@ import numpy as np
 from .errors import AllVectorsNegligible, NotHermitian
 from .spaces import AmbientSpace, Vector
 
-#: construction-time orthonormality tolerance (absolute)
-BUILD_TOL = 1e-12
-#: verification tolerance (relative)
-VERIFY_TOL = 1e-9
-
-
 def _stack(vectors) -> np.ndarray:
     """Rows = vector coordinates; all vectors checked to share a space."""
     first = vectors[0]

@@ -162,26 +162,20 @@ class LazyIsometry:
         return Vector(out, self.space)
 
 
-def lazy_extend(R: LazyIsometry, x: Vector) -> Vector:
-    """Apply R to x, extending its definition if needed."""
-    return R.apply(x)
-
-
 class BrownianBlock:
-    """Upper-triangular 2x2 block operator (R, sigma*V; 0, id_K).
+    """Upper-triangular 2x2 block operator (R, V; 0, id_K).
 
     ``K_basis`` is an orthonormal basis of the finite-dimensional corner K;
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
-    R(x_L) + sigma*V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
+    R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
     Im(V), this is a 2-isometry.
     """
 
-    def __init__(self, R: LazyIsometry, K_basis, V_images, sigma_scale=None):
+    def __init__(self, R: LazyIsometry, K_basis, V_images):
         if len(K_basis) != len(V_images):
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        self.sigma_scale = sigma_scale
         self._K = np.array([k.coords for k in K_basis])
         self._V = np.array([v.coords for v in V_images])
         n = len(K_basis)
@@ -195,22 +189,17 @@ class BrownianBlock:
         """Im(R) perpendicular to Im(V) on everything instantiated so far."""
         if self.R.defined_count == 0 or len(self._V) == 0:
             return
-        scaled = self._scaled_images()
-        vnorm = max(np.linalg.norm(scaled, 2), 1e-300)
-        cross = np.max(np.abs(np.conj(self.R.defined_outputs) @ scaled.T))
+        vnorm = max(np.linalg.norm(self._V, 2), 1e-300)
+        cross = np.max(np.abs(np.conj(self.R.defined_outputs) @ self._V.T))
         if cross > 1e-10 * vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
-    def _scaled_images(self) -> np.ndarray:
-        s = 1.0 if self.sigma_scale is None else self.sigma_scale
-        return s * self._V
-
     @property
     def operator_norm(self) -> float:
-        # ||B||^2 = 1 + ||sigma V||^2: the supremum of ||Bx||^2 over unit x
+        # ||B||^2 = 1 + ||V||^2: the supremum of ||Bx||^2 over unit x
         # is attained on K, where ||Bx||^2 = ||Vx||^2 + ||x||^2.
         if self._norm is None:
-            vnorm = np.linalg.norm(self._scaled_images(), 2) if len(self._V) else 0.0
+            vnorm = np.linalg.norm(self._V, 2) if len(self._V) else 0.0
             self._norm = float(np.sqrt(1.0 + vnorm ** 2))
         return self._norm
 
@@ -220,13 +209,8 @@ class BrownianBlock:
         c = np.conj(self._K) @ x.coords
         xK = c @ self._K
         xL = Vector(x.coords - xK, self.space)
-        out = self.R.apply(xL).coords + c @ self._scaled_images() + xK
+        out = self.R.apply(xL).coords + c @ self._V + xK
         return Vector(out, self.space)
-
-
-def apply(op, x):
-    """Uniform forward application for every operator kind."""
-    return op.apply(x)
 
 
 def direct_sum_power(T: DenseOperator, k: int,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isolab import (DenseOperator, NotExpansive, ScalarOperator,
+from isolab import (AmbientSpace, DenseOperator, NotExpansive, ScalarOperator,
                     SubspaceNotContained, Vector, certificate_evaluate,
                     compressed_gram, defect_form, diagonalizing_basis,
                     direct_sum_power, expansive_generator, gram_matrix,
@@ -89,16 +89,28 @@ class TestSplitPair:
             split_pair([sp.basis_vector(0)], 1.5, self.partner(sp))
 
 
+def assert_distance_to_twice_identity(block, f_basis, rng):
+    """||(B - 2 id)x|| = 1/n on random unit x in span(f_basis)."""
+    n = len(f_basis)
+    rows = np.array([v.coords for v in f_basis])
+    for _ in range(200 // n + 5):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = Vector((c / np.linalg.norm(c)) @ rows, f_basis[0].space)
+        resid = (block.apply(x) - 2.0 * x).norm()
+        assert abs(resid - 1.0 / n) <= 1e-9
+
+
 class TestTheorem1:
     def test_sigma_at_n2(self):
+        # ||B||^2 = 1 + ||V||^2 with ||V|| = sigma * ||2 z2|| = 1.5 * 2
         sp = prepare_space(4)
         block, trace = theorem1_construct(standard_f_basis(sp, 2), sp)
-        assert block.sigma_scale == pytest.approx(3.0)
+        assert block.operator_norm == pytest.approx(np.sqrt(10.0))
 
     def test_n1_degenerate(self):
         sp = prepare_space(2)
         block, trace = theorem1_construct(standard_f_basis(sp, 1), sp)
-        assert block.sigma_scale == pytest.approx(0.0)
+        assert block.operator_norm == pytest.approx(1.0)
         x = sp.basis_vector(0)
         assert (block.apply(x) - 2.0 * x).norm() == pytest.approx(1.0)
 
@@ -107,12 +119,27 @@ class TestTheorem1:
         sp = prepare_space(max(n, 2))
         f_basis = standard_f_basis(sp, n)
         block, trace = theorem1_construct(f_basis, sp)
-        rows = np.array([v.coords for v in f_basis])
-        for _ in range(200 // n + 5):
-            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = Vector((c / np.linalg.norm(c)) @ rows, sp)
-            resid = (block.apply(x) - 2.0 * x).norm()
-            assert abs(resid - 1.0 / n) <= 1e-9
+        # two fresh coordinates per direction of F, no copies of H
+        assert sp.allocated == max(n, 2) + 2 * n
+        assert set(sp.labels) == {"H1"}
+        assert_distance_to_twice_identity(block, f_basis, rng)
+
+    def test_subspace_not_coordinate_aligned(self, rng):
+        sp = prepare_space(6)
+        h1 = sp.labels["H1"]
+        raw = [sp.vector(rng.standard_normal(6) + 1j * rng.standard_normal(6),
+                         h1) for _ in range(3)]
+        f_basis = gram_schmidt(raw)
+        block, trace = theorem1_construct(f_basis, sp)
+        assert_distance_to_twice_identity(block, f_basis, rng)
+
+    def test_bare_space_without_labels(self, rng):
+        sp = AmbientSpace(40)
+        sp.allocate(5)
+        f_basis = [sp.basis_vector(1), sp.basis_vector(3)]
+        block, trace = theorem1_construct(f_basis, sp)
+        assert sp.allocated == 5 + 4 and sp.labels == {}
+        assert_distance_to_twice_identity(block, f_basis, rng)
 
     def test_trace_reconstructions(self):
         sp = prepare_space(4)
@@ -161,13 +188,13 @@ class TestTheorem2:
         assert cert.defect_report.normalized <= 1e-9
 
     def test_residual_identity(self):
-        # (T4 - B)x_i = eps (T4 - id) yhat2_i, per construction step
+        # (T4 - B)x_i = eps (T4 - id) y2_i, per construction step
         T = expansive_generator(6, "svd_random", seed=2)
         block, T4, trace, sp, _ = self.run(T, n=3)
         eps = 1.0 / 3.0
         for i in range(3):
             lhs = T4.apply(trace.x[i]) - block.apply(trace.x[i])
-            rhs = eps * (T4.apply(trace.yhat2[i]) - trace.yhat2[i])
+            rhs = eps * (T4.apply(trace.y2[i]) - trace.y2[i])
             assert (lhs - rhs).norm() <= 1e-9 * (T.operator_norm + 1)
 
     def test_step3_orthogonality(self):
@@ -182,7 +209,7 @@ class TestTheorem2:
             a = 1.0 / trace.norms_Tx[i]
             b = np.sqrt(1 - a ** 2)
             recon = a * trace.z1[i] + b * trace.z2[i]
-            assert (trace.yhat1[i] - recon).norm() <= 1e-12
+            assert (trace.y1[i] - recon).norm() <= 1e-12
             assert T4.apply(trace.z1[i]).norm() == pytest.approx(
                 trace.norms_Tx[i], abs=1e-10)
             assert trace.norms_Tx[i] >= 1.0 - 1e-10

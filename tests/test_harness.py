@@ -6,8 +6,8 @@ import pytest
 
 from isolab import UsageError, write_operator
 from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
-                            parse_config, read_sweep_csv, run_sweep,
-                            run_theorem1, run_verify, SweepRow)
+                            parse_config, read_sweep_csv, run_construction,
+                            run_sweep, run_verify, SweepRow)
 
 
 class TestParseConfig:
@@ -75,7 +75,7 @@ class TestSweep:
         cfg = parse_config(["sweep", "--n", "8,2,4", "--family", "scalar:2"])
         assert [r.n for r in run_sweep(cfg)] == [2, 4, 8]
 
-    def test_failed_row_marked_not_aborting(self):
+    def test_failed_row_marked_not_aborting(self, capsys):
         # a tight capacity starves the larger row but the sweep completes
         cfg = parse_config(["theorem1", "--dim-f", "2", "--dim-h", "8",
                             "--capacity", "50", "--samples", "5"])
@@ -85,10 +85,17 @@ class TestSweep:
         assert rows[0].error is None
         assert rows[1].error is not None and np.isnan(rows[1].bound_measured)
         assert not rows[1].ok
+        # the CSV keeps its NaN row; the reason goes to stderr
+        argv = ["theorem1", "--dim-f", "8", "--dim-h", "8", "--capacity", "50",
+                "--samples", "5"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == emit_report(rows[1:], "csv", None)
+        assert err == f"error: n=8: {rows[1].error}\n"
 
     def test_theorem1_row(self):
         cfg = parse_config(["theorem1", "--dim-f", "4"])
-        row = run_theorem1(cfg, 4)
+        row = run_construction(cfg, 4, None)
         assert row.bound_measured == pytest.approx(0.25, abs=1e-10)
 
     def test_determinism_of_numeric_payload(self):
@@ -178,6 +185,38 @@ class TestMain:
     def test_usage_error_exit_two(self, capsys):
         assert main(["theorem2", "--dim-f", "9", "--dim-h", "4"]) == 2
         assert "--dim-f" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, content, reason", [
+        (["verify"], '{"rows": 2, "cols": 3, "entries": ' + str([[1, 0]] * 6)
+         + '}', "2x3"),
+        (["verify"], '{"rows": 1, "cols": 1, "entries": [[NaN, 0]]}',
+         "non-finite"),
+        (["verify"], None, "No such file"),
+        (["verify"], '{"rows": 1, ', "JSONDecodeError"),
+        (["sweep", "--n", "2", "--family", "diag:abc"], None, "diag:abc"),
+        (["sweep", "--n", "2", "--seed", "-1"], None, "--seed"),
+        (["theorem1", "--dim-f", "2", "--capacity", "0"], None, "--capacity"),
+        (["verify", "--tol-verify", "-1"],
+         '{"rows": 1, "cols": 1, "entries": [[2, 0]]}', "--tol-verify"),
+        # no samples would certify any run: every sampled maximum stays 0
+        (["sweep", "--n", "2", "--samples", "0"], None, "--samples"),
+        (["verify", "--samples", "-3"],
+         '{"rows": 1, "cols": 1, "entries": [[0.5, 0]]}', "--samples"),
+    ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
+            "bad-family", "negative-seed", "zero-capacity",
+            "verify-negative-tolerance", "zero-samples",
+            "verify-negative-samples"])
+    def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
+        path = tmp_path / "op.json"
+        if content is not None:
+            path.write_text(content)
+        if argv[0] == "verify":
+            argv = argv + ["--input", str(path)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
 
     def test_verify_via_main(self, tmp_path):
         path = tmp_path / "op.json"

@@ -3,8 +3,8 @@ import pytest
 
 from isolab import (BrownianBlock, CapacityExceeded, DenseOperator,
                     DomainMismatch, LazyIsometry, NotNilpotent, OddDimension,
-                    ScalarOperator, apply, compressed_gram, defect_form,
-                    defect_report, direct_sum_power, gram_matrix, lazy_extend,
+                    ScalarOperator, compressed_gram, defect_form,
+                    defect_report, direct_sum_power, gram_matrix,
                     random_2nilpotent, read_operator,
                     three_isometry_from_nilpotent, write_operator)
 
@@ -51,7 +51,7 @@ class TestLazyIsometry:
         sp = make_space(1, capacity=4)
         R = LazyIsometry(sp)
         x = 2.0 * sp.basis_vector(0)
-        out = lazy_extend(R, x)
+        out = R.apply(x)
         assert out.norm() == pytest.approx(2.0)
         assert abs(out.coords[1]) == pytest.approx(2.0)  # coordinate 1 is fresh
 
@@ -229,7 +229,3 @@ class TestOperatorFile:
         path.write_text('{"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}')
         with pytest.raises(ValueError):
             read_operator(path)
-
-
-def test_apply_dispatch():
-    assert apply(ScalarOperator(3.0), np.array([1.0]))[0] == 3.0
