@@ -12,17 +12,15 @@ from .errors import (AllVectorsNegligible, CapacityExceeded, DomainMismatch,
                      SubspaceNotContained, UsageError)
 from .spaces import AmbientSpace, Vector
 from .linalg import gram_schmidt, extend_ons, gram_matrix, hermitian_eig
-from .operators import (BrownianBlock, DefectReport, DenseOperator,
-                        LazyIsometry, ScalarOperator, compressed_gram,
-                        defect_form, defect_report, direct_sum_power,
-                        random_2nilpotent, read_operator,
+from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
+                        ScalarOperator, compressed_gram, defect_form,
+                        direct_sum_power, random_2nilpotent, read_operator,
                         three_isometry_from_nilpotent, write_operator)
 from .generators import expansive_generator, random_unitary
 from .constructions import (Certificate, ConstructionTrace,
                             certificate_evaluate, diagonalizing_basis,
-                            prepare_space, random_instantiated,
-                            random_orthonormal_system, split_pair,
-                            standard_f_basis, theorem1_construct,
-                            theorem2_construct, translate)
+                            prepare_space, split_pair, standard_f_basis,
+                            theorem1_construct, theorem2_construct,
+                            translate)
 
 __version__ = "0.1.0"

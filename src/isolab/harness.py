@@ -70,79 +70,87 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: argparse types of the flags each subcommand reads; theorem1 builds no T
+#: and ignores --seed, which it accepts like the other construction commands
+_RUN_FLAGS = {"--dim-h": int, "--seed": int, "--capacity": int, "--out": str,
+              "--format": str}
+_COMMAND_FLAGS = {
+    "theorem1": {"--dim-f": int, **_RUN_FLAGS},
+    "theorem2": {"--dim-f": int, "--family": str, **_RUN_FLAGS},
+    "sweep": {"--n": str, "--family": str, **_RUN_FLAGS},
+    "verify": {"--input": str, "--seed": int, "--samples": int,
+               "--tol-verify": float},
+}
+_CHOICES = {"--format": ("csv", "report")}
+_HELP = {"--n": "comma-separated sweep list, e.g. 2,4,8",
+         "--family": "scalar:<t> | diag:<d1,d2,...> | svd-random | id-plus-psd"}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--dim-h", type=int, default=None)
-        p.add_argument("--dim-f", type=int, default=None)
-        p.add_argument("--n", type=str, default=None,
-                       help="comma-separated sweep list, e.g. 2,4,8")
-        p.add_argument("--family", type=str, default=None,
-                       help="scalar:<t> | diag:<d1,d2,...> | svd-random | id-plus-psd")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--capacity", type=int, default=None)
-        p.add_argument("--tol-verify", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "report"), default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    for name in ("theorem1", "theorem2", "sweep"):
-        common(sub.add_parser(name))
-    verify = sub.add_parser("verify")
-    common(verify)
-    verify.add_argument("--input", type=str, default=None)
+    for name, flags in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name)
+        for flag, kind in flags.items():
+            p.add_argument(flag, type=kind, choices=_CHOICES.get(flag),
+                           help=_HELP.get(flag))
+        p.add_argument("--config", type=str)
     return parser
 
 
-_CONFIG_KEYS = {"dim_h", "dim_f", "n", "family", "seed", "capacity",
-                "tol_verify", "samples", "out", "format", "input"}
+def _read_config(path: str, command: str) -> dict:
+    """Values of a JSON config file: its keys are `command`'s flags with `_`
+    for `-`, each value of its flag's type (an integer stands for a float)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            filecfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"--config: {exc}") from exc
+    if not isinstance(filecfg, dict):
+        raise UsageError("--config: the file must hold one JSON object")
+    specs = {flag[2:].replace("-", "_"): (kind, _CHOICES.get(flag))
+             for flag, kind in _COMMAND_FLAGS[command].items()}
+    unknown = set(filecfg) - set(specs)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in filecfg.items():
+        kind, choices = specs[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise UsageError(f"config key {key!r}: expected {kind.__name__}, "
+                             f"got {value!r}")
+        if choices and value not in choices:
+            raise UsageError(f"config key {key!r}: {value!r} is not one of "
+                             f"{list(choices)}")
+    return filecfg
 
 
 def parse_config(argv) -> RunConfig:
     """Parse CLI flags plus an optional JSON config file.
 
-    Flags given on the command line override file values; unknown config
-    keys are rejected.  Raises UsageError on any bad input.
+    Flags given on the command line override file values; config keys are
+    the subcommand's flags, and unknown or mistyped ones are rejected.
+    Raises UsageError on any bad input.
     """
-    ns = _build_parser().parse_args(argv)
-    merged = {}
-    if getattr(ns, "config", None):
-        try:
-            with open(ns.config, encoding="utf-8") as fh:
-                filecfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"--config: {exc}") from exc
-        unknown = set(filecfg) - _CONFIG_KEYS
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(filecfg)
-    for key in _CONFIG_KEYS:
-        cli = getattr(ns, key if key != "input" else "input", None)
-        if cli is not None:
-            merged[key] = cli
+    ns = vars(_build_parser().parse_args(argv))
+    command, config = ns.pop("command"), ns.pop("config")
+    merged = _read_config(config, command) if config else {}
+    merged.update({k: v for k, v in ns.items() if v is not None})
+    n_spec = merged.pop("n", None)
+    if "input" in merged:
+        merged["input_path"] = merged.pop("input")
+    cfg = RunConfig(command=command, **merged)
 
-    cfg = RunConfig(command=ns.command)
-    if merged.get("n") is not None:
+    if n_spec is not None:
         try:
-            cfg.n_list = [int(v) for v in str(merged["n"]).split(",") if v]
+            cfg.n_list = [int(v) for v in n_spec.split(",") if v]
         except ValueError as exc:
             raise UsageError(f"--n: {exc}") from exc
         if any(v < 1 for v in cfg.n_list):
             raise UsageError("--n: entries must be positive")
-    for attr, key in (("dim_h", "dim_h"), ("dim_f", "dim_f"), ("seed", "seed"),
-                      ("capacity", "capacity"), ("tol_verify", "tol_verify"),
-                      ("samples", "samples"), ("out", "out"),
-                      ("format", "format"), ("family", "family"),
-                      ("input_path", "input")):
-        if merged.get(key) is not None:
-            setattr(cfg, attr, merged[key])
-
     if cfg.command in ("theorem1", "theorem2"):
-        if cfg.dim_f is None:
-            raise UsageError("--dim-f is required")
+        if cfg.dim_f is None or cfg.dim_f < 1:
+            raise UsageError("--dim-f is required and must be positive")
         cfg.n_list = [cfg.dim_f]
     if cfg.command == "sweep" and not cfg.n_list:
         raise UsageError("--n is required for sweep")
@@ -160,7 +168,8 @@ def parse_config(argv) -> RunConfig:
     if cfg.dim_h is None:
         cfg.dim_h = max(cfg.n_list)
     if max(cfg.n_list) > cfg.dim_h:
-        raise UsageError(f"--dim-f: dim(F)={max(cfg.n_list)} exceeds "
+        flag = "--n" if cfg.command == "sweep" else "--dim-f"
+        raise UsageError(f"{flag}: dim(F)={max(cfg.n_list)} exceeds "
                          f"--dim-h={cfg.dim_h}")
     if cfg.capacity is not None and cfg.capacity < 1:
         raise UsageError("--capacity must be positive")
@@ -194,7 +203,7 @@ def _certificate_row(cert: Certificate, wall_ms: float) -> SweepRow:
                     norm_T=cert.operator_norm_T,
                     bound_theoretical=cert.bound_theoretical,
                     bound_measured=cert.bound_measured,
-                    defect_max=cert.defect_report.normalized,
+                    defect_max=cert.defect_max,
                     expansivity_min=cert.expansivity_min,
                     orthogonality_max=cert.orthogonality_max,
                     wall_ms=wall_ms)
@@ -214,9 +223,9 @@ def run_construction(cfg: RunConfig, n: int,
         block, target, trace = theorem2_construct(T, f_basis, space)
         norm_T = T.operator_norm
         bound = (norm_T + 1.0) / n
-    cert = certificate_evaluate(target, block, trace, f_basis, cfg.samples,
+    cert = certificate_evaluate(target, block, trace, f_basis,
                                 operator_norm_T=norm_T,
-                                bound_theoretical=bound, seed=cfg.seed)
+                                bound_theoretical=bound)
     return _certificate_row(cert, 1e3 * (time.perf_counter() - start))
 
 

@@ -13,7 +13,6 @@ infinite-dimensional operator being modeled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -203,6 +202,25 @@ class BrownianBlock:
             self._norm = float(np.sqrt(1.0 + vnorm ** 2))
         return self._norm
 
+    def copy_to(self, space: AmbientSpace) -> "BrownianBlock":
+        """This block on `space`, whose first coordinates stand for the ones
+        instantiated here.  Lazy extensions of the copy allocate in `space`
+        and leave this block and its space unchanged."""
+        m = self.space.allocated
+        if space.allocated < m:
+            raise ValueError(f"space has {space.allocated} coordinates, "
+                             f"the block needs {m}")
+
+        def moved(rows):
+            # every stored vector is supported on the instantiated prefix
+            return [Vector(np.pad(r[:m], (0, space.capacity - m)), space)
+                    for r in rows]
+
+        R = LazyIsometry(space, moved(self.R.defined_inputs),
+                         moved(self.R.defined_outputs),
+                         extension_tol=self.R.extension_tol)
+        return BrownianBlock(R, moved(self._K), moved(self._V))
+
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
@@ -232,19 +250,6 @@ def direct_sum_power(T: DenseOperator, k: int,
     return DenseOperator(big, space, indices)
 
 
-@dataclass
-class DefectReport:
-    """Summary of an m-isometry defect-form sweep."""
-    m: int
-    samples: int
-    max_abs_defect: float
-    scale: float
-
-    @property
-    def normalized(self) -> float:
-        return self.max_abs_defect / self.scale
-
-
 def _norm_of(x) -> float:
     return x.norm() if isinstance(x, Vector) else float(np.linalg.norm(x))
 
@@ -265,16 +270,6 @@ def defect_form(B, x, m: int) -> float:
         if k < m:
             v = B.apply(v)
     return total
-
-
-def defect_report(B, sample_vectors, m: int) -> DefectReport:
-    """Max |defect_form| over the samples, with the normalization scale."""
-    worst = 0.0
-    for x in sample_vectors:
-        worst = max(worst, abs(defect_form(B, x, m)))
-    scale = max(1.0, B.operator_norm ** 2) ** m
-    return DefectReport(m=m, samples=len(sample_vectors),
-                        max_abs_defect=worst, scale=scale)
 
 
 def compressed_gram(B, S) -> np.ndarray:

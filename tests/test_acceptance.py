@@ -53,9 +53,9 @@ def theorem2_runs():
             f_basis = standard_f_basis(space, n)
             block, T4, trace = theorem2_construct(T, f_basis, space)
             cert = certificate_evaluate(
-                T4, block, trace, f_basis, 100,
+                T4, block, trace, f_basis,
                 operator_norm_T=T.operator_norm,
-                bound_theoretical=(T.operator_norm + 1.0) / n, seed=n)
+                bound_theoretical=(T.operator_norm + 1.0) / n)
             runs.append((f"{label} n={n}", T, space, f_basis, block, T4,
                          trace, cert))
     return runs, time.perf_counter() - start

@@ -5,11 +5,20 @@ from isolab import (AmbientSpace, DenseOperator, NotExpansive, ScalarOperator,
                     SubspaceNotContained, Vector, certificate_evaluate,
                     compressed_gram, defect_form, diagonalizing_basis,
                     direct_sum_power, expansive_generator, gram_matrix,
-                    gram_schmidt, prepare_space, random_instantiated,
-                    split_pair, standard_f_basis, theorem1_construct,
-                    theorem2_construct, translate)
+                    gram_schmidt, prepare_space, split_pair,
+                    standard_f_basis, theorem1_construct, theorem2_construct,
+                    translate)
 
 from conftest import make_space, vec
+
+
+def random_instantiated(space, rng):
+    """Random unit vector on every coordinate instantiated so far."""
+    m = space.allocated
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    coords = np.zeros(space.capacity, dtype=complex)
+    coords[:m] = c / np.linalg.norm(c)
+    return Vector(coords, space)
 
 
 def doubled_space(dim):
@@ -180,12 +189,12 @@ class TestTheorem2:
     def test_diag_bound_and_defect(self, rng):
         T = DenseOperator(np.diag([2.0, 3.0]))
         block, T4, trace, sp, f_basis = self.run(T, n=2)
-        cert = certificate_evaluate(T4, block, trace, f_basis, 100,
+        cert = certificate_evaluate(T4, block, trace, f_basis,
                                     operator_norm_T=3.0,
-                                    bound_theoretical=2.0, seed=5)
+                                    bound_theoretical=2.0)
         assert cert.bound_theoretical == pytest.approx(2.0)  # (3+1)/2
         assert cert.bound_measured <= 2.0
-        assert cert.defect_report.normalized <= 1e-9
+        assert cert.defect_max <= 1e-9
 
     def test_residual_identity(self):
         # (T4 - B)x_i = eps (T4 - id) y2_i, per construction step
@@ -280,17 +289,16 @@ class TestCertificate:
         T, sp, f_basis, block, T4, trace = self.build()
         outside = sp.basis_vector(sp.labels["H1"][5])
         with pytest.raises(SubspaceNotContained):
-            certificate_evaluate(T4, block, trace, [outside], 10,
+            certificate_evaluate(T4, block, trace, [outside],
                                  operator_norm_T=T.operator_norm,
                                  bound_theoretical=1.0)
 
     def test_restriction_monotonicity(self):
         T, sp, f_basis, block, T4, trace = self.build()
         kwargs = dict(operator_norm_T=T.operator_norm,
-                      bound_theoretical=(T.operator_norm + 1) / 4, seed=0)
-        full = certificate_evaluate(T4, block, trace, f_basis, 200, **kwargs)
-        single = certificate_evaluate(T4, block, trace, [f_basis[0]], 200,
-                                      **kwargs)
+                      bound_theoretical=(T.operator_norm + 1) / 4)
+        full = certificate_evaluate(T4, block, trace, f_basis, **kwargs)
+        single = certificate_evaluate(T4, block, trace, [f_basis[0]], **kwargs)
         assert single.bound_measured <= full.bound_theoretical * (1 + 1e-9)
         assert full.bound_holds
 
@@ -301,7 +309,81 @@ class TestCertificate:
             f_basis = standard_f_basis(sp, n)
             block, T4, trace = theorem2_construct(T, f_basis, sp)
             cert = certificate_evaluate(
-                T4, block, trace, f_basis, 50,
+                T4, block, trace, f_basis,
                 operator_norm_T=T.operator_norm,
-                bound_theoretical=(T.operator_norm + 1) / n, seed=1)
+                bound_theoretical=(T.operator_norm + 1) / n)
             assert cert.bound_measured * n <= T.operator_norm + 1 + 1e-9
+
+    def test_leaves_block_and_space_unchanged(self):
+        T, sp, f_basis, block, T4, trace = self.build()
+        before = (sp.allocated, block.R.defined_count,
+                  block.R.defined_inputs.copy(), block.R.defined_outputs.copy())
+        certificate_evaluate(T4, block, trace, f_basis,
+                             operator_norm_T=T.operator_norm,
+                             bound_theoretical=(T.operator_norm + 1) / 4)
+        assert (sp.allocated, block.R.defined_count) == before[:2]
+        np.testing.assert_array_equal(block.R.defined_inputs, before[2])
+        np.testing.assert_array_equal(block.R.defined_outputs, before[3])
+
+    def test_fits_the_construction_footprint(self):
+        # theorem1 allocates dim H + 2n coordinates; the certificate none
+        sp = prepare_space(8, capacity=24)
+        f_basis = standard_f_basis(sp, 8)
+        block, trace = theorem1_construct(f_basis, sp)
+        assert sp.allocated == sp.capacity
+        cert = certificate_evaluate(ScalarOperator(2.0), block, trace, f_basis,
+                                    operator_norm_T=2.0, bound_theoretical=1 / 8)
+        assert sp.allocated == sp.capacity
+        assert cert.defect_max <= 1e-12 and cert.expansivity_min >= 1 - 1e-12
+
+    def test_exact_bound_on_subspace_not_coordinate_aligned(self, rng):
+        T = expansive_generator(8, "svd_random", seed=11)
+        sp = prepare_space(8)
+        raw = [sp.vector(rng.standard_normal(8) + 1j * rng.standard_normal(8),
+                         sp.labels["H1"]) for _ in range(4)]
+        f_basis = gram_schmidt(raw)
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        bound = (T.operator_norm + 1) / 4
+        cert = certificate_evaluate(T4, block, trace, f_basis,
+                                    operator_norm_T=T.operator_norm,
+                                    bound_theoretical=bound)
+        rows = np.array([v.coords for v in f_basis])
+        sampled = 0.0
+        for _ in range(200):
+            c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            x = Vector((c / np.linalg.norm(c)) @ rows, sp)
+            sampled = max(sampled, (block.apply(x) - T4.apply(x)).norm())
+        assert sampled <= cert.bound_measured * (1 + 1e-12)
+        assert cert.bound_measured <= bound * (1 + 1e-9)
+
+        sp1 = prepare_space(8)
+        f1 = gram_schmidt([sp1.vector(v.coords[:8], sp1.labels["H1"])
+                           for v in raw])
+        block1, trace1 = theorem1_construct(f1, sp1)
+        cert1 = certificate_evaluate(ScalarOperator(2.0), block1, trace1, f1,
+                                     operator_norm_T=2.0,
+                                     bound_theoretical=1 / 4)
+        assert cert1.bound_measured == pytest.approx(1 / 4, abs=1e-12)
+
+    def test_defect_normalized_by_squared_norm_squared(self):
+        # B is an isometry for T = id, so tB has defect (t^2-1)^2 ||x||^2,
+        # Gram(tBe_j) = t^2 I, and ||tB|| = t: defect_max = (t^2-1)^2/t^4
+        class Scaled:
+            def __init__(self, block, t):
+                self.block, self.t = block, t
+                self.operator_norm = t * block.operator_norm
+
+            def apply(self, x):
+                return self.t * self.block.apply(x)
+
+            def copy_to(self, space):
+                return Scaled(self.block.copy_to(space), self.t)
+
+        T = DenseOperator(np.eye(4))
+        sp = prepare_space(4)
+        f_basis = standard_f_basis(sp, 2)
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        cert = certificate_evaluate(T4, Scaled(block, 2.0), trace, f_basis,
+                                    operator_norm_T=1.0, bound_theoretical=1.0)
+        assert cert.defect_max == pytest.approx(9 / 16, abs=1e-12)
+        assert cert.expansivity_min == pytest.approx(4.0, abs=1e-12)

@@ -76,9 +76,9 @@ class TestSweep:
         assert [r.n for r in run_sweep(cfg)] == [2, 4, 8]
 
     def test_failed_row_marked_not_aborting(self, capsys):
-        # a tight capacity starves the larger row but the sweep completes
+        # theorem1 needs dim H + 2n coordinates: 12 fit in 20, 24 do not
         cfg = parse_config(["theorem1", "--dim-f", "2", "--dim-h", "8",
-                            "--capacity", "50", "--samples", "5"])
+                            "--capacity", "20"])
         cfg.n_list = [2, 8]
         rows = run_sweep(cfg)
         assert len(rows) == 2
@@ -86,8 +86,7 @@ class TestSweep:
         assert rows[1].error is not None and np.isnan(rows[1].bound_measured)
         assert not rows[1].ok
         # the CSV keeps its NaN row; the reason goes to stderr
-        argv = ["theorem1", "--dim-f", "8", "--dim-h", "8", "--capacity", "50",
-                "--samples", "5"]
+        argv = ["theorem1", "--dim-f", "8", "--dim-h", "8", "--capacity", "20"]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == emit_report(rows[1:], "csv", None)
@@ -182,6 +181,12 @@ class TestMain:
         rows = read_sweep_csv(out.read_text())
         assert [r.n for r in rows] == [2, 4]
 
+    @pytest.mark.parametrize("capacity", ["24", "50"])
+    def test_certificate_fits_any_run_that_built(self, capacity, capsys):
+        # 24 = dim H + 2n is the construction's whole footprint
+        assert main(["theorem1", "--dim-f", "8", "--dim-h", "8",
+                     "--capacity", capacity]) == 0
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["theorem2", "--dim-f", "9", "--dim-h", "4"]) == 2
         assert "--dim-f" in capsys.readouterr().err
@@ -196,20 +201,36 @@ class TestMain:
         (["sweep", "--n", "2", "--family", "diag:abc"], None, "diag:abc"),
         (["sweep", "--n", "2", "--seed", "-1"], None, "--seed"),
         (["theorem1", "--dim-f", "2", "--capacity", "0"], None, "--capacity"),
+        (["theorem2", "--dim-f", "0"], None, "--dim-f"),
         (["verify", "--tol-verify", "-1"],
          '{"rows": 1, "cols": 1, "entries": [[2, 0]]}', "--tol-verify"),
-        # no samples would certify any run: every sampled maximum stays 0
+        # only verify samples; the construction commands certify exactly
         (["sweep", "--n", "2", "--samples", "0"], None, "--samples"),
+        (["sweep", "--n", "2", "--samples", "5"], None, "--samples"),
         (["verify", "--samples", "-3"],
          '{"rows": 1, "cols": 1, "entries": [[0.5, 0]]}', "--samples"),
+        # each subcommand takes only the flags it reads
+        (["theorem1", "--dim-f", "2", "--tol-verify", "1e-300"], None,
+         "--tol-verify"),
+        (["verify", "--out", "o.txt"],
+         '{"rows": 1, "cols": 1, "entries": [[2, 0]]}', "--out"),
+        # config-file values carry their flag's type
+        (["verify", "--config", "PATH"], '{"samples": "5"}', "expected int"),
+        (["theorem1", "--config", "PATH"], '{"dim_f": "2"}', "expected int"),
+        (["theorem1", "--config", "PATH"], '{"dim_f": 2, "format": "xml"}',
+         "not one of"),
+        (["theorem1", "--config", "PATH"], '[2]', "JSON object"),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
-            "bad-family", "negative-seed", "zero-capacity",
-            "verify-negative-tolerance", "zero-samples",
-            "verify-negative-samples"])
+            "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
+            "verify-negative-tolerance", "zero-samples", "sweep-samples",
+            "verify-negative-samples", "theorem1-tol-verify", "verify-out",
+            "config-string-samples", "config-string-dim-f",
+            "config-bad-format", "config-not-object"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if content is not None:
             path.write_text(content)
+        argv = [str(path) if a == "PATH" else a for a in argv]
         if argv[0] == "verify":
             argv = argv + ["--input", str(path)]
         assert main(argv) == 2

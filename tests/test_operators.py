@@ -4,9 +4,9 @@ import pytest
 from isolab import (BrownianBlock, CapacityExceeded, DenseOperator,
                     DomainMismatch, LazyIsometry, NotNilpotent, OddDimension,
                     ScalarOperator, compressed_gram, defect_form,
-                    defect_report, direct_sum_power, gram_matrix,
-                    random_2nilpotent, read_operator,
-                    three_isometry_from_nilpotent, write_operator)
+                    direct_sum_power, gram_matrix, random_2nilpotent,
+                    read_operator, three_isometry_from_nilpotent,
+                    write_operator)
 
 from conftest import make_space, vec
 
@@ -113,6 +113,22 @@ class TestBrownianBlock:
             BrownianBlock(R, K_basis=[sp.basis_vector(0)],
                           V_images=[sp.basis_vector(3)])
 
+    def test_copy_to_extends_only_the_copy(self):
+        sp = make_space(3, capacity=8)
+        R = LazyIsometry(sp, inputs=[sp.basis_vector(1)],
+                         outputs=[sp.basis_vector(2)])
+        B = BrownianBlock(R, K_basis=[sp.basis_vector(0)],
+                          V_images=[2 * sp.basis_vector(1)])
+        scratch = make_space(3, capacity=5)
+        image = B.copy_to(scratch).apply(vec(scratch, [1, 2j, 3]))
+        # e_2 lies outside R's defined span: only the copy was extended
+        assert (sp.allocated, scratch.allocated, R.defined_count) == (3, 4, 1)
+        np.testing.assert_allclose(image.coords[:4],
+                                   B.apply(vec(sp, [1, 2j, 3])).coords[:4],
+                                   atol=1e-15)
+        with pytest.raises(ValueError):
+            B.copy_to(make_space(2, capacity=8))
+
 
 class TestDefectForm:
     def test_identity_order2(self):
@@ -130,12 +146,6 @@ class TestDefectForm:
         for _ in range(5):
             x = vec(sp, rng.standard_normal(3))
             assert abs(defect_form(R, x, 1)) <= 1e-10 * x.norm() ** 2
-
-    def test_report_scale(self):
-        B = ScalarOperator(2.0)
-        rep = defect_report(B, [np.array([1.0])], 2)
-        assert rep.max_abs_defect == pytest.approx(9.0)
-        assert rep.scale == pytest.approx(16.0)  # max(1, 4)^2
 
 
 class TestCompressedGram:
