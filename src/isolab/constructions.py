@@ -14,7 +14,7 @@ from .errors import NotExpansive, SubspaceNotContained
 from .linalg import extend_ons, gram_matrix, gram_schmidt, hermitian_eig
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         ScalarOperator, compressed_gram, direct_sum_power)
-from .spaces import AmbientSpace, Vector
+from .spaces import AmbientSpace, Vector, leading_rows
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
@@ -155,7 +155,8 @@ def _assemble(x, norms_Tx, target, partner1, partner2, epsilon):
     block = BrownianBlock(R, K_basis=y2,
                           V_images=[sigmas[i] * tz2[i] for i in range(n)])
 
-    ortho = max(abs(u.inner(w)) for u in tz1 + tz2 for w in y2)
+    rows = leading_rows(tz1 + tz2 + y2, x[0].space)
+    ortho = float(np.max(np.abs(np.conj(rows[:2 * n]) @ rows[2 * n:].T)))
     trace = ConstructionTrace(x=x, y1=y1, y2=y2, z1=z1, z2=z2,
                               sigmas=sigmas, norms_Tx=norms_Tx,
                               orthogonality_max=ortho)

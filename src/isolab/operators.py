@@ -8,6 +8,12 @@ direction outside the defined span shows up, it is mapped to a freshly
 allocated unit coordinate.  All verdicts (defect forms, compressed Gram
 matrices) use forward applications only, which keeps them faithful to the
 infinite-dimensional operator being modeled.
+
+Lazy isometries and Brownian blocks store their directions as rows over
+the leading coordinates that carry them (at most the allocated ones), not
+at the space's capacity, so their memory and the cost of an application
+grow with the instantiated span.  Vectors passed in and out stay
+full-capacity `Vector`s.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
-from .spaces import AmbientSpace, Vector
+from .spaces import AmbientSpace, Vector, leading_rows, support_width
 
 
 class DenseOperator:
@@ -98,41 +104,56 @@ class LazyIsometry:
     every instantiated vector, so the extension stays isometric and its
     image stays orthogonal to any constraint subspace that was instantiated
     earlier (models Im(R) perpendicular to Im(V)).
+
+    The directions are stored as rows over the leading coordinates that
+    carry them (at most the allocated ones), in buffers that double as
+    rows and columns are added, never past the space's capacity.
     """
 
     def __init__(self, space: AmbientSpace, inputs=(), outputs=(),
                  extension_tol: float = 1e-12):
         self.space = space
         self.extension_tol = extension_tol
-        self._U = np.zeros((0, space.capacity), dtype=np.complex128)
-        self._W = np.zeros((0, space.capacity), dtype=np.complex128)
+        self._m = 0      # stored rows
+        self._cols = 0   # leading columns that hold every stored row
+        self._U = np.zeros((0, 0), dtype=np.complex128)
+        self._W = np.zeros((0, 0), dtype=np.complex128)
         for x, y in zip(inputs, outputs, strict=True):
-            self._define(x, y)
+            if x.space is not space or y.space is not space:
+                raise DomainMismatch("seed vectors live in a different space")
+            self._append(x.coords[:support_width(x.coords)],
+                         y.coords[:support_width(y.coords)])
         self._check_orthonormal()
 
     @property
     def defined_count(self) -> int:
-        return self._U.shape[0]
+        return self._m
 
     @property
     def defined_inputs(self) -> np.ndarray:
-        return self._U
+        """View of the stored input rows (defined_count x stored columns)."""
+        return self._U[:self._m, :self._cols]
 
     @property
     def defined_outputs(self) -> np.ndarray:
-        return self._W
+        """View of the stored output rows, on the same columns as the inputs."""
+        return self._W[:self._m, :self._cols]
 
-    def _define(self, x: Vector, y: Vector):
-        if x.space is not self.space or y.space is not self.space:
-            raise DomainMismatch("seed vectors live in a different space")
-        self._U = np.vstack([self._U, x.coords])
-        self._W = np.vstack([self._W, y.coords])
+    def _append(self, u: np.ndarray, w: np.ndarray):
+        """Store one more input/output pair, each given over leading coordinates."""
+        m, cols = self._m, max(self._cols, len(u), len(w))
+        self._U = _grown(self._U, m + 1, cols, self.space.capacity)
+        self._W = _grown(self._W, m + 1, cols, self.space.capacity)
+        self._U[m, :len(u)] = u
+        self._W[m, :len(w)] = w
+        self._m, self._cols = m + 1, cols
 
     def _check_orthonormal(self):
         m = self.defined_count
         if m == 0:
             return
-        for M, which in ((self._U, "inputs"), (self._W, "outputs")):
+        for M, which in ((self.defined_inputs, "inputs"),
+                         (self.defined_outputs, "outputs")):
             G = np.conj(M) @ M.T
             if np.max(np.abs(G - np.eye(m))) > 1e-10:
                 raise ValueError(f"defined {which} are not orthonormal to 1e-10")
@@ -141,24 +162,39 @@ class LazyIsometry:
         """Evaluate (extending first if x leaves the defined span)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        v = x.coords.copy()
-        coeffs = np.zeros(self.defined_count, dtype=np.complex128)
+        k = self._cols
+        U, W = self.defined_inputs, self.defined_outputs
+        w = k + support_width(x.coords[k:])  # x[:w] holds all of x
+        v = x.coords[:w].copy()
+        coeffs = np.zeros(self._m, dtype=np.complex128)
         for _ in range(2):  # reorthogonalized projection
-            if self.defined_count:
-                c = np.conj(self._U) @ v
-                v -= c @ self._U
-                coeffs += c
+            c = np.conj(np.conj(v[:k]) @ U.T)
+            v[:k] -= c @ U
+            coeffs += c
         rnorm = float(np.linalg.norm(v))
-        out = coeffs @ self._W if self.defined_count else np.zeros_like(v)
-        if rnorm > self.extension_tol * max(x.norm(), 1e-300):
-            new_index = self.space.allocate(1)[0]
-            u_new = v / rnorm
-            w_new = np.zeros(self.space.capacity, dtype=np.complex128)
+        out = np.zeros(self.space.capacity, dtype=np.complex128)
+        out[:k] = coeffs @ W
+        if rnorm > self.extension_tol * max(float(np.linalg.norm(x.coords[:w])),
+                                            1e-300):
+            new_index = int(self.space.allocate(1)[0])
+            w_new = np.zeros(new_index + 1, dtype=np.complex128)
             w_new[new_index] = 1.0
-            out = out + rnorm * w_new
-            self._U = np.vstack([self._U, u_new])
-            self._W = np.vstack([self._W, w_new])
+            self._append(v / rnorm, w_new)
+            out[new_index] += rnorm
         return Vector(out, self.space)
+
+
+def _grown(buf: np.ndarray, rows: int, cols: int, limit: int) -> np.ndarray:
+    """`buf` if it holds rows x cols, else a zero-padded copy that does, each
+    grown dimension at least doubled but not past `limit` unless needed."""
+    r, c = buf.shape
+    if rows <= r and cols <= c:
+        return buf
+    shape = tuple(old if need <= old else max(need, min(2 * old, limit))
+                  for need, old in ((rows, r), (cols, c)))
+    new = np.zeros(shape, dtype=buf.dtype)
+    new[:r, :c] = buf
+    return new
 
 
 class BrownianBlock:
@@ -167,7 +203,8 @@ class BrownianBlock:
     ``K_basis`` is an orthonormal basis of the finite-dimensional corner K;
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
     R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
-    Im(V), this is a 2-isometry.
+    Im(V), this is a 2-isometry.  K and V are stored as rows over the
+    leading coordinates that carry them.
     """
 
     def __init__(self, R: LazyIsometry, K_basis, V_images):
@@ -175,9 +212,9 @@ class BrownianBlock:
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        self._K = np.array([k.coords for k in K_basis])
-        self._V = np.array([v.coords for v in V_images])
+        rows = leading_rows(list(K_basis) + list(V_images), self.space)
         n = len(K_basis)
+        self._K, self._V = rows[:n], rows[n:]
         G = np.conj(self._K) @ self._K.T
         if np.max(np.abs(G - np.eye(n))) > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
@@ -189,7 +226,9 @@ class BrownianBlock:
         if self.R.defined_count == 0 or len(self._V) == 0:
             return
         vnorm = max(np.linalg.norm(self._V, 2), 1e-300)
-        cross = np.max(np.abs(np.conj(self.R.defined_outputs) @ self._V.T))
+        k = min(self.R.defined_outputs.shape[1], self._V.shape[1])
+        cross = np.max(np.abs(np.conj(self.R.defined_outputs[:, :k])
+                              @ self._V[:, :k].T))
         if cross > 1e-10 * vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
@@ -213,7 +252,8 @@ class BrownianBlock:
 
         def moved(rows):
             # every stored vector is supported on the instantiated prefix
-            return [Vector(np.pad(r[:m], (0, space.capacity - m)), space)
+            rows = rows[:, :m]
+            return [Vector(np.pad(r, (0, space.capacity - len(r))), space)
                     for r in rows]
 
         R = LazyIsometry(space, moved(self.R.defined_inputs),
@@ -224,10 +264,14 @@ class BrownianBlock:
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        c = np.conj(self._K) @ x.coords
+        k = self._K.shape[1]
+        c = np.conj(np.conj(x.coords[:k]) @ self._K.T)
         xK = c @ self._K
-        xL = Vector(x.coords - xK, self.space)
-        out = self.R.apply(xL).coords + c @ self._V + xK
+        xL = x.coords.copy()
+        xL[:k] -= xK
+        out = self.R.apply(Vector(xL, self.space)).coords
+        out[:k] += c @ self._V
+        out[:k] += xK
         return Vector(out, self.space)
 
 

@@ -123,3 +123,21 @@ class Vector:
     def __repr__(self):
         support = np.nonzero(np.abs(self.coords) > 0)[0]
         return f"Vector(support={support.tolist()[:8]}..., norm={self.norm():.6g})"
+
+
+def support_width(coords: np.ndarray) -> int:
+    """Length of the shortest prefix of `coords` that holds every nonzero entry."""
+    nonzero = np.flatnonzero(coords)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def leading_rows(vectors, space: AmbientSpace) -> np.ndarray:
+    """Coordinates of `vectors`, all in `space`, as the rows of one array
+    over the leading coordinates that hold every nonzero entry."""
+    cols = max((support_width(v.coords) for v in vectors), default=0)
+    rows = np.zeros((len(vectors), cols), dtype=np.complex128)
+    for i, v in enumerate(vectors):
+        if v.space is not space:
+            raise DomainMismatch("vector lives in a different space")
+        rows[i] = v.coords[:cols]
+    return rows

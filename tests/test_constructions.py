@@ -208,8 +208,23 @@ class TestTheorem2:
 
     def test_step3_orthogonality(self):
         T = expansive_generator(8, "svd_random", seed=9)
-        _, _, trace, _, _ = self.run(T, n=4)
+        _, T4, trace, _, _ = self.run(T, n=4)
         assert trace.orthogonality_max <= 1e-10 * T.operator_norm
+        images = [T4.apply(v) for v in trace.z1 + trace.z2]
+        pairwise = max(abs(u.inner(w)) for u in images for w in trace.y2)
+        assert trace.orthogonality_max == pytest.approx(
+            pairwise, rel=0, abs=1e-15 * T.operator_norm)
+
+    def test_storage_spans_only_allocated_coordinates(self):
+        T = expansive_generator(64, "svd_random", seed=4)
+        block, _, _, sp, _ = self.run(T, n=8)
+        assert sp.capacity == 4096
+        for _ in range(3):  # extensions keep the storage on the allocated span
+            block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
+            for rows in (block.R.defined_inputs, block.R.defined_outputs,
+                         block._K, block._V):
+                assert rows.shape[1] <= sp.allocated
+        assert block.R._U.shape[1] <= 2 * sp.allocated
 
     def test_step2_reconstruction_and_norms(self):
         T = expansive_generator(4, "id_plus_psd", seed=1)

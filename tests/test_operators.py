@@ -1,14 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isolab import (BrownianBlock, CapacityExceeded, DenseOperator,
                     DomainMismatch, LazyIsometry, NotNilpotent, OddDimension,
-                    ScalarOperator, compressed_gram, defect_form,
+                    ScalarOperator, Vector, compressed_gram, defect_form,
                     direct_sum_power, gram_matrix, random_2nilpotent,
                     read_operator, three_isometry_from_nilpotent,
                     write_operator)
 
 from conftest import make_space, vec
+
+
+class FullCapacityIsometry:
+    """Reference lazy isometry: U and W as m x capacity arrays, extended by
+    stacking one row per fresh direction."""
+
+    def __init__(self, space, inputs, outputs, extension_tol=1e-12):
+        self.space, self.tol = space, extension_tol
+        self.U = np.array([x.coords for x in inputs]).reshape(-1, space.capacity)
+        self.W = np.array([y.coords for y in outputs]).reshape(-1, space.capacity)
+
+    def apply(self, x):
+        v = x.coords.copy()
+        coeffs = np.zeros(len(self.U), dtype=np.complex128)
+        for _ in range(2):
+            c = np.conj(self.U) @ v
+            v -= c @ self.U
+            coeffs += c
+        rnorm = np.linalg.norm(v)
+        out = coeffs @ self.W
+        if rnorm > self.tol * max(x.norm(), 1e-300):
+            w_new = np.zeros(self.space.capacity, dtype=np.complex128)
+            w_new[self.space.allocate(1)[0]] = 1.0
+            out = out + rnorm * w_new
+            self.U = np.vstack([self.U, v / rnorm])
+            self.W = np.vstack([self.W, w_new])
+        return Vector(out, self.space)
+
+
+def twin_isometries(dim=3, capacity=40):
+    """A LazyIsometry and the reference, each on its own space, same seeds."""
+    pair = []
+    for cls in (LazyIsometry, FullCapacityIsometry):
+        sp = make_space(dim, capacity=capacity)
+        pair.append((sp, cls(sp, [sp.basis_vector(0)], [sp.basis_vector(2)])))
+    return pair
+
+
+def on(space, coords):
+    """The same coordinates as a vector of `space`."""
+    return Vector(np.array(coords, dtype=np.complex128), space)
 
 
 class TestDenseOperator:
@@ -84,6 +126,83 @@ class TestLazyIsometry:
         R = LazyIsometry(sp)
         with pytest.raises(CapacityExceeded):
             R.apply(sp.basis_vector(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["span", "newest", "defined",
+                                               "allocate"]),
+                              st.integers(0, 2**32 - 1)),
+                    max_size=30))
+    def test_matches_full_capacity_reference(self, ops):
+        (sp, R), (ref_sp, ref) = twin_isometries()
+        for kind, seed in ops:
+            rng = np.random.default_rng(seed)
+            if kind == "allocate":
+                count = int(rng.integers(1, 4))
+                if sp.allocated + count <= sp.capacity:
+                    sp.allocate(count)
+                    ref_sp.allocate(count)
+                continue
+            coords = np.zeros(sp.capacity, dtype=np.complex128)
+            if kind == "newest":
+                coords[sp.allocated - 1] = 1.0
+            else:
+                m = sp.allocated if kind == "span" else len(ref.U)
+                c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                coords[:sp.allocated] = (c if kind == "span"
+                                         else c @ ref.U)[:sp.allocated]
+            try:
+                expected = ref.apply(on(ref_sp, coords))
+            except CapacityExceeded:
+                with pytest.raises(CapacityExceeded):
+                    R.apply(on(sp, coords))
+                continue
+            image = R.apply(on(sp, coords))
+            assert (R.defined_count, sp.allocated) == (len(ref.U), ref_sp.allocated)
+            np.testing.assert_allclose(image.coords, expected.coords,
+                                       rtol=0, atol=1e-12 * np.linalg.norm(coords))
+
+    def test_support_allocated_after_the_buffers_grew(self, rng):
+        (sp, R), (ref_sp, ref) = twin_isometries()
+        R.apply(sp.basis_vector(1))
+        ref.apply(ref_sp.basis_vector(1))
+        stored = R.defined_inputs.shape[1]
+        for space in (sp, ref_sp):
+            space.allocate(6)
+        coords = np.zeros(sp.capacity, dtype=np.complex128)
+        coords[[0, stored + 2, sp.allocated - 1]] = rng.standard_normal(3)
+        image = R.apply(on(sp, coords))
+        np.testing.assert_allclose(image.coords, ref.apply(on(ref_sp, coords)).coords,
+                                   rtol=0, atol=1e-12)
+        assert (R.defined_count, sp.allocated) == (3, ref_sp.allocated)
+        assert image.norm() == pytest.approx(np.linalg.norm(coords))
+
+    def test_support_past_the_allocated_coordinates_extends(self):
+        # a hand-built vector may carry coordinates not allocated yet
+        (sp, R), (ref_sp, ref) = twin_isometries()
+        coords = np.zeros(sp.capacity, dtype=np.complex128)
+        coords[[1, sp.allocated + 5]] = [0.6, 0.8j]
+        image = R.apply(on(sp, coords))
+        np.testing.assert_allclose(image.coords, ref.apply(on(ref_sp, coords)).coords,
+                                   rtol=0, atol=1e-12)
+        assert (R.defined_count, sp.allocated) == (2, 4)
+        assert abs(image.coords[3]) == pytest.approx(1.0)
+        again = R.apply(on(sp, coords))  # now in the defined span
+        assert R.defined_count == 2
+        np.testing.assert_allclose(again.coords, image.coords, atol=1e-15)
+
+    def test_capacity_exceeded_leaves_the_isometry_unchanged(self):
+        sp = make_space(4, capacity=4)
+        R = LazyIsometry(sp, inputs=[sp.basis_vector(0)],
+                         outputs=[sp.basis_vector(3)])
+        before = (R.defined_count, sp.allocated, R.defined_inputs.copy(),
+                  R.defined_outputs.copy())
+        with pytest.raises(CapacityExceeded):
+            R.apply(vec(sp, [1, 1j]))
+        assert (R.defined_count, sp.allocated) == before[:2]
+        np.testing.assert_array_equal(R.defined_inputs, before[2])
+        np.testing.assert_array_equal(R.defined_outputs, before[3])
+        out = R.apply(2j * sp.basis_vector(0))
+        np.testing.assert_allclose(out.coords, [0, 0, 0, 2j], atol=1e-15)
 
     def test_rejects_non_orthonormal_seed(self):
         sp = make_space(2, capacity=8)
