@@ -2,6 +2,11 @@
 doubling, the five-step pipeline approximating an arbitrary expansive
 operator, its T = 2*id case (the 2-isometric net targeting 2*id), and
 exact certificates over the instantiated span.
+
+The public functions take and return `Vector` lists.  Inside, the
+constructions work on the rows of (n x allocated) arrays, and the
+`ConstructionTrace` keeps its systems as such rows; its Vector lists are
+built on demand.
 """
 
 from __future__ import annotations
@@ -11,25 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExpansive, SubspaceNotContained
-from .linalg import extend_ons, gram_matrix, gram_schmidt, hermitian_eig
+from .linalg import gram_matrix, gram_schmidt, hermitian_eig, orthonormal_rows
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
-                        ScalarOperator, compressed_gram, direct_sum_power)
-from .spaces import AmbientSpace, Vector, leading_rows
+                        ScalarOperator, direct_sum_power)
+from .spaces import AmbientSpace, Vector, leading_rows, padded, row_vectors
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
 
 @dataclass
 class ConstructionTrace:
-    """Every intermediate orthonormal system of a construction run."""
-    x: list                      # diagonalizing ONB of F
-    y1: list                     # inputs of R
-    y2: list                     # ONB of the corner K
-    z1: list
-    z2: list
+    """Every intermediate orthonormal system of a construction run, as the
+    rows of (n x allocated) arrays; `x`, `y1`, `y2`, `z1` and `z2` build
+    the systems as Vector lists on demand."""
+    space: AmbientSpace
+    x_rows: np.ndarray           # diagonalizing ONB of F
+    y1_rows: np.ndarray          # inputs of R
+    y2_rows: np.ndarray          # ONB of the corner K
+    z1_rows: np.ndarray
+    z2_rows: np.ndarray
     sigmas: list
     norms_Tx: list
     orthogonality_max: float     # max |<target(z_i^(k)), y2_j>|
+
+    x = property(lambda self: row_vectors(self.x_rows, self.space))
+    y1 = property(lambda self: row_vectors(self.y1_rows, self.space))
+    y2 = property(lambda self: row_vectors(self.y2_rows, self.space))
+    z1 = property(lambda self: row_vectors(self.z1_rows, self.space))
+    z2 = property(lambda self: row_vectors(self.z2_rows, self.space))
 
 
 @dataclass
@@ -68,23 +82,32 @@ def standard_f_basis(space: AmbientSpace, n: int):
 
 def translate(v: Vector, from_indices, to_indices) -> Vector:
     """Move a vector's support from one labeled copy onto a disjoint one."""
-    from_indices = np.asarray(from_indices)
-    to_indices = np.asarray(to_indices)
-    coords = np.zeros_like(v.coords)
-    coords[to_indices] = v.coords[from_indices]
-    return Vector(coords, v.space)
+    return Vector(_moved(v.coords, from_indices, to_indices), v.space)
 
 
-def diagonalizing_basis(T, F_basis):
+def _moved(coords: np.ndarray, from_indices, to_indices) -> np.ndarray:
+    """`coords` (one vector or rows) with the entries on `from_indices`
+    moved onto `to_indices`, zero elsewhere."""
+    out = np.zeros_like(coords)
+    out[..., np.asarray(to_indices)] = coords[..., np.asarray(from_indices)]
+    return out
+
+
+def diagonalizing_basis(T: DenseOperator, F_basis):
     """Orthonormal basis x_1..x_n of span(F_basis) whose T-images are
     pairwise orthogonal: the orthonormal eigenbasis of the compression
-    P_F T*T|_F."""
-    onb = gram_schmidt(F_basis)
-    G = compressed_gram(T, onb)
-    _, eigvecs = hermitian_eig(G)
-    rows = np.array([v.coords for v in onb])
-    space = onb[0].space
-    return [Vector(eigvecs[:, k] @ rows, space) for k in range(len(onb))]
+    P_F T*T|_F.  T must be attached to the space of F_basis."""
+    space = F_basis[0].space
+    return row_vectors(_diagonalizing_rows(T, leading_rows(F_basis, space)),
+                       space)
+
+
+def _diagonalizing_rows(T: DenseOperator, rows: np.ndarray) -> np.ndarray:
+    """`diagonalizing_basis` on rows: an orthonormal basis of the row span."""
+    onb = orthonormal_rows(rows)
+    images = T._apply_rows(onb)
+    _, eigvecs = hermitian_eig(np.conj(images) @ images.T)
+    return eigvecs.T @ onb
 
 
 def split_pair(xs, c: float, partner):
@@ -103,12 +126,14 @@ def split_pair(xs, c: float, partner):
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
     s = np.sqrt(1.0 - c * c)
-    y1, y2 = [], []
-    for x in xs:
-        p = partner(x)
-        y1.append(s * x + c * p)
-        y2.append(c * x - s * p)
-    return y1, y2
+    pairs = [_split(x, partner(x), s, c) for x in xs]
+    return [y1 for y1, _ in pairs], [y2 for _, y2 in pairs]
+
+
+def _split(x, p, s, c):
+    """(s x + c p, c x - s p): the splitting of `split_pair`, for Vectors
+    or for rows (with s and c scalars or columns)."""
+    return s * x + c * p, c * x - s * p
 
 
 def _clamped_complement(a: float) -> float:
@@ -119,46 +144,42 @@ def _clamped_complement(a: float) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _assemble(x, norms_Tx, target, partner1, partner2, epsilon):
+def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
-    `x` is an ONB of F whose `target`-images are pairwise orthogonal with
-    norms `norms_Tx` (all >= 1).  `partner1` maps the x_i, and `partner2`
-    the y1_i, isometrically onto a copy orthogonal to everything built so
-    far, and `target` must commute with both.  The block is
-    (R, V; 0, id_K) with K spanned by the first splitting's complements y2,
-    R lazily extended from y1_i -> target(z1_i)/||Tx_i||, and
-    V(y2_i) = sigma_i target(z2_i),
+    `x` holds an ONB of F as the rows of an (n x w) array, w covering every
+    coordinate the construction uses; the `target`-images of the x_i are
+    pairwise orthogonal with norms `norms_Tx` (an array, all >= 1).  `target`,
+    `partner1` and `partner2` map such rows to rows of the same shape:
+    `partner1` the x_i, and `partner2` the y1_i, isometrically onto a copy
+    orthogonal to everything built so far, and `target` must commute with
+    both.  The block is (R, V; 0, id_K) with K spanned by the first
+    splitting's complements y2, R lazily extended from
+    y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
     sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
     """
-    n = len(x)
-    eps = 1.0 / n if epsilon is None else float(epsilon)
+    eps = 1.0 / len(x) if epsilon is None else float(epsilon)
     if not 0.0 < eps <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
 
     # Step 1: split across the first partner copy
-    y1, y2 = split_pair(x, eps, partner1)
+    y1, y2 = _split(x, partner1(x), np.sqrt(1.0 - eps * eps), eps)
 
     # Step 2: split the y1 once more, across the second partner copy
-    y1_shift = [partner2(v) for v in y1]
-    a = [1.0 / t for t in norms_Tx]
-    b = [_clamped_complement(ai) for ai in a]
-    z1 = [a[i] * y1[i] + b[i] * y1_shift[i] for i in range(n)]
-    z2 = [b[i] * y1[i] - a[i] * y1_shift[i] for i in range(n)]
+    a = 1.0 / norms_Tx
+    b = np.array([_clamped_complement(ai) for ai in a])
+    z1, z2 = _split(y1, partner2(y1), a[:, None], b[:, None])
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
-    sigmas = [np.sqrt(1.0 - eps * eps) * b[i] / eps for i in range(n)]
-    tz1 = [target.apply(v) for v in z1]
-    tz2 = [target.apply(v) for v in z2]
-    R = LazyIsometry(x[0].space, inputs=y1,
-                     outputs=[a[i] * tz1[i] for i in range(n)])
-    block = BrownianBlock(R, K_basis=y2,
-                          V_images=[sigmas[i] * tz2[i] for i in range(n)])
+    sigmas = np.sqrt(1.0 - eps * eps) * b / eps
+    tz1, tz2 = target(z1), target(z2)
+    R = LazyIsometry(space, inputs=y1, outputs=a[:, None] * tz1)
+    block = BrownianBlock(R, K_basis=y2, V_images=sigmas[:, None] * tz2)
 
-    rows = leading_rows(tz1 + tz2 + y2, x[0].space)
-    ortho = float(np.max(np.abs(np.conj(rows[:2 * n]) @ rows[2 * n:].T)))
-    trace = ConstructionTrace(x=x, y1=y1, y2=y2, z1=z1, z2=z2,
-                              sigmas=sigmas, norms_Tx=norms_Tx,
+    ortho = float(np.max(np.abs(np.conj(np.vstack([tz1, tz2])) @ y2.T)))
+    trace = ConstructionTrace(space=space, x_rows=x, y1_rows=y1, y2_rows=y2,
+                              z1_rows=z1, z2_rows=z2, sigmas=sigmas.tolist(),
+                              norms_Tx=norms_Tx.tolist(),
                               orthogonality_max=ortho)
     return block, trace
 
@@ -172,15 +193,19 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     copies of H, and F may be any subspace of `space`.  On F the block
     satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
     """
-    x = gram_schmidt(F_basis)
+    x = orthonormal_rows(leading_rows(F_basis, space))
+    n = len(x)
+    w = max(space.allocated + 2 * n, x.shape[1])
 
-    def fresh(v):
-        # called once per member of the system being split, so the system
-        # goes isometrically onto as many fresh coordinates
-        return extend_ons([v], 1, space)[0]
+    def fresh(rows):
+        # called once per system being split, so the system goes
+        # isometrically onto as many fresh coordinates
+        out = np.zeros((n, w), dtype=np.complex128)
+        out[np.arange(n), space.allocate(n)] = 1.0
+        return out
 
-    return _assemble(x, [2.0] * len(x), ScalarOperator(2.0), fresh, fresh,
-                     epsilon)
+    return _assemble(space, padded(x, w), np.full(n, 2.0),
+                     ScalarOperator(2.0).apply, fresh, fresh, epsilon)
 
 
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
@@ -204,18 +229,27 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     h2, h3, h4 = (space.labels[k] for k in ("H2", "H3", "H4"))
     first_pair = np.concatenate([h1, h2])
     second_pair = np.concatenate([h3, h4])
+    copies = np.concatenate([h1, h2, h3, h4])
 
     T1 = T.embedded(space, h1)
-    x = diagonalizing_basis(T1, F_basis)
-    norms_Tx = [T1.apply(xi).norm() for xi in x]
-    if min(norms_Tx) < 1.0 - 1e-10:
-        raise NotExpansive(f"min ||Tx_i|| = {min(norms_Tx)} < 1")
+    x = _diagonalizing_rows(T1, leading_rows(F_basis, space))
+    norms_Tx = np.linalg.norm(T1._apply_rows(x), axis=1)
+    if norms_Tx.min() < 1.0 - 1e-10:
+        raise NotExpansive(f"min ||Tx_i|| = {norms_Tx.min()} < 1")
 
-    T4 = direct_sum_power(T, 4, space,
-                          indices=np.concatenate([h1, h2, h3, h4]))
+    T4 = direct_sum_power(T, 4, space, indices=copies)
+
+    def t4(rows):
+        # T on each of the four copies: one product over their columns
+        out = np.zeros_like(rows)
+        out[:, copies] = (rows[:, copies].reshape(-1, d) @ T.matrix.T
+                          ).reshape(len(rows), -1)
+        return out
+
     block, trace = _assemble(
-        x, norms_Tx, T4, lambda v: translate(v, h1, h2),
-        lambda v: translate(v, first_pair, second_pair), epsilon)
+        space, padded(x, space.allocated), norms_Tx, t4,
+        lambda rows: _moved(rows, h1, h2),
+        lambda rows: _moved(rows, first_pair, second_pair), epsilon)
     return block, T4, trace
 
 
@@ -241,7 +275,7 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     block nor its space changes.
     """
     space = G_basis[0].space
-    f_rows = np.array([v.coords for v in trace.x])
+    f_rows = padded(trace.x_rows, space.capacity)
     g_rows = np.array([v.coords for v in G_basis])
     g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
     resid = np.linalg.norm(g_rows - g_in_f, axis=1)
@@ -272,4 +306,4 @@ def certificate_evaluate(target, block, trace, G_basis, *,
 
 def _trace_epsilon(trace: ConstructionTrace) -> float:
     # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
-    return float(np.real(trace.x[0].inner(trace.y2[0])))
+    return float(np.real(np.vdot(trace.x_rows[0], trace.y2_rows[0])))

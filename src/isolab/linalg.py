@@ -10,48 +10,54 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllVectorsNegligible, NotHermitian
-from .spaces import AmbientSpace, Vector
-
-def _stack(vectors) -> np.ndarray:
-    """Rows = vector coordinates; all vectors checked to share a space."""
-    first = vectors[0]
-    for v in vectors[1:]:
-        first.same_space(v)
-    return np.array([v.coords for v in vectors])
+from .spaces import AmbientSpace, leading_rows, row_vectors
 
 
 def gram_schmidt(vectors, rank_tol: float | None = None):
     """Orthonormalize `vectors`, dropping numerically dependent ones.
 
-    Modified Gram-Schmidt with one reorthogonalization pass.  A vector whose
-    residual after projection is at most ``rank_tol * max input norm`` is
-    dropped.  Default rank_tol is 1e-10.
+    Works on the leading coordinates that carry the inputs (see
+    `orthonormal_rows`).  A vector whose residual after projection is at
+    most ``rank_tol * max input norm`` is dropped.  Default rank_tol is 1e-10.
 
     Raises AllVectorsNegligible if nothing survives.
     """
     if not vectors:
         raise AllVectorsNegligible("no input vectors")
+    space = vectors[0].space
+    return row_vectors(orthonormal_rows(leading_rows(vectors, space), rank_tol),
+                       space)
+
+
+def orthonormal_rows(rows: np.ndarray, rank_tol: float | None = None):
+    """Orthonormal rows spanning the rows of `rows`, taken in order.
+
+    Classical Gram-Schmidt with one reorthogonalization (CGS2): each row is
+    projected off the accepted block twice, by two matrix-vector passes.
+    The drop rule and errors are those of `gram_schmidt`.
+    """
     if rank_tol is None:
         rank_tol = 1e-10
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    space = vectors[0].space
-    rows = _stack(vectors)
-    scale = max(np.linalg.norm(rows, axis=1).max(), 0.0)
+    if len(rows) == 0:
+        raise AllVectorsNegligible("no input vectors")
+    scale = np.linalg.norm(rows, axis=1).max()
     if scale == 0.0:
         raise AllVectorsNegligible("all inputs are zero")
-    basis = []
+    basis = np.zeros(rows.shape, dtype=np.complex128)
+    k = 0
     for row in rows:
-        v = row.copy()
+        v = np.array(row, dtype=np.complex128)
         for _ in range(2):  # reorthogonalize once for stability
-            for b in basis:
-                v -= np.vdot(b, v) * b
+            v -= np.conj(basis[:k] @ np.conj(v)) @ basis[:k]
         r = np.linalg.norm(v)
         if r > rank_tol * scale:
-            basis.append(v / r)
-    if not basis:
+            basis[k] = v / r
+            k += 1
+    if k == 0:
         raise AllVectorsNegligible("every vector dropped as dependent")
-    return [Vector(b, space) for b in basis]
+    return basis[:k]
 
 
 def extend_ons(ons, count: int, space: AmbientSpace):
@@ -77,7 +83,7 @@ def gram_matrix(vectors) -> np.ndarray:
     """Matrix of pairwise inner products G[i, j] = <v_i, v_j> (Hermitian)."""
     if not vectors:
         raise ValueError("empty vector list")
-    rows = _stack(vectors)
+    rows = leading_rows(vectors, vectors[0].space)
     G = np.conj(rows) @ rows.T
     return 0.5 * (G + np.conj(G.T))  # symmetrize roundoff
 

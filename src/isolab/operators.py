@@ -13,7 +13,7 @@ Lazy isometries and Brownian blocks store their directions as rows over
 the leading coordinates that carry them (at most the allocated ones), not
 at the space's capacity, so their memory and the cost of an application
 grow with the instantiated span.  Vectors passed in and out stay
-full-capacity `Vector`s.
+full-capacity `Vector`s; the constructors also take the rows themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
-from .spaces import AmbientSpace, Vector, leading_rows, support_width
+from .spaces import AmbientSpace, Vector, as_rows, padded, support_width
 
 
 class DenseOperator:
@@ -69,15 +69,21 @@ class DenseOperator:
                 raise DomainMismatch("operator is not attached to a space")
             if x.space is not self.space:
                 raise DomainMismatch("vector lives in a different space")
-            comp = x.coords[self.indices]
-            off = np.linalg.norm(x.coords[self._off_mask])
-            if off > 1e-10 * max(x.norm(), 1e-300):
-                raise DomainMismatch("vector has support outside operator domain")
-            out = np.zeros_like(x.coords)
-            out[self.indices] = self.matrix @ comp
-            return Vector(out, self.space)
+            return Vector(self._apply_rows(x.coords[None, :])[0], self.space)
         x = np.asarray(x, dtype=np.complex128)
         return self.matrix @ x
+
+    def _apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Images of the vectors of the attached space whose coordinates
+        over a leading prefix are the rows of `rows`, over the same prefix
+        (widened to cover the operator's indices)."""
+        rows = padded(rows, int(self.indices.max()) + 1)
+        off = np.linalg.norm(rows[:, self._off_mask[:rows.shape[1]]], axis=1)
+        if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
+            raise DomainMismatch("vector has support outside operator domain")
+        out = np.zeros_like(rows)
+        out[:, self.indices] = rows[:, self.indices] @ self.matrix.T
+        return out
 
 
 class ScalarOperator:
@@ -107,22 +113,20 @@ class LazyIsometry:
 
     The directions are stored as rows over the leading coordinates that
     carry them (at most the allocated ones), in buffers that double as
-    rows and columns are added, never past the space's capacity.
+    rows and columns are added, never past the space's capacity.  The seed
+    `inputs` and `outputs` are Vector lists or 2-d arrays of such rows.
     """
 
     def __init__(self, space: AmbientSpace, inputs=(), outputs=(),
                  extension_tol: float = 1e-12):
+        if len(inputs) != len(outputs):
+            raise ValueError("inputs and outputs must have equal length")
         self.space = space
         self.extension_tol = extension_tol
-        self._m = 0      # stored rows
-        self._cols = 0   # leading columns that hold every stored row
-        self._U = np.zeros((0, 0), dtype=np.complex128)
-        self._W = np.zeros((0, 0), dtype=np.complex128)
-        for x, y in zip(inputs, outputs, strict=True):
-            if x.space is not space or y.space is not space:
-                raise DomainMismatch("seed vectors live in a different space")
-            self._append(x.coords[:support_width(x.coords)],
-                         y.coords[:support_width(y.coords)])
+        U, W = as_rows(inputs, space), as_rows(outputs, space)
+        self._m = len(U)                            # stored rows
+        self._cols = max(U.shape[1], W.shape[1])    # columns holding them
+        self._U, self._W = padded(U, self._cols), padded(W, self._cols)
         self._check_orthonormal()
 
     @property
@@ -162,26 +166,33 @@ class LazyIsometry:
         """Evaluate (extending first if x leaves the defined span)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
+        return Vector(padded(self._apply_coords(x.coords), self.space.capacity),
+                      self.space)
+
+    def _apply_coords(self, x: np.ndarray) -> np.ndarray:
+        """`apply` on coordinates: `x` lists a vector over a leading prefix
+        that holds all of it; the image comes back over a leading prefix."""
         k = self._cols
         U, W = self.defined_inputs, self.defined_outputs
-        w = k + support_width(x.coords[k:])  # x[:w] holds all of x
-        v = x.coords[:w].copy()
+        w = k + support_width(x[k:])  # x[:w] holds all of x
+        v = np.zeros(w, dtype=np.complex128)
+        v[:len(x)] = x[:w]
+        xnorm = float(np.linalg.norm(v))
         coeffs = np.zeros(self._m, dtype=np.complex128)
         for _ in range(2):  # reorthogonalized projection
             c = np.conj(np.conj(v[:k]) @ U.T)
             v[:k] -= c @ U
             coeffs += c
         rnorm = float(np.linalg.norm(v))
-        out = np.zeros(self.space.capacity, dtype=np.complex128)
-        out[:k] = coeffs @ W
-        if rnorm > self.extension_tol * max(float(np.linalg.norm(x.coords[:w])),
-                                            1e-300):
+        image = coeffs @ W
+        if rnorm > self.extension_tol * max(xnorm, 1e-300):
             new_index = int(self.space.allocate(1)[0])
             w_new = np.zeros(new_index + 1, dtype=np.complex128)
             w_new[new_index] = 1.0
             self._append(v / rnorm, w_new)
-            out[new_index] += rnorm
-        return Vector(out, self.space)
+            image = padded(image, new_index + 1)
+            image[new_index] += rnorm
+        return image
 
 
 def _grown(buf: np.ndarray, rows: int, cols: int, limit: int) -> np.ndarray:
@@ -203,8 +214,8 @@ class BrownianBlock:
     ``K_basis`` is an orthonormal basis of the finite-dimensional corner K;
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
     R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
-    Im(V), this is a 2-isometry.  K and V are stored as rows over the
-    leading coordinates that carry them.
+    Im(V), this is a 2-isometry.  K and V, given as Vector lists or as
+    2-d arrays of rows, are stored as rows over one leading width.
     """
 
     def __init__(self, R: LazyIsometry, K_basis, V_images):
@@ -212,20 +223,23 @@ class BrownianBlock:
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        rows = leading_rows(list(K_basis) + list(V_images), self.space)
-        n = len(K_basis)
-        self._K, self._V = rows[:n], rows[n:]
+        K, V = as_rows(K_basis, self.space), as_rows(V_images, self.space)
+        width = max(K.shape[1], V.shape[1])
+        self._K, self._V = padded(K, width), padded(V, width)
+        n = len(K)
         G = np.conj(self._K) @ self._K.T
         if np.max(np.abs(G - np.eye(n))) > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        self._norm = None
+        # ||V||_2: the root of the largest eigenvalue of the n x n Gram V V*
+        self._vnorm = float(np.sqrt(max(np.linalg.eigvalsh(
+            self._V @ np.conj(self._V).T)[-1], 0.0))) if n else 0.0
         self._check_hypothesis()
 
     def _check_hypothesis(self):
         """Im(R) perpendicular to Im(V) on everything instantiated so far."""
         if self.R.defined_count == 0 or len(self._V) == 0:
             return
-        vnorm = max(np.linalg.norm(self._V, 2), 1e-300)
+        vnorm = max(self._vnorm, 1e-300)
         k = min(self.R.defined_outputs.shape[1], self._V.shape[1])
         cross = np.max(np.abs(np.conj(self.R.defined_outputs[:, :k])
                               @ self._V[:, :k].T))
@@ -236,10 +250,7 @@ class BrownianBlock:
     def operator_norm(self) -> float:
         # ||B||^2 = 1 + ||V||^2: the supremum of ||Bx||^2 over unit x
         # is attained on K, where ||Bx||^2 = ||Vx||^2 + ||x||^2.
-        if self._norm is None:
-            vnorm = np.linalg.norm(self._V, 2) if len(self._V) else 0.0
-            self._norm = float(np.sqrt(1.0 + vnorm ** 2))
-        return self._norm
+        return float(np.sqrt(1.0 + self._vnorm ** 2))
 
     def copy_to(self, space: AmbientSpace) -> "BrownianBlock":
         """This block on `space`, whose first coordinates stand for the ones
@@ -250,16 +261,11 @@ class BrownianBlock:
             raise ValueError(f"space has {space.allocated} coordinates, "
                              f"the block needs {m}")
 
-        def moved(rows):
-            # every stored vector is supported on the instantiated prefix
-            rows = rows[:, :m]
-            return [Vector(np.pad(r, (0, space.capacity - len(r))), space)
-                    for r in rows]
-
-        R = LazyIsometry(space, moved(self.R.defined_inputs),
-                         moved(self.R.defined_outputs),
+        # every stored row is supported on the instantiated prefix
+        R = LazyIsometry(space, self.R.defined_inputs[:, :m],
+                         self.R.defined_outputs[:, :m],
                          extension_tol=self.R.extension_tol)
-        return BrownianBlock(R, moved(self._K), moved(self._V))
+        return BrownianBlock(R, self._K[:, :m], self._V[:, :m])
 
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:
@@ -267,9 +273,9 @@ class BrownianBlock:
         k = self._K.shape[1]
         c = np.conj(np.conj(x.coords[:k]) @ self._K.T)
         xK = c @ self._K
-        xL = x.coords.copy()
+        xL = x.coords[:max(k, support_width(x.coords))].copy()
         xL[:k] -= xK
-        out = self.R.apply(Vector(xL, self.space)).coords
+        out = padded(self.R._apply_coords(xL), self.space.capacity)
         out[:k] += c @ self._V
         out[:k] += xK
         return Vector(out, self.space)

@@ -3,7 +3,9 @@
 An :class:`AmbientSpace` hands out coordinates from a fixed budget through a
 monotone cursor, so "fresh" directions are always orthogonal to everything
 instantiated so far and runs are reproducible.  Vectors are stored at full
-capacity length; unallocated coordinates are identically zero.
+capacity length; unallocated coordinates are identically zero.  Systems of
+vectors can also be held as the rows of one array over the leading
+coordinates that carry them (`leading_rows`, `as_rows`, `row_vectors`).
 """
 
 from __future__ import annotations
@@ -141,3 +143,30 @@ def leading_rows(vectors, space: AmbientSpace) -> np.ndarray:
             raise DomainMismatch("vector lives in a different space")
         rows[i] = v.coords[:cols]
     return rows
+
+
+def as_rows(items, space: AmbientSpace) -> np.ndarray:
+    """`items` as rows over leading coordinates of `space`: a 2-d array as
+    it is, a list of Vectors through `leading_rows`."""
+    if not isinstance(items, np.ndarray):
+        return leading_rows(list(items), space)
+    rows = np.asarray(items, dtype=np.complex128)
+    if rows.ndim != 2 or rows.shape[1] > space.capacity:
+        raise ValueError("rows must be 2-d and at most the capacity wide")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite entries in rows")
+    return rows
+
+
+def padded(a: np.ndarray, width: int) -> np.ndarray:
+    """Copy of `a` (one vector or rows) with zero columns appended up to
+    `width`; no column is cut."""
+    out = np.zeros(a.shape[:-1] + (max(width, a.shape[-1]),),
+                   dtype=np.complex128)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+def row_vectors(rows: np.ndarray, space: AmbientSpace) -> list:
+    """The rows of `rows`, coordinates over a leading prefix, as Vectors."""
+    return [Vector(coords, space) for coords in padded(rows, space.capacity)]

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread: the suite's small products gain nothing from a second
+# one, and spinning BLAS threads stall when another process shares the
+# cores.  Set before numpy is first imported, which is here.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

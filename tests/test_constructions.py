@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isolab import (AmbientSpace, DenseOperator, NotExpansive, ScalarOperator,
-                    SubspaceNotContained, Vector, certificate_evaluate,
-                    compressed_gram, defect_form, diagonalizing_basis,
-                    direct_sum_power, expansive_generator, gram_matrix,
-                    gram_schmidt, prepare_space, split_pair,
-                    standard_f_basis, theorem1_construct, theorem2_construct,
-                    translate)
+from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
+                    DenseOperator, DomainMismatch, LazyIsometry, NotExpansive,
+                    ScalarOperator, SubspaceNotContained, Vector,
+                    certificate_evaluate, compressed_gram, defect_form,
+                    diagonalizing_basis, direct_sum_power, expansive_generator,
+                    extend_ons, gram_matrix, gram_schmidt, hermitian_eig,
+                    prepare_space, split_pair, standard_f_basis,
+                    theorem1_construct, theorem2_construct, translate)
 
 from conftest import make_space, vec
 
@@ -19,6 +23,62 @@ def random_instantiated(space, rng):
     coords = np.zeros(space.capacity, dtype=complex)
     coords[:m] = c / np.linalg.norm(c)
     return Vector(coords, space)
+
+
+def reference_gram_schmidt(vectors, rank_tol=1e-10):
+    """Modified Gram-Schmidt with one reorthogonalization, on Vectors."""
+    scale = max(v.norm() for v in vectors)
+    basis = []
+    for v in vectors:
+        for _ in range(2):
+            for b in basis:
+                v = v - b.inner(v) * b
+        if v.norm() > rank_tol * scale:
+            basis.append((1.0 / v.norm()) * v)
+    return basis
+
+
+def reference_construct(T, F_basis, space):
+    """The constructions as Vector lists, one vector at a time: Theorem 1
+    for T None, else Theorem 2.  Returns (block, systems by trace name)."""
+    x = reference_gram_schmidt(F_basis)
+    n = len(x)
+    if T is None:
+        def partner1(v):
+            return extend_ons([v], 1, space)[0]
+        partner2, target, norms = partner1, ScalarOperator(2.0), [2.0] * n
+    else:
+        for name in ("H2", "H3", "H4"):
+            space.allocate(T.dim, label=name)
+        h = [space.labels[k] for k in ("H1", "H2", "H3", "H4")]
+        T1 = T.embedded(space, h[0])
+        _, ev = hermitian_eig(compressed_gram(T1, x))
+        x = [sum((ev[j, k] * x[j] for j in range(n)), space.zero())
+             for k in range(n)]
+        norms = [T1.apply(v).norm() for v in x]
+        if min(norms) < 1.0 - 1e-10:
+            raise NotExpansive("image norm below 1")
+        target = direct_sum_power(T, 4, space, np.concatenate(h))
+
+        def partner1(v):
+            return translate(v, h[0], h[1])
+
+        def partner2(v):
+            return translate(v, np.concatenate(h[:2]), np.concatenate(h[2:]))
+    eps = 1.0 / n
+    s = np.sqrt(1.0 - eps * eps)
+    p = [partner1(v) for v in x]
+    y1 = [s * v + eps * q for v, q in zip(x, p)]
+    y2 = [eps * v - s * q for v, q in zip(x, p)]
+    q = [partner2(v) for v in y1]
+    a = [1.0 / t for t in norms]
+    b = [np.sqrt(max(1.0 - ai * ai, 0.0)) for ai in a]
+    z1 = [a[i] * y1[i] + b[i] * q[i] for i in range(n)]
+    z2 = [b[i] * y1[i] - a[i] * q[i] for i in range(n)]
+    R = LazyIsometry(space, y1, [a[i] * target.apply(z1[i]) for i in range(n)])
+    block = BrownianBlock(R, y2, [(s * b[i] / eps) * target.apply(z2[i])
+                                  for i in range(n)])
+    return block, {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
 
 
 def doubled_space(dim):
@@ -217,14 +277,29 @@ class TestTheorem2:
 
     def test_storage_spans_only_allocated_coordinates(self):
         T = expansive_generator(64, "svd_random", seed=4)
-        block, _, _, sp, _ = self.run(T, n=8)
+        block, _, trace, sp, _ = self.run(T, n=8)
         assert sp.capacity == 4096
+        for rows in (trace.x_rows, trace.y1_rows, trace.y2_rows,
+                     trace.z1_rows, trace.z2_rows):
+            assert rows.shape == (8, sp.allocated)
         for _ in range(3):  # extensions keep the storage on the allocated span
             block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
             for rows in (block.R.defined_inputs, block.R.defined_outputs,
                          block._K, block._V):
                 assert rows.shape[1] <= sp.allocated
         assert block.R._U.shape[1] <= 2 * sp.allocated
+
+        # the whole construction at F = H1 stays below four lists of n
+        # capacity-long vectors
+        sp = prepare_space(64)
+        f_basis = standard_f_basis(sp, 64)
+        tracemalloc.start()
+        try:
+            theorem2_construct(T, f_basis, sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 64 * sp.capacity * 16
 
     def test_step2_reconstruction_and_norms(self):
         T = expansive_generator(4, "id_plus_psd", seed=1)
@@ -402,3 +477,74 @@ class TestCertificate:
                                     operator_norm_T=1.0, bound_theoretical=1.0)
         assert cert.defect_max == pytest.approx(9 / 16, abs=1e-12)
         assert cert.expansivity_min == pytest.approx(4.0, abs=1e-12)
+
+
+class TestRowPipeline:
+    """The row construction against `reference_construct` on random F that
+    are not coordinate-aligned: inside H1 for Theorem 2, anywhere in the
+    instantiated span for Theorem 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(theorem=st.sampled_from([1, 2]), dim=st.integers(1, 6),
+           extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           n_frac=st.floats(0.0, 1.0), leak=st.booleans(),
+           shrink=st.booleans(), slack=st.integers(-1, 2))
+    def test_matches_vector_reference(self, theorem, dim, extra, seed, n_frac,
+                                      leak, shrink, slack):
+        rng = np.random.default_rng(seed)
+        T = None
+        if theorem == 2:
+            T = expansive_generator(dim, "svd_random", seed=seed)
+            if shrink:  # most such T are not expansive on F
+                T = DenseOperator(0.5 * T.matrix)
+        span = dim if theorem == 2 else dim + extra
+        n = 1 + int(n_frac * (span - 1))
+        coeffs = rng.standard_normal((n, span)) + 1j * rng.standard_normal((n, span))
+        leak = leak and theorem == 2 and extra > 0  # mass outside H1
+        footprint = dim + extra + (3 * dim if theorem == 2 else 2 * n)
+        capacity = footprint + slack
+
+        def build(construct):
+            sp = AmbientSpace(capacity)
+            sp.allocate(dim, label="H1")
+            sp.allocate(extra)
+            f_basis = [sp.vector(c, np.arange(span)) for c in coeffs]
+            if leak:
+                f_basis[0] = f_basis[0] + sp.basis_vector(dim)
+            try:
+                return sp, construct(f_basis, sp)
+            except (NotExpansive, DomainMismatch, CapacityExceeded) as exc:
+                return sp, type(exc)
+
+        if theorem == 1:
+            sp, got = build(theorem1_construct)
+        else:
+            sp, got = build(lambda f, sp: theorem2_construct(T, f, sp)[::2])
+        ref_sp, want = build(lambda f, sp: reference_construct(T, f, sp))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want
+            return
+        assert sp.allocated == ref_sp.allocated
+        assert sp.labels.keys() == ref_sp.labels.keys()
+        for name, indices in ref_sp.labels.items():
+            np.testing.assert_array_equal(sp.labels[name], indices)
+
+        (block, trace), (ref_block, systems) = got, want
+        for name, ref_vectors in systems.items():
+            vectors = getattr(trace, name)
+            assert len(vectors) == len(ref_vectors)
+            for v, ref_v in zip(vectors, ref_vectors):
+                np.testing.assert_allclose(v.coords, ref_v.coords,
+                                           rtol=0, atol=1e-12)
+        for _ in range(3):  # each application extends R on both sides
+            c = rng.standard_normal(sp.allocated) + 1j * rng.standard_normal(
+                sp.allocated)
+            try:
+                want = ref_block.apply(ref_sp.vector(c)).coords
+            except CapacityExceeded:
+                with pytest.raises(CapacityExceeded):
+                    block.apply(sp.vector(c))
+                break
+            np.testing.assert_allclose(block.apply(sp.vector(c)).coords, want,
+                                       rtol=0, atol=1e-12 * np.linalg.norm(c))
+            assert sp.allocated == ref_sp.allocated

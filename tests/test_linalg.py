@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from isolab import (AllVectorsNegligible, CapacityExceeded, NotHermitian,
-                    extend_ons, gram_matrix, gram_schmidt, hermitian_eig)
+                    Vector, extend_ons, gram_matrix, gram_schmidt,
+                    hermitian_eig)
 
 from conftest import make_space, vec
 
@@ -36,6 +37,27 @@ class TestGramSchmidt:
     def test_empty_raises(self):
         with pytest.raises(AllVectorsNegligible):
             gram_schmidt([])
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("factor, kept", [(1.01, 2), (0.99, 1)])
+    def test_dependent_at_the_rank_tol_edge(self, rank_tol, factor, kept):
+        # (1, d) leaves residual d exactly; the largest input norm is
+        # sqrt(1 + d^2), so the vector is kept iff d > rank_tol sqrt(1 + d^2)
+        sp = make_space(2)
+        d = factor * rank_tol
+        out = gram_schmidt([vec(sp, [1, 0]), vec(sp, [1, d])], rank_tol=rank_tol)
+        assert len(out) == kept
+
+    def test_support_past_the_allocated_coordinates(self):
+        sp = make_space(2, capacity=16)
+        coords = np.zeros(16, dtype=complex)
+        coords[[0, 9]] = [1, 1j]
+        out = gram_schmidt([Vector(coords, sp), vec(sp, [1, 0])])
+        r = 1 / np.sqrt(2)
+        expected = np.zeros((2, 16), dtype=complex)
+        expected[:, [0, 9]] = [[r, 1j * r], [r, -1j * r]]
+        np.testing.assert_allclose([v.coords for v in out], expected,
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 8, 33, 64])
     def test_random_output_orthonormal(self, dim, rng):

@@ -232,6 +232,29 @@ class TestBrownianBlock:
             BrownianBlock(R, K_basis=[sp.basis_vector(0)],
                           V_images=[sp.basis_vector(3)])
 
+    def test_row_arrays_build_the_same_block(self, rng):
+        blocks = []
+        for as_rows in (False, True):
+            sp = make_space(3, capacity=12)
+            K, V = [sp.basis_vector(0)], [2 * sp.basis_vector(1)]
+            U, W = [sp.basis_vector(1)], [sp.basis_vector(2)]
+            if as_rows:  # rows over the allocated prefix, zeros included
+                K, V, U, W = (np.array([v.coords[:3] for v in vs])
+                              for vs in (K, V, U, W))
+            blocks.append((sp, BrownianBlock(LazyIsometry(sp, U, W), K, V)))
+        c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        (sp, B), (sp_rows, B_rows) = blocks
+        for _ in range(2):  # the first application extends R
+            x, x_rows = vec(sp, c), vec(sp_rows, c)
+            image = B_rows.apply(x_rows)
+            np.testing.assert_array_equal(x_rows.coords, x.coords)
+            np.testing.assert_allclose(image.coords, B.apply(x).coords,
+                                       rtol=0, atol=1e-15)
+            assert sp_rows.allocated == sp.allocated
+        for bad in (np.full((1, 3), np.nan), np.zeros(3), np.zeros((1, 13))):
+            with pytest.raises(ValueError):
+                LazyIsometry(sp, bad, bad)
+
     def test_copy_to_extends_only_the_copy(self):
         sp = make_space(3, capacity=8)
         R = LazyIsometry(sp, inputs=[sp.basis_vector(1)],
