@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExpansive, SubspaceNotContained
-from .linalg import gram_matrix, gram_schmidt, hermitian_eig, orthonormal_rows
+from .linalg import hermitian_eig, orthonormal_rows
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         ScalarOperator, direct_sum_power)
 from .spaces import AmbientSpace, Vector, leading_rows, padded, row_vectors
@@ -54,6 +54,7 @@ class Certificate:
     operator_norm_T: float
     bound_theoretical: float
     bound_measured: float
+    bound_exact: float           # eps ||(target - I)|_G||
     defect_max: float            # normalized by max(1, ||B||^2)^2
     expansivity_min: float
     orthogonality_max: float
@@ -259,51 +260,49 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     """Exact approximation bound, order-2 defect, and expansivity.
 
     `target` is the operator being approximated (T^(4), or 2*id), and
-    span(G_basis) must lie in F.  With e_1..e_m the coordinates
-    instantiated so far:
+    span(G_basis) must lie in F.  With Q an ONB of span(G) and e_1..e_m
+    the coordinates instantiated so far:
 
-    - bound_measured is the supremum of ||(B - target)x|| over unit x in
-      span(G): the spectral norm of (B - target) on an ONB of span(G);
-    - defect_max is ||Gram(B^2 e_j) - 2 Gram(B e_j) + I||_2, divided by
-      max(1, ||B||^2)^2;
-    - expansivity_min is the smallest eigenvalue of Gram(B e_j), the
-      compression of B*B to the instantiated span.
+    - bound_measured = ||(B - target)Q||_2, the supremum over span(G);
+    - bound_exact = eps ||(target - I)Q||_2, equal to it by construction;
+    - defect_max = ||Gram(B^2 e_j) - 2 Gram(B e_j) + I||_2 / max(1, ||B||^2)^2;
+    - expansivity_min is the smallest eigenvalue of Gram(B e_j).
 
-    The powers run on a copy of the block in a scratch space of 3m
-    coordinates (each of the 2m applications extends R at most once), and
-    the bound only meets F, whose L-part R already maps, so neither the
-    block nor its space changes.
+    The images are read from the stored rows (`BrownianBlock._step`): with
+    (E1, r1) the step of the e_j and (E2, r2) that of E1, B e_j is [E1 | r1]
+    and B^2 e_j is [E2 | r2 | r1] up to isometries of the fresh coordinates.
+    Nothing is extended, so neither the block nor its space changes.
     """
-    space = G_basis[0].space
-    f_rows = padded(trace.x_rows, space.capacity)
-    g_rows = np.array([v.coords for v in G_basis])
+    m = trace.space.allocated
+    # DomainMismatch for G elsewhere; wider than m for support past e_m
+    g_rows = padded(leading_rows(G_basis, trace.space), m)
+    f_rows = padded(trace.x_rows, g_rows.shape[1])
     g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
     resid = np.linalg.norm(g_rows - g_in_f, axis=1)
     if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(g_rows, axis=1), 1e-300)):
         raise SubspaceNotContained("G is not contained in span(F) to tolerance")
     # the projection onto F keeps roundoff off R's undefined directions
-    q = gram_schmidt([Vector(row, space) for row in g_in_f])
-    bound_measured = float(np.linalg.norm(
-        [(block.apply(v) - target.apply(v)).coords for v in q], 2))
+    q = orthonormal_rows(g_in_f[:, :m])
+    eq, rq = block._step(q)
+    moved = getattr(target, "_apply_rows", target.apply)(q)  # target(Q)
+    # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
+    eps = float(np.real(np.vdot(trace.x_rows[0], trace.y2_rows[0])))
+    b1 = np.hstack(block._step(np.eye(m, dtype=np.complex128)))  # B e_j
+    b2 = np.hstack(block._step(b1[:, :m]) + (b1[:, m:],))       # B^2 e_j
+    gram1 = b1 @ np.conj(b1).T
+    defect = b2 @ np.conj(b2).T - 2 * gram1 + np.eye(m)
 
-    m = space.allocated
-    scratch = AmbientSpace(3 * m)
-    scratch.allocate(m)
-    copy = block.copy_to(scratch)
-    images = [copy.apply(scratch.basis_vector(j)) for j in range(m)]
-    gram1 = gram_matrix(images)
-    defect = gram_matrix([copy.apply(v) for v in images]) - 2 * gram1 + np.eye(m)
-
-    return Certificate(n=len(trace.x), epsilon=_trace_epsilon(trace),
+    return Certificate(n=len(trace.x_rows), epsilon=eps,
                        operator_norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
-                       bound_measured=bound_measured,
-                       defect_max=float(np.linalg.norm(defect, 2))
+                       bound_measured=_norm2(np.hstack([eq - moved, rq])),
+                       bound_exact=eps * _norm2(moved - q),
+                       defect_max=float(np.abs(np.linalg.eigvalsh(defect)).max())
                        / max(1.0, block.operator_norm ** 2) ** 2,
                        expansivity_min=float(np.linalg.eigvalsh(gram1)[0]),
                        orthogonality_max=trace.orthogonality_max)
 
 
-def _trace_epsilon(trace: ConstructionTrace) -> float:
-    # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
-    return float(np.real(np.vdot(trace.x_rows[0], trace.y2_rows[0])))
+def _norm2(rows: np.ndarray) -> float:
+    """||rows||_2 from the Gram matrix: for a few wide rows, cheaper than an SVD."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(rows @ np.conj(rows).T)[-1], 0.0)))

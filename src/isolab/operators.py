@@ -5,9 +5,9 @@ A genuinely non-isometric 2-isometry cannot live on a finite-dimensional
 space, so the model never materializes full matrices for the block
 operators.  Instead, isometries are defined lazily: each time an input
 direction outside the defined span shows up, it is mapped to a freshly
-allocated unit coordinate.  All verdicts (defect forms, compressed Gram
-matrices) use forward applications only, which keeps them faithful to the
-infinite-dimensional operator being modeled.
+allocated unit coordinate.  Verdicts use forward applications, or read
+the images off the stored rows under that rule (`BrownianBlock._step`),
+which keeps them faithful to the infinite-dimensional operator modeled.
 
 Lazy isometries and Brownian blocks store their directions as rows over
 the leading coordinates that carry them (at most the allocated ones), not
@@ -65,8 +65,6 @@ class DenseOperator:
 
     def apply(self, x):
         if isinstance(x, Vector):
-            if self.space is None:
-                raise DomainMismatch("operator is not attached to a space")
             if x.space is not self.space:
                 raise DomainMismatch("vector lives in a different space")
             return Vector(self._apply_rows(x.coords[None, :])[0], self.space)
@@ -77,6 +75,8 @@ class DenseOperator:
         """Images of the vectors of the attached space whose coordinates
         over a leading prefix are the rows of `rows`, over the same prefix
         (widened to cover the operator's indices)."""
+        if self.space is None:
+            raise DomainMismatch("operator is not attached to a space")
         rows = padded(rows, int(self.indices.max()) + 1)
         off = np.linalg.norm(rows[:, self._off_mask[:rows.shape[1]]], axis=1)
         if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
@@ -252,20 +252,21 @@ class BrownianBlock:
         # is attained on K, where ||Bx||^2 = ||Vx||^2 + ||x||^2.
         return float(np.sqrt(1.0 + self._vnorm ** 2))
 
-    def copy_to(self, space: AmbientSpace) -> "BrownianBlock":
-        """This block on `space`, whose first coordinates stand for the ones
-        instantiated here.  Lazy extensions of the copy allocate in `space`
-        and leave this block and its space unchanged."""
-        m = self.space.allocated
-        if space.allocated < m:
-            raise ValueError(f"space has {space.allocated} coordinates, "
-                             f"the block needs {m}")
-
-        # every stored row is supported on the instantiated prefix
-        R = LazyIsometry(space, self.R.defined_inputs[:, :m],
-                         self.R.defined_outputs[:, :m],
-                         extension_tol=self.R.extension_tol)
-        return BrownianBlock(R, self._K[:, :m], self._V[:, :m])
+    def _step(self, X: np.ndarray):
+        """B on the rows of X (vectors over the first X.shape[1] coordinates,
+        which hold every stored row), without extending R: (E, r) with
+        B X = E + R r, r being X_L off R's span, which R maps to fresh ones."""
+        m = X.shape[1]
+        K, V, U, W = (padded(A[:, :m], m) for A in (
+            self._K, self._V, self.R.defined_inputs, self.R.defined_outputs))
+        c = X @ np.conj(K).T
+        r = X - c @ K
+        a = np.zeros((len(X), len(U)), dtype=np.complex128)
+        for _ in range(2):  # reorthogonalized projection, as in apply
+            p = r @ np.conj(U).T
+            r -= p @ U
+            a += p
+        return a @ W + c @ (V + K), r
 
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:

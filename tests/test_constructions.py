@@ -13,6 +13,8 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     prepare_space, split_pair, standard_f_basis,
                     theorem1_construct, theorem2_construct, translate)
 
+from isolab.spaces import padded
+
 from conftest import make_space, vec
 
 
@@ -79,6 +81,70 @@ def reference_construct(T, F_basis, space):
     block = BrownianBlock(R, y2, [(s * b[i] / eps) * target.apply(z2[i])
                                   for i in range(n)])
     return block, {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
+
+
+def copy_to(block, space):
+    """`block` on `space`, whose first coordinates stand for the ones
+    instantiated in the block's space.  Lazy extensions of the copy
+    allocate in `space` and leave the block and its space unchanged."""
+    m = block.space.allocated
+    if space.allocated < m:
+        raise ValueError(f"space has {space.allocated} coordinates, "
+                         f"the block needs {m}")
+    # every stored row is supported on the instantiated prefix
+    R = LazyIsometry(space, block.R.defined_inputs[:, :m],
+                     block.R.defined_outputs[:, :m],
+                     extension_tol=block.R.extension_tol)
+    return BrownianBlock(R, block._K[:, :m], block._V[:, :m])
+
+
+def reference_certificate(target, block, trace, G_basis):
+    """The certificate by lazy applications, as (bound_measured, defect_max,
+    expansivity_min): the bound on an ONB of span(G) projected onto F, and
+    the powers of the e_j, all on a copy of the block in a scratch space
+    (each application extends R at most once).  The bound runs on the copy
+    too: the L-part of a vector in K is roundoff, which R extends on."""
+    space = G_basis[0].space
+    f_rows = padded(trace.x_rows, space.capacity)
+    g_rows = np.array([v.coords for v in G_basis])
+    g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
+    resid = np.linalg.norm(g_rows - g_in_f, axis=1)
+    if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(g_rows, axis=1), 1e-300)):
+        raise SubspaceNotContained("G is not contained in span(F) to tolerance")
+    q = gram_schmidt([Vector(row, space) for row in g_in_f])
+
+    m = space.allocated
+    scratch = AmbientSpace(3 * m + len(q))
+    scratch.allocate(m)
+    copy = copy_to(block, scratch)
+
+    def on_scratch(v):
+        return Vector(padded(v.coords[:m], scratch.capacity), scratch)
+
+    bound = float(np.linalg.norm(
+        [(copy.apply(on_scratch(v)) - on_scratch(target.apply(v))).coords
+         for v in q], 2))
+    images = [copy.apply(scratch.basis_vector(j)) for j in range(m)]
+    gram1 = gram_matrix(images)
+    defect = gram_matrix([copy.apply(v) for v in images]) - 2 * gram1 + np.eye(m)
+    return (bound,
+            float(np.linalg.norm(defect, 2)) / max(1.0, block.operator_norm ** 2) ** 2,
+            float(np.linalg.eigvalsh(gram1)[0]))
+
+
+def block_state(block):
+    """Everything the block and its space have instantiated, copied."""
+    R = block.R
+    return (block.space.allocated, R.defined_count,
+            *(rows.copy() for rows in (R.defined_inputs, R.defined_outputs,
+                                       block._K, block._V)))
+
+
+def assert_same_state(state, block):
+    now = block_state(block)
+    assert now[:2] == state[:2]
+    for a, b in zip(now[2:], state[2:]):
+        np.testing.assert_array_equal(a, b)
 
 
 def doubled_space(dim):
@@ -383,6 +449,16 @@ class TestCertificate:
                                  operator_norm_T=T.operator_norm,
                                  bound_theoretical=1.0)
 
+    def test_domain_mismatch(self):
+        # a basis of another space, or a target attached to none
+        T, sp, f_basis, block, T4, trace = self.build()
+        for target, basis in ((T4, standard_f_basis(prepare_space(8), 4)),
+                              (direct_sum_power(T, 4), f_basis)):
+            with pytest.raises(DomainMismatch):
+                certificate_evaluate(target, block, trace, basis,
+                                     operator_norm_T=T.operator_norm,
+                                     bound_theoretical=1.0)
+
     def test_restriction_monotonicity(self):
         T, sp, f_basis, block, T4, trace = self.build()
         kwargs = dict(operator_norm_T=T.operator_norm,
@@ -406,14 +482,11 @@ class TestCertificate:
 
     def test_leaves_block_and_space_unchanged(self):
         T, sp, f_basis, block, T4, trace = self.build()
-        before = (sp.allocated, block.R.defined_count,
-                  block.R.defined_inputs.copy(), block.R.defined_outputs.copy())
+        before = block_state(block)
         certificate_evaluate(T4, block, trace, f_basis,
                              operator_norm_T=T.operator_norm,
                              bound_theoretical=(T.operator_norm + 1) / 4)
-        assert (sp.allocated, block.R.defined_count) == before[:2]
-        np.testing.assert_array_equal(block.R.defined_inputs, before[2])
-        np.testing.assert_array_equal(block.R.defined_outputs, before[3])
+        assert_same_state(before, block)
 
     def test_fits_the_construction_footprint(self):
         # theorem1 allocates dim H + 2n coordinates; the certificate none
@@ -457,17 +530,20 @@ class TestCertificate:
 
     def test_defect_normalized_by_squared_norm_squared(self):
         # B is an isometry for T = id, so tB has defect (t^2-1)^2 ||x||^2,
-        # Gram(tBe_j) = t^2 I, and ||tB|| = t: defect_max = (t^2-1)^2/t^4
+        # Gram(tBe_j) = t^2 I, and ||tB|| = t: defect_max = (t^2-1)^2/t^4.
+        # The certificate takes B^2 e_j as [E2 | r2 | r1] from two steps,
+        # so the wrapper scales the r1 part of (tB)^2 e_j once, not twice.
+        # The defect's eigenvalues are then (t^2-1)^2 - (t^4-t^2) l, with l
+        # an eigenvalue of r1 r1* in [0, 1]; at l = 0 (on K + span of R's
+        # inputs) the largest in modulus, (t^2-1)^2, is that of tB.
         class Scaled:
             def __init__(self, block, t):
                 self.block, self.t = block, t
                 self.operator_norm = t * block.operator_norm
 
-            def apply(self, x):
-                return self.t * self.block.apply(x)
-
-            def copy_to(self, space):
-                return Scaled(self.block.copy_to(space), self.t)
+            def _step(self, X):
+                E, r = self.block._step(X)
+                return self.t * E, self.t * r
 
         T = DenseOperator(np.eye(4))
         sp = prepare_space(4)
@@ -477,6 +553,119 @@ class TestCertificate:
                                     operator_norm_T=1.0, bound_theoretical=1.0)
         assert cert.defect_max == pytest.approx(9 / 16, abs=1e-12)
         assert cert.expansivity_min == pytest.approx(4.0, abs=1e-12)
+
+    def test_memory_does_not_grow_with_capacity(self):
+        # dim H = dim F = 32: m = 128 instantiated coordinates
+        T = expansive_generator(32, "svd_random", seed=5)
+        peaks = []
+        for capacity in (2048, 16384):
+            sp = prepare_space(32, capacity)
+            f_basis = standard_f_basis(sp, 32)
+            block, T4, trace = theorem2_construct(T, f_basis, sp)
+            tracemalloc.start()
+            try:
+                certificate_evaluate(T4, block, trace, f_basis,
+                                     operator_norm_T=T.operator_norm,
+                                     bound_theoretical=(T.operator_norm + 1) / 32)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        m = sp.allocated
+        assert m == 128
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) < 16 * m * m * 16
+
+
+class TestLazyReference:
+    """`certificate_evaluate` against `reference_certificate`, which applies
+    the block lazily on a scratch copy."""
+
+    def test_copy_to_extends_only_the_copy(self):
+        sp = make_space(3, capacity=8)
+        R = LazyIsometry(sp, inputs=[sp.basis_vector(1)],
+                         outputs=[sp.basis_vector(2)])
+        B = BrownianBlock(R, K_basis=[sp.basis_vector(0)],
+                          V_images=[2 * sp.basis_vector(1)])
+        scratch = make_space(3, capacity=5)
+        image = copy_to(B, scratch).apply(vec(scratch, [1, 2j, 3]))
+        # e_2 lies outside R's defined span: only the copy was extended
+        assert (sp.allocated, scratch.allocated, R.defined_count) == (3, 4, 1)
+        np.testing.assert_allclose(image.coords[:4],
+                                   B.apply(vec(sp, [1, 2j, 3])).coords[:4],
+                                   atol=1e-15)
+        with pytest.raises(ValueError):
+            copy_to(B, make_space(2, capacity=8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(theorem=st.sampled_from([1, 2]),
+           family=st.sampled_from(["svd_random", "id_plus_psd"]),
+           dim=st.integers(1, 6), extra=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1), n_frac=st.floats(0.0, 1.0),
+           g_frac=st.floats(0.0, 1.0),
+           epsilon=st.one_of(st.none(), st.floats(0.05, 1.0)),
+           leak=st.sampled_from([None, "instantiated", "past_allocated"]),
+           extensions=st.integers(0, 2), slack=st.integers(0, 1))
+    def test_matches_lazy_reference(self, theorem, family, dim, extra, seed,
+                                    n_frac, g_frac, epsilon, leak, extensions,
+                                    slack):
+        rng = np.random.default_rng(seed)
+        span = dim if theorem == 2 else dim + extra
+        n = 1 + int(n_frac * (span - 1))
+        # each defect_form below extends R twice
+        footprint = dim + extra + (3 * dim if theorem == 2 else 2 * n)
+        sp = AmbientSpace(footprint + 2 * extensions + slack)
+        sp.allocate(dim, label="H1")
+        sp.allocate(extra)
+        coeffs = rng.standard_normal((n, span)) + 1j * rng.standard_normal((n, span))
+        f_basis = [sp.vector(c, np.arange(span)) for c in coeffs]
+        if theorem == 1:
+            block, trace = theorem1_construct(f_basis, sp, epsilon=epsilon)
+            target, norm_T = ScalarOperator(2.0), 2.0
+        else:
+            T = expansive_generator(dim, family, seed=seed)
+            block, target, trace = theorem2_construct(T, f_basis, sp,
+                                                      epsilon=epsilon)
+            norm_T = T.operator_norm
+        for i in range(extensions):  # U gains extension rows
+            probe = (sp.basis_vector(sp.allocated - 1) if i % 2 == 0
+                     else random_instantiated(sp, rng))
+            defect_form(block, probe, 2)
+        assert sp.allocated + slack == sp.capacity
+
+        # G inside F, of random dimension, unless one vector leaks out
+        f_rows = np.array([v.coords for v in f_basis])
+        k = 1 + int(g_frac * (n - 1))
+        mix = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+        g_basis = [Vector(c @ f_rows, sp) for c in mix]
+        if leak == "instantiated":
+            g_basis[-1] = g_basis[-1] + sp.basis_vector(
+                int(rng.integers(sp.allocated)))
+        elif leak == "past_allocated" and slack:
+            coords = g_basis[-1].coords.copy()
+            coords[sp.allocated] = 0.5
+            g_basis[-1] = Vector(coords, sp)
+
+        before = block_state(block)
+        try:
+            cert = certificate_evaluate(target, block, trace, g_basis,
+                                        operator_norm_T=norm_T,
+                                        bound_theoretical=1.0)
+        except SubspaceNotContained:
+            cert = None
+        assert_same_state(before, block)
+        try:
+            bound, defect, expansivity = reference_certificate(
+                target, block, trace, g_basis)
+        except SubspaceNotContained:
+            assert cert is None
+            return
+        assert cert is not None
+        scale = norm_T + 1
+        assert abs(cert.bound_measured - bound) <= 1e-12 * scale
+        assert abs(cert.bound_exact - cert.bound_measured) <= 1e-12 * scale
+        assert abs(cert.defect_max - defect) <= 1e-12
+        assert abs(cert.expansivity_min - expansivity) <= 1e-12 * max(
+            1.0, block.operator_norm ** 2)
 
 
 class TestRowPipeline:

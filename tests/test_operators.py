@@ -255,22 +255,6 @@ class TestBrownianBlock:
             with pytest.raises(ValueError):
                 LazyIsometry(sp, bad, bad)
 
-    def test_copy_to_extends_only_the_copy(self):
-        sp = make_space(3, capacity=8)
-        R = LazyIsometry(sp, inputs=[sp.basis_vector(1)],
-                         outputs=[sp.basis_vector(2)])
-        B = BrownianBlock(R, K_basis=[sp.basis_vector(0)],
-                          V_images=[2 * sp.basis_vector(1)])
-        scratch = make_space(3, capacity=5)
-        image = B.copy_to(scratch).apply(vec(scratch, [1, 2j, 3]))
-        # e_2 lies outside R's defined span: only the copy was extended
-        assert (sp.allocated, scratch.allocated, R.defined_count) == (3, 4, 1)
-        np.testing.assert_allclose(image.coords[:4],
-                                   B.apply(vec(sp, [1, 2j, 3])).coords[:4],
-                                   atol=1e-15)
-        with pytest.raises(ValueError):
-            B.copy_to(make_space(2, capacity=8))
-
 
 class TestDefectForm:
     def test_identity_order2(self):
