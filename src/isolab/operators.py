@@ -169,15 +169,16 @@ class LazyIsometry:
         return Vector(padded(self._apply_coords(x.coords), self.space.capacity),
                       self.space)
 
-    def _apply_coords(self, x: np.ndarray) -> np.ndarray:
+    def _apply_coords(self, x: np.ndarray, xnorm=None) -> np.ndarray:
         """`apply` on coordinates: `x` lists a vector over a leading prefix
-        that holds all of it; the image comes back over a leading prefix."""
+        that holds all of it; the image comes back over a leading prefix.
+        The extension test is relative to `xnorm`, by default ||x||."""
         k = self._cols
         U, W = self.defined_inputs, self.defined_outputs
         w = k + support_width(x[k:])  # x[:w] holds all of x
         v = np.zeros(w, dtype=np.complex128)
         v[:len(x)] = x[:w]
-        xnorm = float(np.linalg.norm(v))
+        xnorm = float(np.linalg.norm(v)) if xnorm is None else xnorm
         coeffs = np.zeros(self._m, dtype=np.complex128)
         for _ in range(2):  # reorthogonalized projection
             c = np.conj(np.conj(v[:k]) @ U.T)
@@ -275,8 +276,9 @@ class BrownianBlock:
         c = np.conj(np.conj(x.coords[:k]) @ self._K.T)
         xK = c @ self._K
         xL = x.coords[:max(k, support_width(x.coords))].copy()
+        xnorm = float(np.linalg.norm(xL))  # a roundoff-size x_L stays in R's span
         xL[:k] -= xK
-        out = padded(self.R._apply_coords(xL), self.space.capacity)
+        out = padded(self.R._apply_coords(xL, xnorm), self.space.capacity)
         out[:k] += c @ self._V
         out[:k] += xK
         return Vector(out, self.space)
@@ -301,16 +303,19 @@ def direct_sum_power(T: DenseOperator, k: int,
     return DenseOperator(big, space, indices)
 
 
-def _norm_of(x) -> float:
-    return x.norm() if isinstance(x, Vector) else float(np.linalg.norm(x))
+def _norm_of(x):
+    if isinstance(x, Vector):
+        return x.norm()
+    return np.linalg.norm(x, axis=0) if np.ndim(x) == 2 else float(np.linalg.norm(x))
 
 
-def defect_form(B, x, m: int) -> float:
+def defect_form(B, x, m: int):
     """Quadratic form of the m-isometry defect at x.
 
     Returns sum_{k=0}^m (-1)^(m-k) C(m, k) ||B^k x||^2, evaluated with
     forward applications only.  Zero (to roundoff) iff x is annihilated by
-    the defect operator of an m-isometry.
+    the defect operator of an m-isometry.  For a DenseOperator or
+    ScalarOperator, a (dim x k) array x gives the k forms of its columns.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

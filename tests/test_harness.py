@@ -1,13 +1,41 @@
 import io
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isolab import UsageError, write_operator
+from isolab import (DenseOperator, UsageError, defect_form,
+                    expansive_generator, random_2nilpotent, read_operator,
+                    write_operator)
+from isolab import harness
 from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
                             parse_config, read_sweep_csv, run_construction,
                             run_sweep, run_verify, SweepRow)
+
+
+def reference_verify(cfg, stream):
+    """`run_verify` one sample at a time: a draw of dim real and dim
+    imaginary parts and one `defect_form` call per sample."""
+    op = DenseOperator(read_operator(cfg.input_path))
+    rng = np.random.default_rng(cfg.seed)
+    dim = op.dim
+    scale = max(1.0, op.operator_norm ** 2)
+    for m in (1, 2, 3):
+        worst = 0.0
+        for _ in range(cfg.samples):
+            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            x /= np.linalg.norm(x)
+            worst = max(worst, abs(defect_form(op, x, m)))
+        verdict = "yes" if worst <= cfg.tol_verify * scale ** m else "no"
+        stream.write(f"defect order {m}: max |d_{m}| = {worst:.17g} "
+                     f"({m}-isometry: {verdict})\n")
+    smin = float(np.linalg.svd(op.matrix, compute_uv=False).min())
+    expansive = smin >= 1.0 - cfg.tol_verify
+    stream.write(f"sigma_min: {smin:.17g} "
+                 f"(expansive: {'yes' if expansive else 'no'})\n")
+    return 0 if expansive else 1
 
 
 class TestParseConfig:
@@ -170,6 +198,64 @@ class TestVerify:
         assert "(1-isometry: no)" in lines[0]
         assert "(2-isometry: no)" in lines[1]
         assert "(3-isometry: yes)" in lines[2]
+
+
+class TestVerifyBlocks:
+    DEFECT_LINE = re.compile(r"max \|d_\d\| = (\S+) \((\d-isometry: \w+)\)")
+
+    @pytest.mark.parametrize("samples", [1, 2000])
+    def test_blocks_match_the_per_sample_loop(self, tmp_path, samples):
+        dim = 48  # 170 samples a block: 2000 end in a partial block
+        for name, M in (
+                ("id+A", np.eye(dim) + random_2nilpotent(dim, 1).matrix),
+                ("svd", expansive_generator(dim, "svd_random", seed=2).matrix)):
+            path = tmp_path / f"{name}.json"
+            write_operator(path, M)
+            cfg = RunConfig(command="verify", input_path=str(path),
+                            samples=samples, seed=7)
+            out, ref = io.StringIO(), io.StringIO()
+            assert run_verify(cfg, out) == reference_verify(cfg, ref)
+            lines, ref_lines = (s.getvalue().splitlines() for s in (out, ref))
+            assert len(lines) == 4 and lines[3] == ref_lines[3]
+            scale = max(1.0, np.linalg.norm(M, 2) ** 2)
+            for m in (1, 2, 3):
+                value, verdict = self.DEFECT_LINE.search(lines[m - 1]).groups()
+                ref_value, ref_verdict = self.DEFECT_LINE.search(
+                    ref_lines[m - 1]).groups()
+                assert verdict == ref_verdict
+                assert abs(float(value) - float(ref_value)) <= 1e-12 * scale ** m
+
+    def test_peak_memory_flat_in_samples(self, tmp_path):
+        path = tmp_path / "op.json"
+        write_operator(path, 2 * np.eye(8))
+        peaks = []
+        for samples in (200, 20000):
+            cfg = RunConfig(command="verify", input_path=str(path),
+                            samples=samples)
+            tracemalloc.start()
+            try:
+                run_verify(cfg, io.StringIO())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # blocks of 8192 // 8 = 1024 samples peak near 0.7 MB; one block of
+        # all 20000 samples would peak near 10 MB
+        assert peaks[1] <= peaks[0] + 2 ** 21
+
+    def test_calls_defect_form_through_the_harness_binding(self, tmp_path,
+                                                           monkeypatch):
+        # the benchmark's tracer counts verify's forms by wrapping this name
+        orders = []
+
+        def counting(B, x, m):
+            orders.append(m)
+            return defect_form(B, x, m)
+        monkeypatch.setattr(harness, "defect_form", counting)
+        path = tmp_path / "op.json"
+        write_operator(path, 2 * np.eye(3))
+        run_verify(RunConfig(command="verify", input_path=str(path)),
+                   io.StringIO())
+        assert sorted(set(orders)) == [1, 2, 3]
 
 
 class TestMain:

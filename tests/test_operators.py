@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolab import (BrownianBlock, CapacityExceeded, DenseOperator,
-                    DomainMismatch, LazyIsometry, NotNilpotent, OddDimension,
-                    ScalarOperator, Vector, compressed_gram, defect_form,
-                    direct_sum_power, gram_matrix, random_2nilpotent,
-                    read_operator, three_isometry_from_nilpotent,
-                    write_operator)
+from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
+                    DenseOperator, DomainMismatch, LazyIsometry, NotNilpotent,
+                    OddDimension, ScalarOperator, Vector, compressed_gram,
+                    defect_form, direct_sum_power, gram_matrix,
+                    random_2nilpotent, read_operator, theorem1_construct,
+                    three_isometry_from_nilpotent, write_operator)
 
 from conftest import make_space, vec
 
@@ -255,6 +255,21 @@ class TestBrownianBlock:
             with pytest.raises(ValueError):
                 LazyIsometry(sp, bad, bad)
 
+    def test_corner_vector_does_not_extend_r(self, rng):
+        # dim H = 1 and F = span(c e_0) fill the footprint dim H + 2 = 3;
+        # y2 spans K and its L-part is roundoff, which must not cost R a
+        # fresh coordinate (nor, at this capacity, raise CapacityExceeded)
+        for _ in range(50):
+            sp = AmbientSpace(3)
+            sp.allocate(1, label="H1")
+            c = complex(*rng.standard_normal(2))
+            block, trace = theorem1_construct([vec(sp, [c])], sp)
+            assert sp.allocated == 3
+            y2 = trace.y2[0]
+            image = block.apply(y2)
+            assert sp.allocated == 3
+            assert image.norm() == pytest.approx(block.operator_norm * y2.norm())
+
 
 class TestDefectForm:
     def test_identity_order2(self):
@@ -265,6 +280,27 @@ class TestDefectForm:
         # 1 - 2*4 + 16 = 9 on a unit vector
         B = ScalarOperator(2.0)
         assert defect_form(B, np.array([1.0]), 2) == pytest.approx(9.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.sampled_from([1, 2, 3]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_columns_give_the_single_vector_forms(self, dim, k, m, scalar,
+                                                  seed):
+        rng = np.random.default_rng(seed)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        B = ScalarOperator(gauss(1)[0]) if scalar else DenseOperator(gauss(dim, dim))
+        X = gauss(dim, k)
+        X /= np.linalg.norm(X, axis=0)
+        tol = 1e-12 * max(1.0, B.operator_norm ** 2) ** m
+        singles = [defect_form(B, X[:, j], m) for j in range(k)]
+        assert all(isinstance(d, float) for d in singles)
+        forms = defect_form(B, X, m)
+        assert forms.shape == (k,)
+        np.testing.assert_allclose(forms, singles, rtol=0, atol=tol)
+        np.testing.assert_allclose(defect_form(B, X[:, :1], m), singles[:1],
+                                   rtol=0, atol=tol)
 
     def test_isometry_order1(self, rng):
         sp = make_space(3, capacity=16)
