@@ -83,7 +83,9 @@ def standard_f_basis(space: AmbientSpace, n: int):
 
 def translate(v: Vector, from_indices, to_indices) -> Vector:
     """Move a vector's support from one labeled copy onto a disjoint one."""
-    return Vector(_moved(v.coords, from_indices, to_indices), v.space)
+    width = 1 + int(max(np.max(from_indices), np.max(to_indices)))
+    return Vector(_moved(padded(v.prefix, width), from_indices, to_indices),
+                  v.space)
 
 
 def _moved(coords: np.ndarray, from_indices, to_indices) -> np.ndarray:

@@ -32,14 +32,14 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
       id_plus_psd   -- identity + seeded positive semidefinite perturbation
 
     The result is certified internally: raises InvalidFamilyParameter if any
-    prescribed singular value is below 1, AssertionError if the built matrix
-    fails the sigma_min >= 1 - 1e-10 check.
+    prescribed singular value is not finite and >= 1, AssertionError if the
+    built matrix fails the sigma_min >= 1 - 1e-10 check.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     if family == "scalar":
-        if scale < 1.0:
-            raise InvalidFamilyParameter(f"scalar factor {scale} < 1")
+        if not 1.0 <= scale < np.inf:
+            raise InvalidFamilyParameter(f"scalar factor {scale} not in [1, inf)")
         M = scale * np.eye(dim, dtype=np.complex128)
     elif family == "diagonal":
         if diag is None:
@@ -47,8 +47,8 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
         d = np.asarray(diag, dtype=float)
         if len(d) != dim:
             raise InvalidFamilyParameter("diagonal length must equal dim")
-        if np.any(d < 1.0):
-            raise InvalidFamilyParameter("diagonal entries must be >= 1")
+        if not np.all((1.0 <= d) & (d < np.inf)):
+            raise InvalidFamilyParameter("diagonal entries must lie in [1, inf)")
         M = np.diag(d).astype(np.complex128)
     elif family == "svd_random":
         rng = np.random.default_rng(seed)

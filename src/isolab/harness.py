@@ -273,8 +273,11 @@ def emit_report(rows, fmt: str, path: str | None) -> str:
                 buf.write(f"  error: {row.error}\n")
     text = buf.getvalue()
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out {path}: {exc}") from exc
     return text
 
 

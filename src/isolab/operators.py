@@ -10,10 +10,11 @@ the images off the stored rows under that rule (`BrownianBlock._step`),
 which keeps them faithful to the infinite-dimensional operator modeled.
 
 Lazy isometries and Brownian blocks store their directions as rows over
-the leading coordinates that carry them (at most the allocated ones), not
-at the space's capacity, so their memory and the cost of an application
-grow with the instantiated span.  Vectors passed in and out stay
-full-capacity `Vector`s; the constructors also take the rows themselves.
+the leading coordinates that carry them (at most the allocated ones), and
+`Vector`s hold only their leading prefixes, so memory and the cost of an
+application grow with the instantiated span, not with the capacity.  Every
+application projects through `LazyIsometry._project` and extends through
+`LazyIsometry._extended`; the constructors also take the rows themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from math import comb
 import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
-from .spaces import AmbientSpace, Vector, as_rows, padded, support_width
+from .linalg import gram_matrix
+from .spaces import AmbientSpace, Vector, as_rows, padded
 
 
 class DenseOperator:
@@ -44,10 +46,10 @@ class DenseOperator:
         self.space = space
         self.indices = None if indices is None else np.asarray(indices)
         if space is not None:
-            if len(self.indices) != self.matrix.shape[1]:
-                raise ValueError("index set does not match matrix width")
-            self._off_mask = np.ones(space.capacity, dtype=bool)
-            self._off_mask[self.indices] = False
+            idx = self.indices
+            if (idx is None or len(idx) != self.matrix.shape[1]
+                    or np.any(idx < 0) or np.any(idx >= space.capacity)):
+                raise ValueError("indices must give one coordinate per column")
         self._norm = None
 
     @property
@@ -67,7 +69,7 @@ class DenseOperator:
         if isinstance(x, Vector):
             if x.space is not self.space:
                 raise DomainMismatch("vector lives in a different space")
-            return Vector(self._apply_rows(x.coords[None, :])[0], self.space)
+            return Vector(self._apply_rows(x.prefix[None, :])[0], self.space)
         x = np.asarray(x, dtype=np.complex128)
         return self.matrix @ x
 
@@ -78,7 +80,7 @@ class DenseOperator:
         if self.space is None:
             raise DomainMismatch("operator is not attached to a space")
         rows = padded(rows, int(self.indices.max()) + 1)
-        off = np.linalg.norm(rows[:, self._off_mask[:rows.shape[1]]], axis=1)
+        off = np.linalg.norm(np.delete(rows, self.indices, axis=1), axis=1)
         if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
             raise DomainMismatch("vector has support outside operator domain")
         out = np.zeros_like(rows)
@@ -166,33 +168,36 @@ class LazyIsometry:
         """Evaluate (extending first if x leaves the defined span)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        return Vector(padded(self._apply_coords(x.coords), self.space.capacity),
+        a, r = self._project(x.prefix[None, :])
+        return Vector(self._extended(a[0] @ self.defined_outputs, r[0], x.norm()),
                       self.space)
 
-    def _apply_coords(self, x: np.ndarray, xnorm=None) -> np.ndarray:
-        """`apply` on coordinates: `x` lists a vector over a leading prefix
-        that holds all of it; the image comes back over a leading prefix.
-        The extension test is relative to `xnorm`, by default ||x||."""
-        k = self._cols
-        U, W = self.defined_inputs, self.defined_outputs
-        w = k + support_width(x[k:])  # x[:w] holds all of x
-        v = np.zeros(w, dtype=np.complex128)
-        v[:len(x)] = x[:w]
-        xnorm = float(np.linalg.norm(v)) if xnorm is None else xnorm
-        coeffs = np.zeros(self._m, dtype=np.complex128)
+    def _project(self, X: np.ndarray):
+        """(a, r): the coefficients of the rows of X (vectors over a leading
+        prefix) on the defined inputs, and what is left of the rows off
+        their span, over X's columns or the stored ones if more."""
+        U = self.defined_inputs
+        r = padded(X, U.shape[1])
+        a = np.zeros((len(X), self._m), dtype=np.complex128)
         for _ in range(2):  # reorthogonalized projection
-            c = np.conj(np.conj(v[:k]) @ U.T)
-            v[:k] -= c @ U
-            coeffs += c
-        rnorm = float(np.linalg.norm(v))
-        image = coeffs @ W
-        if rnorm > self.extension_tol * max(xnorm, 1e-300):
-            new_index = int(self.space.allocate(1)[0])
-            w_new = np.zeros(new_index + 1, dtype=np.complex128)
-            w_new[new_index] = 1.0
-            self._append(v / rnorm, w_new)
-            image = padded(image, new_index + 1)
-            image[new_index] += rnorm
+            p = np.conj(np.conj(r[:, :U.shape[1]]) @ U.T)
+            r[:, :U.shape[1]] -= p @ U
+            a += p
+        return a, r
+
+    def _extended(self, image: np.ndarray, r: np.ndarray, xnorm: float):
+        """`image` plus R of the residual `r` of a vector of norm `xnorm`:
+        above extension_tol * xnorm, r goes onto a fresh coordinate (or
+        CapacityExceeded, nothing stored); below, it is roundoff."""
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= self.extension_tol * max(xnorm, 1e-300):
+            return image
+        new_index = int(self.space.allocate(1)[0])
+        w_new = np.zeros(new_index + 1, dtype=np.complex128)
+        w_new[new_index] = 1.0
+        self._append(r / rnorm, w_new)
+        image = padded(image, new_index + 1)
+        image[new_index] += rnorm
         return image
 
 
@@ -254,34 +259,26 @@ class BrownianBlock:
         return float(np.sqrt(1.0 + self._vnorm ** 2))
 
     def _step(self, X: np.ndarray):
-        """B on the rows of X (vectors over the first X.shape[1] coordinates,
-        which hold every stored row), without extending R: (E, r) with
-        B X = E + R r, r being X_L off R's span, which R maps to fresh ones."""
-        m = X.shape[1]
-        K, V, U, W = (padded(A[:, :m], m) for A in (
-            self._K, self._V, self.R.defined_inputs, self.R.defined_outputs))
-        c = X @ np.conj(K).T
-        r = X - c @ K
-        a = np.zeros((len(X), len(U)), dtype=np.complex128)
-        for _ in range(2):  # reorthogonalized projection, as in apply
-            p = r @ np.conj(U).T
-            r -= p @ U
-            a += p
-        return a @ W + c @ (V + K), r
+        """B on the rows of X without extending R: (E, r) with B X = E + R r,
+        r being X_L off R's span, which R maps to fresh coordinates; rows are
+        over leading prefixes, E and r as wide as X or the stored rows."""
+        K, V = self._K, self._V
+        k = K.shape[1]
+        XL = padded(X, k)
+        c = np.conj(np.conj(XL[:, :k]) @ K.T)
+        xK = c @ K
+        XL[:, :k] -= xK
+        a, r = self.R._project(XL)
+        E = padded(a @ self.R.defined_outputs, r.shape[1])
+        E[:, :k] += c @ V
+        E[:, :k] += xK
+        return E, r
 
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        k = self._K.shape[1]
-        c = np.conj(np.conj(x.coords[:k]) @ self._K.T)
-        xK = c @ self._K
-        xL = x.coords[:max(k, support_width(x.coords))].copy()
-        xnorm = float(np.linalg.norm(xL))  # a roundoff-size x_L stays in R's span
-        xL[:k] -= xK
-        out = padded(self.R._apply_coords(xL, xnorm), self.space.capacity)
-        out[:k] += c @ self._V
-        out[:k] += xK
-        return Vector(out, self.space)
+        E, r = self._step(x.prefix[None, :])
+        return Vector(self.R._extended(E[0], r[0], x.norm()), self.space)
 
 
 def direct_sum_power(T: DenseOperator, k: int,
@@ -334,11 +331,7 @@ def compressed_gram(B, S) -> np.ndarray:
     G[i, j] = <B s_i, B s_j>; Hermitian positive semidefinite.  For an
     expansive B its smallest eigenvalue is at least 1.
     """
-    images = [B.apply(s) for s in S]
-    rows = np.array([im.coords if isinstance(im, Vector) else im
-                     for im in images])
-    G = np.conj(rows) @ rows.T
-    return 0.5 * (G + np.conj(G.T))
+    return gram_matrix([B.apply(s) for s in S])
 
 
 def random_2nilpotent(dim: int, seed: int) -> DenseOperator:

@@ -2,10 +2,11 @@
 
 An :class:`AmbientSpace` hands out coordinates from a fixed budget through a
 monotone cursor, so "fresh" directions are always orthogonal to everything
-instantiated so far and runs are reproducible.  Vectors are stored at full
-capacity length; unallocated coordinates are identically zero.  Systems of
-vectors can also be held as the rows of one array over the leading
-coordinates that carry them (`leading_rows`, `as_rows`, `row_vectors`).
+instantiated so far and runs are reproducible.  The capacity is a budget,
+not a storage size: a Vector stores the leading prefix that holds its
+support.  Systems of vectors can also be held as the rows of one array over
+the leading coordinates that carry them (`leading_rows`, `as_rows`,
+`row_vectors`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class AmbientSpace:
     def basis_vector(self, index: int) -> "Vector":
         if not 0 <= index < self.next_free:
             raise ValueError(f"coordinate {index} not allocated")
-        coords = np.zeros(self.capacity, dtype=np.complex128)
+        coords = np.zeros(index + 1, dtype=np.complex128)
         coords[index] = 1.0
         return Vector(coords, self)
 
@@ -64,36 +65,41 @@ class AmbientSpace:
         values = np.asarray(values, dtype=np.complex128)
         if values.size == 0:
             raise ValueError("empty value list")
-        coords = np.zeros(self.capacity, dtype=np.complex128)
         if indices is None:
             indices = np.arange(len(values))
         indices = np.asarray(indices)
-        if np.max(indices) >= self.next_free:
+        if np.min(indices) < 0 or np.max(indices) >= self.next_free:
             raise ValueError("values placed on unallocated coordinates")
+        coords = np.zeros(int(np.max(indices)) + 1, dtype=np.complex128)
         coords[indices] = values
         return Vector(coords, self)
 
     def zero(self) -> "Vector":
-        return Vector(np.zeros(self.capacity, dtype=np.complex128), self)
+        return Vector(np.zeros(0, dtype=np.complex128), self)
 
 
 class Vector:
-    """Immutable-by-convention coordinate vector tied to one AmbientSpace.
-
-    The inner product is conjugate-linear in the *first* argument:
-    ``v.inner(w) == sum(conj(v_k) w_k)``.
+    """Immutable-by-convention coordinate vector tied to one AmbientSpace,
+    stored as `prefix`, its coordinates up to the last nonzero one (`coords`
+    pads a copy to the capacity).  The inner product is conjugate-linear in
+    the *first* argument: ``v.inner(w) == sum(conj(v_k) w_k)``.
     """
 
-    __slots__ = ("coords", "space")
+    __slots__ = ("prefix", "space")
 
     def __init__(self, coords: np.ndarray, space: AmbientSpace):
         coords = np.asarray(coords, dtype=np.complex128)
-        if coords.ndim != 1 or len(coords) != space.capacity:
-            raise ValueError("coords length must equal space capacity")
+        if coords.ndim != 1 or len(coords) > space.capacity:
+            raise ValueError("coords must be 1-d and at most the capacity long")
         if not np.all(np.isfinite(coords.view(np.float64))):
             raise ValueError("non-finite entries in vector")
-        self.coords = coords
+        nonzero = np.flatnonzero(coords)
+        self.prefix = coords[:nonzero[-1] + 1 if nonzero.size else 0]
         self.space = space
+
+    @property
+    def coords(self) -> np.ndarray:
+        return padded(self.prefix, self.space.capacity)
 
     def same_space(self, other: "Vector"):
         if other.space is not self.space:
@@ -101,47 +107,43 @@ class Vector:
 
     def inner(self, other: "Vector") -> complex:
         self.same_space(other)
-        return complex(np.vdot(self.coords, other.coords))
+        k = min(len(self.prefix), len(other.prefix))
+        return complex(np.vdot(self.prefix[:k], other.prefix[:k]))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return float(np.linalg.norm(self.prefix))
 
     def __add__(self, other: "Vector") -> "Vector":
         self.same_space(other)
-        return Vector(self.coords + other.coords, self.space)
+        out = padded(self.prefix, len(other.prefix))
+        out[:len(other.prefix)] += other.prefix
+        return Vector(out, self.space)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self.same_space(other)
-        return Vector(self.coords - other.coords, self.space)
+        return self + -other
 
     def __mul__(self, scalar) -> "Vector":
-        return Vector(self.coords * scalar, self.space)
+        return Vector(self.prefix * scalar, self.space)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Vector":
-        return Vector(-self.coords, self.space)
+        return Vector(-self.prefix, self.space)
 
     def __repr__(self):
-        support = np.nonzero(np.abs(self.coords) > 0)[0]
+        support = np.nonzero(np.abs(self.prefix) > 0)[0]
         return f"Vector(support={support.tolist()[:8]}..., norm={self.norm():.6g})"
-
-
-def support_width(coords: np.ndarray) -> int:
-    """Length of the shortest prefix of `coords` that holds every nonzero entry."""
-    nonzero = np.flatnonzero(coords)
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
 def leading_rows(vectors, space: AmbientSpace) -> np.ndarray:
     """Coordinates of `vectors`, all in `space`, as the rows of one array
     over the leading coordinates that hold every nonzero entry."""
-    cols = max((support_width(v.coords) for v in vectors), default=0)
+    cols = max((len(v.prefix) for v in vectors), default=0)
     rows = np.zeros((len(vectors), cols), dtype=np.complex128)
     for i, v in enumerate(vectors):
         if v.space is not space:
             raise DomainMismatch("vector lives in a different space")
-        rows[i] = v.coords[:cols]
+        rows[i, :len(v.prefix)] = v.prefix
     return rows
 
 
@@ -169,4 +171,4 @@ def padded(a: np.ndarray, width: int) -> np.ndarray:
 
 def row_vectors(rows: np.ndarray, space: AmbientSpace) -> list:
     """The rows of `rows`, coordinates over a leading prefix, as Vectors."""
-    return [Vector(coords, space) for coords in padded(rows, space.capacity)]
+    return [Vector(coords, space) for coords in rows]

@@ -367,6 +367,41 @@ class TestTheorem2:
             tracemalloc.stop()
         assert peak < 4 * 64 * sp.capacity * 16
 
+    def test_memory_is_independent_of_capacity(self):
+        # construction, certificate and 20 defect forms (every fifth on the
+        # newest coordinate, which extends R) allocate the same at any
+        # capacity: the capacity is a budget, not a storage size
+        T = expansive_generator(4, "svd_random", seed=6)
+
+        def peaks(capacity):
+            sp = prepare_space(4, capacity)
+            f_basis = standard_f_basis(sp, 4)
+            rng = np.random.default_rng(0)
+            out = []
+            tracemalloc.start()
+            try:
+                block, T4, trace = theorem2_construct(T, f_basis, sp)
+                out.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                certificate_evaluate(T4, block, trace, f_basis,
+                                     operator_norm_T=T.operator_norm,
+                                     bound_theoretical=(T.operator_norm + 1) / 4)
+                out.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                for k in range(20):
+                    x = (sp.basis_vector(sp.allocated - 1) if k % 5 == 0
+                         else sp.vector(rng.standard_normal(sp.allocated)))
+                    defect_form(block, x, 2)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        peaks(2**10)  # first calls fill caches that later calls reuse
+        small, large = peaks(2**10), peaks(2**20)
+        for a, b in zip(small, large):
+            assert abs(b - a) <= 0.05 * a
+
     def test_step2_reconstruction_and_norms(self):
         T = expansive_generator(4, "id_plus_psd", seed=1)
         block, T4, trace, sp, _ = self.run(T, n=2)

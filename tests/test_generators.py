@@ -40,6 +40,10 @@ def test_id_plus_psd_expansive():
     dict(family="diagonal", diag=[1.0]),
     dict(family="diagonal"),
     dict(family="no-such-family"),
+    dict(family="scalar", scale=np.inf),
+    dict(family="scalar", scale=np.nan),
+    dict(family="diagonal", diag=[1.0, np.inf]),
+    dict(family="diagonal", diag=[np.nan, 2.0]),
 ])
 def test_invalid_parameters(kwargs):
     with pytest.raises(InvalidFamilyParameter):

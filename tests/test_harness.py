@@ -306,12 +306,19 @@ class TestMain:
         (["theorem1", "--config", "PATH"], '{"dim_f": 2, "format": "xml"}',
          "not one of"),
         (["theorem1", "--config", "PATH"], '[2]', "JSON object"),
+        (["theorem1", "--dim-f", "2", "--out", "/nonexistent/dir/x.csv"], None,
+         "--out"),
+        # non-finite family parameters
+        (["sweep", "--n", "2", "--family", "diag:inf"], None, "[1, inf)"),
+        (["sweep", "--n", "2", "--family", "diag:nan"], None, "[1, inf)"),
+        (["sweep", "--n", "2", "--family", "scalar:inf"], None, "[1, inf)"),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
             "verify-negative-tolerance", "zero-samples", "sweep-samples",
             "verify-negative-samples", "theorem1-tol-verify", "verify-out",
             "config-string-samples", "config-string-dim-f",
-            "config-bad-format", "config-not-object"])
+            "config-bad-format", "config-not-object", "unwritable-out",
+            "infinite-diag", "nan-diag", "infinite-scalar"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if content is not None:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     DenseOperator, DomainMismatch, LazyIsometry, NotNilpotent,
                     OddDimension, ScalarOperator, Vector, compressed_gram,
-                    defect_form, direct_sum_power, gram_matrix,
-                    random_2nilpotent, read_operator, theorem1_construct,
+                    defect_form, direct_sum_power, expansive_generator,
+                    gram_matrix, random_2nilpotent, read_operator,
+                    theorem1_construct, theorem2_construct,
                     three_isometry_from_nilpotent, write_operator)
+from isolab.spaces import padded
 
 from conftest import make_space, vec
 
@@ -37,6 +39,55 @@ class FullCapacityIsometry:
             self.U = np.vstack([self.U, v / rnorm])
             self.W = np.vstack([self.W, w_new])
         return Vector(out, self.space)
+
+
+def support_width(coords):
+    nonzero = np.flatnonzero(coords)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def reference_lazy_coords(R, x, xnorm):
+    """R applied on coordinates by a projection loop of its own, the
+    reference for `_project` and `_extended`: `x` lists a vector over a
+    leading prefix, and the extension test is relative to `xnorm`."""
+    k = R.defined_inputs.shape[1]
+    U, W = R.defined_inputs, R.defined_outputs
+    w = k + support_width(x[k:])  # x[:w] holds all of x
+    v = np.zeros(w, dtype=np.complex128)
+    v[:len(x)] = x[:w]
+    coeffs = np.zeros(R.defined_count, dtype=np.complex128)
+    for _ in range(2):
+        c = np.conj(np.conj(v[:k]) @ U.T)
+        v[:k] -= c @ U
+        coeffs += c
+    rnorm = float(np.linalg.norm(v))
+    image = coeffs @ W
+    if rnorm > R.extension_tol * max(xnorm, 1e-300):
+        new_index = int(R.space.allocate(1)[0])
+        w_new = np.zeros(new_index + 1, dtype=np.complex128)
+        w_new[new_index] = 1.0
+        R._append(v / rnorm, w_new)
+        image = padded(image, new_index + 1)
+        image[new_index] += rnorm
+    return image
+
+
+def reference_block_apply(block, x):
+    """B x by the K/L split: x_K = P_K x goes to V x_K + x_K, and x_L to R
+    through `reference_lazy_coords`, tested relative to ||x||.  Returns the
+    image's capacity-long coordinates."""
+    K, V = block._K, block._V
+    coords = x.coords
+    k = K.shape[1]
+    c = np.conj(np.conj(coords[:k]) @ K.T)
+    xK = c @ K
+    xL = coords[:max(k, support_width(coords))].copy()
+    xnorm = float(np.linalg.norm(xL))
+    xL[:k] -= xK
+    out = padded(reference_lazy_coords(block.R, xL, xnorm), x.space.capacity)
+    out[:k] += c @ V
+    out[:k] += xK
+    return out
 
 
 def twin_isometries(dim=3, capacity=40):
@@ -70,6 +121,12 @@ class TestDenseOperator:
         T = DenseOperator([[2, 1], [0, 2]], sp, sp.labels["H1"])
         with pytest.raises(DomainMismatch):
             T.apply(sp.basis_vector(2))
+
+    @pytest.mark.parametrize("indices", [None, [0], [0, -1], [0, 4]],
+                             ids=["none", "too-few", "negative", "past-capacity"])
+    def test_attached_operator_needs_one_coordinate_per_column(self, indices):
+        with pytest.raises(ValueError):
+            DenseOperator(np.eye(2), make_space(2, capacity=4), indices)
 
     def test_operator_norm_is_largest_singular_value(self, rng):
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -269,6 +326,60 @@ class TestBrownianBlock:
             image = block.apply(y2)
             assert sp.allocated == 3
             assert image.norm() == pytest.approx(block.operator_norm * y2.norm())
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(theorem=st.sampled_from([1, 2]), dim=st.integers(1, 4),
+           n_frac=st.floats(0, 1), slack=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1),
+           ops=st.lists(st.sampled_from(["span", "K", "defined", "newest",
+                                         "past"]), min_size=1, max_size=10))
+    @example(theorem=1, dim=1, n_frac=0.0, slack=0, seed=0,
+             ops=["K", "K", "span", "newest"])
+    def test_matches_the_split_reference(self, theorem, dim, n_frac, slack,
+                                         seed, ops):
+        # twin blocks, one applied by `apply`, one by the reference, from
+        # a construction at the edge of its capacity (at dim 1, theorem 1
+        # and no slack, F = span(c e_0) fills the capacity 3)
+        rng = np.random.default_rng(seed)
+        n = 1 + int(n_frac * (dim - 1))
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        T = expansive_generator(dim, "svd_random", seed=seed)
+        capacity = dim + (2 * n if theorem == 1 else 3 * dim) + slack
+        twins = []
+        for _ in range(2):
+            sp = make_space(dim, capacity=capacity)
+            f_basis = [sp.vector(c) for c in coeffs]
+            block = (theorem1_construct(f_basis, sp)[0] if theorem == 1
+                     else theorem2_construct(T, f_basis, sp)[0])
+            twins.append((sp, block))
+        (sp, block), (ref_sp, ref) = twins
+        for kind in ops:
+            m = sp.allocated
+            coords = np.zeros(capacity, dtype=np.complex128)
+            if kind == "newest":
+                coords[m - 1] = 1.0
+            elif kind == "past" and m < capacity:  # support not allocated yet
+                coords[:m] = rng.standard_normal(m)
+                coords[int(rng.integers(m, capacity))] = 1j
+            else:
+                rows = {"K": ref._K, "defined": ref.R.defined_inputs}.get(
+                    kind, np.eye(m))
+                c = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(
+                    len(rows))
+                coords[:rows.shape[1]] = c @ rows
+            try:
+                want = reference_block_apply(ref, Vector(coords, ref_sp))
+            except CapacityExceeded:
+                with pytest.raises(CapacityExceeded):
+                    block.apply(Vector(coords, sp))
+            else:
+                image = block.apply(Vector(coords, sp))
+                np.testing.assert_allclose(
+                    image.coords, want, rtol=0,
+                    atol=1e-12 * max(np.linalg.norm(coords), 1e-300))
+            assert (sp.allocated, block.R.defined_count) == (
+                ref_sp.allocated, ref.R.defined_count)
 
 
 class TestDefectForm:
