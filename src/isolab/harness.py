@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -86,7 +87,9 @@ _HELP = {"--n": "comma-separated sweep list, e.g. 2,4,8",
          "--family": "scalar:<t> | diag:<d1,d2,...> | svd-random | id-plus-psd"}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process; parsing leaves it as it is."""
     parser = _Parser(prog="isolab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
@@ -273,12 +276,17 @@ def emit_report(rows, fmt: str, path: str | None) -> str:
                 buf.write(f"  error: {row.error}\n")
     text = buf.getvalue()
     if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"--out {path}: {exc}") from exc
+        _write_out(path, text, "w")
     return text
+
+
+def _write_out(path: str, text: str, mode: str) -> None:
+    """Write `text` to the --out file `path`, UsageError if that fails."""
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: {exc}") from exc
 
 
 def read_sweep_csv(text: str):
@@ -337,6 +345,8 @@ def main(argv=None) -> int:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
         if cfg.command == "verify":
             return run_verify(cfg)
+        if cfg.out:  # an unwritable --out fails before any row is built
+            _write_out(cfg.out, "", "a")
         rows = run_sweep(cfg)
         text = emit_report(rows, cfg.format, cfg.out)
         if cfg.format == "csv":  # the report format carries errors inline

@@ -20,7 +20,7 @@ application projects through `LazyIsometry._project` and extends through
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -168,29 +168,30 @@ class LazyIsometry:
         """Evaluate (extending first if x leaves the defined span)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        a, r = self._project(x.prefix[None, :])
-        return Vector(self._extended(a[0] @ self.defined_outputs, r[0], x.norm()),
-                      self.space)
+        r = padded(x.prefix, self._cols)
+        image, r = self._project(np.zeros(r.shape, dtype=np.complex128), r)
+        return Vector(self._extended(image, r, x.norm()), self.space)
 
-    def _project(self, X: np.ndarray):
-        """(a, r): the coefficients of the rows of X (vectors over a leading
-        prefix) on the defined inputs, and what is left of the rows off
-        their span, over X's columns or the stored ones if more."""
+    def _project(self, image: np.ndarray, r: np.ndarray):
+        """One projection pass, in place, over `r` (one vector or rows over
+        the stored columns or more): its part in the defined span is taken
+        off and mapped through R onto `image`, which is as wide as `r`."""
         U = self.defined_inputs
-        r = padded(X, U.shape[1])
-        a = np.zeros((len(X), self._m), dtype=np.complex128)
-        for _ in range(2):  # reorthogonalized projection
-            p = np.conj(np.conj(r[:, :U.shape[1]]) @ U.T)
-            r[:, :U.shape[1]] -= p @ U
-            a += p
-        return a, r
+        p = np.conj(np.conj(r[..., :self._cols]) @ U.T)
+        r[..., :self._cols] -= p @ U
+        image[..., :self._cols] += p @ self.defined_outputs
+        return image, r
 
     def _extended(self, image: np.ndarray, r: np.ndarray, xnorm: float):
-        """`image` plus R of the residual `r` of a vector of norm `xnorm`:
-        above extension_tol * xnorm, r goes onto a fresh coordinate (or
-        CapacityExceeded, nothing stored); below, it is roundoff."""
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= self.extension_tol * max(xnorm, 1e-300):
+        """`image` plus R of the residual `r` (one pass) of a vector of norm
+        `xnorm`: above extension_tol * xnorm, a second pass, then a fresh
+        coordinate if still above (or CapacityExceeded, nothing stored)."""
+        tol = self.extension_tol * max(xnorm, 1e-300)
+        rnorm = sqrt(np.vdot(r, r).real)
+        if rnorm > tol:  # a residual R may store is reorthogonalized (CGS2)
+            image, r = self._project(image, r)
+            rnorm = sqrt(np.vdot(r, r).real)
+        if rnorm <= tol:
             return image
         new_index = int(self.space.allocate(1)[0])
         w_new = np.zeros(new_index + 1, dtype=np.complex128)
@@ -260,24 +261,26 @@ class BrownianBlock:
 
     def _step(self, X: np.ndarray):
         """B on the rows of X without extending R: (E, r) with B X = E + R r,
-        r being X_L off R's span, which R maps to fresh coordinates; rows are
-        over leading prefixes, E and r as wide as X or the stored rows."""
+        r being X_L off R's span after two passes, which R maps to fresh
+        coordinates; rows over leading prefixes, as wide as X or R's rows."""
+        return self.R._project(*self._first_pass(X))
+
+    def _first_pass(self, X: np.ndarray):
+        """`_step` with one projection pass (`LazyIsometry._project`)."""
         K, V = self._K, self._V
         k = K.shape[1]
-        XL = padded(X, k)
+        XL = padded(X, max(k, self.R.defined_inputs.shape[1]))
         c = np.conj(np.conj(XL[:, :k]) @ K.T)
         xK = c @ K
         XL[:, :k] -= xK
-        a, r = self.R._project(XL)
-        E = padded(a @ self.R.defined_outputs, r.shape[1])
-        E[:, :k] += c @ V
-        E[:, :k] += xK
-        return E, r
+        E = np.zeros(XL.shape, dtype=np.complex128)
+        E[:, :k] = xK + c @ V
+        return self.R._project(E, XL)
 
     def apply(self, x: Vector) -> Vector:
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        E, r = self._step(x.prefix[None, :])
+        E, r = self._first_pass(x.prefix[None, :])
         return Vector(self.R._extended(E[0], r[0], x.norm()), self.space)
 
 

@@ -12,6 +12,7 @@ the leading coordinates that carry them (`leading_rows`, `as_rows`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
@@ -61,13 +62,17 @@ class AmbientSpace:
         return Vector(coords, self)
 
     def vector(self, values, indices=None) -> "Vector":
-        """Build a vector from `values` placed at `indices` (default: 0..len)."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.size == 0:
-            raise ValueError("empty value list")
+        """Build a vector from `values` at distinct `indices` (default: 0..len)."""
+        values = np.array(values, dtype=np.complex128)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("values must be a nonempty 1-d list")
         if indices is None:
-            indices = np.arange(len(values))
+            if len(values) > self.next_free:
+                raise ValueError("values placed on unallocated coordinates")
+            return Vector(values, self)
         indices = np.asarray(indices)
+        if indices.shape != values.shape or len(np.unique(indices)) != len(indices):
+            raise ValueError("need one distinct index per value")
         if np.min(indices) < 0 or np.max(indices) >= self.next_free:
             raise ValueError("values placed on unallocated coordinates")
         coords = np.zeros(int(np.max(indices)) + 1, dtype=np.complex128)
@@ -91,9 +96,9 @@ class Vector:
         coords = np.asarray(coords, dtype=np.complex128)
         if coords.ndim != 1 or len(coords) > space.capacity:
             raise ValueError("coords must be 1-d and at most the capacity long")
-        if not np.all(np.isfinite(coords.view(np.float64))):
+        if not np.isfinite(coords).all():
             raise ValueError("non-finite entries in vector")
-        nonzero = np.flatnonzero(coords)
+        nonzero = coords.nonzero()[0]
         self.prefix = coords[:nonzero[-1] + 1 if nonzero.size else 0]
         self.space = space
 
@@ -111,7 +116,7 @@ class Vector:
         return complex(np.vdot(self.prefix[:k], other.prefix[:k]))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.prefix))
+        return sqrt(np.vdot(self.prefix, self.prefix).real)
 
     def __add__(self, other: "Vector") -> "Vector":
         self.same_space(other)

@@ -76,6 +76,20 @@ class TestParseConfig:
         assert cfg.dim_h == 8 and cfg.n_list == [4]
         assert cfg.seed == 9  # CLI wins over file
 
+    def test_repeated_parses_give_independent_equal_configs(self):
+        first = ["sweep", "--n", "2,4", "--family", "id-plus-psd",
+                 "--seed", "3", "--format", "report"]
+        a = parse_config(first)
+        b = parse_config(["theorem1", "--dim-f", "4", "--capacity", "40"])
+        c = parse_config(first)
+        assert a == c and a is not c and a.n_list is not c.n_list
+        assert (b.command, b.n_list, b.capacity, b.family, b.seed) == (
+            "theorem1", [4], 40, "scalar:2", 0)
+        assert (c.family, c.seed, c.format, c.capacity) == (
+            "id-plus-psd", 3, "report", None)
+        c.n_list.append(8)
+        assert a.n_list == [2, 4]
+
     def test_config_file_unknown_key(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"dim_f": 4, "color": "red"}))
@@ -331,6 +345,28 @@ class TestMain:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err
+
+    def test_unwritable_out_fails_before_any_row(self, monkeypatch, capsys):
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(harness, "run_construction", no_rows)
+        assert main(["theorem2", "--family", "svd-random", "--seed", "1",
+                     "--dim-f", "8", "--out", "/nonexistent/dir/x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out /nonexistent/dir/x.csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "report"])
+    def test_out_file_holds_the_stdout_text(self, tmp_path, capsys, fmt):
+        argv = ["sweep", "--n", "2,3", "--family", "scalar:2", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "rows.txt"
+        out.write_text("stale text, longer than the report " * 20)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        def strip(text):  # wall_ms differs from run to run
+            return re.sub(r"wall_ms: \S+|,[^,\n]*$", "", text, flags=re.M)
+        assert strip(out.read_text()) == strip(printed)
 
     def test_verify_via_main(self, tmp_path):
         path = tmp_path / "op.json"

@@ -6,9 +6,10 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     DenseOperator, DomainMismatch, LazyIsometry, NotNilpotent,
                     OddDimension, ScalarOperator, Vector, compressed_gram,
                     defect_form, direct_sum_power, expansive_generator,
-                    gram_matrix, random_2nilpotent, read_operator,
-                    theorem1_construct, theorem2_construct,
-                    three_isometry_from_nilpotent, write_operator)
+                    gram_matrix, prepare_space, random_2nilpotent,
+                    read_operator, standard_f_basis, theorem1_construct,
+                    theorem2_construct, three_isometry_from_nilpotent,
+                    write_operator)
 from isolab.spaces import padded
 
 from conftest import make_space, vec
@@ -380,6 +381,81 @@ class TestBrownianBlock:
                     atol=1e-12 * max(np.linalg.norm(coords), 1e-300))
             assert (sp.allocated, block.R.defined_count) == (
                 ref_sp.allocated, ref.R.defined_count)
+
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1],
+                             ids=["above-threshold", "below-threshold"])
+    @pytest.mark.parametrize("which", ["lazy", "block"])
+    def test_extension_threshold_matches_the_two_pass_reference(
+            self, rng, factor, which):
+        # x = u + delta e_fresh, u in R's defined span and delta = factor *
+        # extension_tol * ||x||: one projection pass, plus a second on a
+        # kept residual, extends exactly when the two-pass reference does
+        coeffs = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        T = expansive_generator(6, "svd_random", seed=4)
+        grow = rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))
+        twins = []
+        for _ in range(2):
+            sp = make_space(6, capacity=200)
+            block = theorem2_construct(T, [sp.vector(c) for c in coeffs], sp)[0]
+            for g in grow:  # the same extensions on both twins
+                block.apply(sp.vector(g))
+            twins.append((sp, block))
+        (sp, block), (ref_sp, ref) = twins
+        c = rng.standard_normal(block.R.defined_count) * (1 + 1j)
+        u = c @ block.R.defined_inputs
+        fresh = int(sp.allocate(1)[0])
+        assert int(ref_sp.allocate(1)[0]) == fresh
+        coords = np.zeros(fresh + 1, dtype=np.complex128)
+        coords[:len(u)] = u
+        coords[fresh] = factor * block.R.extension_tol * np.linalg.norm(u)
+        xnorm = np.linalg.norm(coords)
+        count = block.R.defined_count
+        if which == "lazy":
+            image = block.R.apply(Vector(coords, sp)).coords
+            want = padded(reference_lazy_coords(ref.R, coords, xnorm),
+                          sp.capacity)
+        else:
+            image = block.apply(Vector(coords, sp)).coords
+            want = reference_block_apply(ref, Vector(coords, ref_sp))
+        np.testing.assert_allclose(image, want, rtol=0, atol=1e-12 * xnorm)
+        assert (sp.allocated, block.R.defined_count) == (
+            ref_sp.allocated, ref.R.defined_count)
+        assert block.R.defined_count == count + (factor > 1)
+
+    @pytest.mark.parametrize("theorem, n", [(2, 8), (1, 32)],
+                             ids=["theorem2", "theorem1"])
+    def test_stored_rows_stay_orthonormal_through_many_extensions(
+            self, theorem, n):
+        # 300 order-2 forms, 600 applications: every 10th x is the newest
+        # coordinate, the others random over the instantiated ones, so R
+        # stores hundreds of rows; they must stay orthonormal (each gets
+        # two projection passes) for B to stay a 2-isometry
+        rng = np.random.default_rng(9301)
+        dim_h = 16 if theorem == 2 else n
+        sp = prepare_space(dim_h)
+        f_basis = standard_f_basis(sp, n)
+        if theorem == 2:
+            T = expansive_generator(dim_h, "svd_random", seed=5)
+            block = theorem2_construct(T, f_basis, sp)[0]
+        else:
+            block = theorem1_construct(f_basis, sp)[0]
+        scale = max(1.0, block.operator_norm ** 2) ** 2
+        start = block.R.defined_count
+        worst = 0.0
+        for k in range(300):
+            if k % 10 == 0:
+                x = sp.basis_vector(sp.allocated - 1)
+            else:
+                m = sp.allocated
+                x = sp.vector(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            worst = max(worst, abs(defect_form(block, x, 2))
+                        / (scale * x.norm() ** 2))
+        assert block.R.defined_count > start + 300
+        assert worst <= 1e-12
+        for M in (block.R.defined_inputs, block.R.defined_outputs):
+            drift = np.max(np.abs(np.conj(M) @ M.T - np.eye(len(M))))
+            assert drift <= 1e-12
 
 
 class TestDefectForm:

@@ -65,6 +65,28 @@ class TestAmbientSpace:
         np.testing.assert_array_equal(space.vector([3.0], [1]).coords,
                                       [0, 3, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("values, indices", [
+        ([1.0, 2.0], [0, 0]), ([1.0, 2.0, 3.0], [2, 0, 2]),
+        ([1.0], [0, 1, 2]), ([1.0, 2.0], [1]), ([1.0, 2.0], [[0, 1]])],
+        ids=["duplicate", "duplicate-unsorted", "one-value-three-indices",
+             "two-values-one-index", "2-d-indices"])
+    def test_vector_rejects_malformed_index_lists(self, values, indices):
+        space = AmbientSpace(8)
+        space.allocate(3)
+        with pytest.raises(ValueError):
+            space.vector(values, indices)
+
+    def test_vector_without_indices_copies_its_values(self):
+        space = AmbientSpace(8)
+        space.allocate(3)
+        values = np.array([1.0, 2j, 0.0])
+        v = space.vector(values)
+        values[0] = 5.0
+        np.testing.assert_array_equal(v.coords, [1, 2j, 0, 0, 0, 0, 0, 0])
+        assert len(v.prefix) == 2
+        with pytest.raises(ValueError):
+            space.vector(np.ones(4))  # past the allocated coordinates
+
     def test_built_vectors_are_stored_at_their_prefix(self):
         space = make_space(3, capacity=1000)
         assert len(space.basis_vector(1).prefix) == 2
