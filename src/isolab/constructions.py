@@ -4,9 +4,9 @@ operator, its T = 2*id case (the 2-isometric net targeting 2*id), and
 exact certificates over the instantiated span.
 
 The public functions take and return `Vector` lists.  Inside, the
-constructions work on the rows of (n x allocated) arrays, and the
-`ConstructionTrace` keeps its systems as such rows; its Vector lists are
-built on demand.
+constructions work on each system as the rows of one array over the
+leading coordinates that carry it, and the `ConstructionTrace` keeps its
+systems as such rows; its Vector lists are built on demand.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
 @dataclass
 class ConstructionTrace:
-    """Every intermediate orthonormal system of a construction run, as the
-    rows of (n x allocated) arrays; `x`, `y1`, `y2`, `z1` and `z2` build
-    the systems as Vector lists on demand."""
+    """Every intermediate orthonormal system of a construction run, as rows
+    over the leading coordinates its support needs (see `_assemble`); `x`,
+    `y1`, `y2`, `z1` and `z2` build the systems as Vector lists on demand."""
     space: AmbientSpace
     x_rows: np.ndarray           # diagonalizing ONB of F
     y1_rows: np.ndarray          # inputs of R
@@ -83,16 +83,16 @@ def standard_f_basis(space: AmbientSpace, n: int):
 
 def translate(v: Vector, from_indices, to_indices) -> Vector:
     """Move a vector's support from one labeled copy onto a disjoint one."""
-    width = 1 + int(max(np.max(from_indices), np.max(to_indices)))
-    return Vector(_moved(padded(v.prefix, width), from_indices, to_indices),
-                  v.space)
+    return Vector(_moved(v.prefix, from_indices, to_indices), v.space)
 
 
 def _moved(coords: np.ndarray, from_indices, to_indices) -> np.ndarray:
     """`coords` (one vector or rows) with the entries on `from_indices`
-    moved onto `to_indices`, zero elsewhere."""
-    out = np.zeros_like(coords)
-    out[..., np.asarray(to_indices)] = coords[..., np.asarray(from_indices)]
+    moved onto `to_indices`, over the prefix that ends at the last of these."""
+    out = np.zeros(coords.shape[:-1] + (1 + int(np.max(to_indices)),),
+                   dtype=np.complex128)
+    out[..., to_indices] = padded(coords, 1 + int(np.max(from_indices))
+                                  )[..., from_indices]
     return out
 
 
@@ -135,30 +135,25 @@ def split_pair(xs, c: float, partner):
 
 def _split(x, p, s, c):
     """(s x + c p, c x - s p): the splitting of `split_pair`, for Vectors
-    or for rows (with s and c scalars or columns)."""
+    or for rows (with s and c scalars or columns; the narrower rows padded)."""
+    if isinstance(x, np.ndarray):
+        w = max(x.shape[1], p.shape[1])
+        x, p = (a if a.shape[1] == w else padded(a, w) for a in (x, p))
     return s * x + c * p, c * x - s * p
-
-
-def _clamped_complement(a: float) -> float:
-    """sqrt(1 - a^2) with roundoff clamping; a = 1/||Tx_i|| <= 1."""
-    val = 1.0 - a * a
-    if val < -1e-12:
-        raise NotExpansive(f"image norm below 1: 1/||Tx|| = {a}")
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
-    `x` holds an ONB of F as the rows of an (n x w) array, w covering every
-    coordinate the construction uses; the `target`-images of the x_i are
-    pairwise orthogonal with norms `norms_Tx` (an array, all >= 1).  `target`,
-    `partner1` and `partner2` map such rows to rows of the same shape:
-    `partner1` the x_i, and `partner2` the y1_i, isometrically onto a copy
-    orthogonal to everything built so far, and `target` must commute with
-    both.  The block is (R, V; 0, id_K) with K spanned by the first
-    splitting's complements y2, R lazily extended from
-    y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
+    `x` holds an ONB of F as rows over F's leading coordinates; their
+    `target`-images are pairwise orthogonal with norms `norms_Tx` (an array,
+    all >= 1).  `partner1` maps the x_i, and `partner2` the y1_i,
+    isometrically onto rows that end at a copy orthogonal to everything
+    built so far; `target` commutes with both and keeps rows at least as
+    wide.  So y1, y2 lie over x's and the first copy's coordinates, z1, z2
+    and their images over every copy's.  The block is (R, V; 0, id_K) with
+    K spanned by the first splitting's complements y2, R lazily extended
+    from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
     sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
     """
     eps = 1.0 / len(x) if epsilon is None else float(epsilon)
@@ -170,7 +165,9 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
 
     # Step 2: split the y1 once more, across the second partner copy
     a = 1.0 / norms_Tx
-    b = np.array([_clamped_complement(ai) for ai in a])
+    if np.any(1.0 - a * a < -1e-12):  # above that, roundoff: clamped to 0
+        raise NotExpansive(f"image norm below 1: 1/||Tx|| = {a.max()}")
+    b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
     z1, z2 = _split(y1, partner2(y1), a[:, None], b[:, None])
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
@@ -179,7 +176,8 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     R = LazyIsometry(space, inputs=y1, outputs=a[:, None] * tz1)
     block = BrownianBlock(R, K_basis=y2, V_images=sigmas[:, None] * tz2)
 
-    ortho = float(np.max(np.abs(np.conj(np.vstack([tz1, tz2])) @ y2.T)))
+    ortho = max(float(np.max(np.abs(np.conj(tz[:, :y2.shape[1]]) @ y2.T)))
+                for tz in (tz1, tz2))
     trace = ConstructionTrace(space=space, x_rows=x, y1_rows=y1, y2_rows=y2,
                               z1_rows=z1, z2_rows=z2, sigmas=sigmas.tolist(),
                               norms_Tx=norms_Tx.tolist(),
@@ -198,16 +196,13 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     """
     x = orthonormal_rows(leading_rows(F_basis, space))
     n = len(x)
-    w = max(space.allocated + 2 * n, x.shape[1])
 
     def fresh(rows):
         # called once per system being split, so the system goes
         # isometrically onto as many fresh coordinates
-        out = np.zeros((n, w), dtype=np.complex128)
-        out[np.arange(n), space.allocate(n)] = 1.0
-        return out
+        return _moved(np.eye(n), np.arange(n), space.allocate(n))
 
-    return _assemble(space, padded(x, w), np.full(n, 2.0),
+    return _assemble(space, x, np.full(n, 2.0),
                      ScalarOperator(2.0).apply, fresh, fresh, epsilon)
 
 
@@ -217,7 +212,8 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
 
     Five-step pipeline on four labeled copies of H: diagonalize the
     compression of T*T on F, then split twice across the copies and
-    assemble the block (see `_assemble`).
+    assemble the block (see `_assemble`) with target
+    T4 = T (+) T (+) T (+) T on the copies, which stores T once.
 
     Returns (block, T4, trace).  Raises NotExpansive if some ||Tx_i|| < 1
     beyond tolerance.
@@ -229,10 +225,6 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     for name in ("H2", "H3", "H4"):
         if name not in space.labels:
             space.allocate(d, label=name)
-    h2, h3, h4 = (space.labels[k] for k in ("H2", "H3", "H4"))
-    first_pair = np.concatenate([h1, h2])
-    second_pair = np.concatenate([h3, h4])
-    copies = np.concatenate([h1, h2, h3, h4])
 
     T1 = T.embedded(space, h1)
     x = _diagonalizing_rows(T1, leading_rows(F_basis, space))
@@ -240,19 +232,11 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     if norms_Tx.min() < 1.0 - 1e-10:
         raise NotExpansive(f"min ||Tx_i|| = {norms_Tx.min()} < 1")
 
-    T4 = direct_sum_power(T, 4, space, indices=copies)
-
-    def t4(rows):
-        # T on each of the four copies: one product over their columns
-        out = np.zeros_like(rows)
-        out[:, copies] = (rows[:, copies].reshape(-1, d) @ T.matrix.T
-                          ).reshape(len(rows), -1)
-        return out
-
+    h2, h3, h4 = (space.labels[k] for k in ("H2", "H3", "H4"))
+    T4 = direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4])
     block, trace = _assemble(
-        space, padded(x, space.allocated), norms_Tx, t4,
-        lambda rows: _moved(rows, h1, h2),
-        lambda rows: _moved(rows, first_pair, second_pair), epsilon)
+        space, x, norms_Tx, T4._apply_rows, lambda rows: _moved(rows, h1, h2),
+        lambda rows: _moved(rows, np.r_[h1, h2], np.r_[h3, h4]), epsilon)
     return block, T4, trace
 
 
@@ -288,7 +272,8 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     eq, rq = block._step(q)
     moved = getattr(target, "_apply_rows", target.apply)(q)  # target(Q)
     # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
-    eps = float(np.real(np.vdot(trace.x_rows[0], trace.y2_rows[0])))
+    x0 = trace.x_rows[0]
+    eps = float(np.real(np.vdot(x0, trace.y2_rows[0, :len(x0)])))
     b1 = np.hstack(block._step(np.eye(m, dtype=np.complex128)))  # B e_j
     b2 = np.hstack(block._step(b1[:, :m]) + (b1[:, m:],))       # B^2 e_j
     gram1 = b1 @ np.conj(b1).T

@@ -28,6 +28,16 @@ CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
 #: threshold on the normalized order-2 defect for a row to count as passed
 DEFECT_THRESHOLD = 1e-8
 
+#: largest dim(F) ||T|| a construction command accepts: the defect
+#: normalization max(1, ||B||^2)^2 takes the 4th power of
+#: ||B|| <= sqrt(1 + (dim(F) ||T||)^2), kept below 1e304, four decades
+#: inside the float range, so the Gram sums behind the verdicts stay finite
+CONSTRUCTION_NORM_LIMIT = 1e76
+
+#: largest sigma_max verify accepts: the order-3 defect form and its scale
+#: take sigma_max^6, kept below 1e306
+VERIFY_NORM_LIMIT = 1e51
+
 
 @dataclass
 class RunConfig:
@@ -235,9 +245,14 @@ def run_construction(cfg: RunConfig, n: int,
 def run_sweep(cfg: RunConfig):
     """One SweepRow per n, increasing; failed rows carry an error marker.
 
-    T is built once, before any row, so a bad --family ends the run
-    instead of failing every row."""
+    T is built and checked against CONSTRUCTION_NORM_LIMIT once, before
+    any row, so a bad --family ends the run instead of failing every row."""
     T = None if cfg.command == "theorem1" else _family_operator(cfg)
+    if T is not None:
+        scale = max(cfg.n_list) * T.operator_norm
+        if not scale <= CONSTRUCTION_NORM_LIMIT:
+            raise UsageError(f"--family {cfg.family}: dim(F) ||T|| = "
+                             f"{scale!r} exceeds {CONSTRUCTION_NORM_LIMIT:g}")
     rows = []
     for n in sorted(cfg.n_list):
         try:
@@ -319,6 +334,9 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
                          f"matrix, got {rows}x{cols}")
     rng = np.random.default_rng(cfg.seed)
     sigma = np.linalg.svd(op.matrix, compute_uv=False)
+    if not sigma.max() <= VERIFY_NORM_LIMIT:
+        raise UsageError(f"--input {cfg.input_path}: sigma_max = "
+                         f"{float(sigma.max())!r} exceeds {VERIFY_NORM_LIMIT:g}")
     scale = max(1.0, float(sigma.max()) ** 2)
     # blocks of 128 KiB of samples keep memory flat; each holds the draws of
     # its samples in their one-by-one order, so a seed tests the same vectors

@@ -38,28 +38,30 @@ class DenseOperator:
     """
 
     def __init__(self, matrix, space: AmbientSpace | None = None, indices=None):
-        self.matrix = np.asarray(matrix, dtype=np.complex128)
-        if self.matrix.ndim != 2:
+        self._matrix = np.asarray(matrix, dtype=np.complex128)
+        if self._matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
-        if not np.all(np.isfinite(self.matrix.view(np.float64))):
+        if not np.all(np.isfinite(self._matrix.view(np.float64))):
             raise ValueError("non-finite matrix entries")
         self.space = space
         self.indices = None if indices is None else np.asarray(indices)
         if space is not None:
             idx = self.indices
-            if (idx is None or len(idx) != self.matrix.shape[1]
+            if (idx is None or len(idx) != self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
         self._norm = None
 
+    matrix = property(lambda self: self._matrix)
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self._matrix.shape[1]
 
     @property
     def operator_norm(self) -> float:
         if self._norm is None:
-            self._norm = float(np.linalg.norm(self.matrix, 2))
+            self._norm = float(np.linalg.norm(self._matrix, 2))
         return self._norm
 
     def embedded(self, space: AmbientSpace, indices) -> "DenseOperator":
@@ -79,13 +81,17 @@ class DenseOperator:
         (widened to cover the operator's indices)."""
         if self.space is None:
             raise DomainMismatch("operator is not attached to a space")
-        rows = padded(rows, int(self.indices.max()) + 1)
+        if rows.shape[1] <= self.indices.max():  # no copy when wide enough
+            rows = padded(rows, int(self.indices.max()) + 1)
         off = np.linalg.norm(np.delete(rows, self.indices, axis=1), axis=1)
         if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
             raise DomainMismatch("vector has support outside operator domain")
         out = np.zeros_like(rows)
-        out[:, self.indices] = rows[:, self.indices] @ self.matrix.T
+        out[:, self.indices] = self._product(rows[:, self.indices])
         return out
+
+    def _product(self, rows: np.ndarray) -> np.ndarray:
+        return rows @ self._matrix.T  # rows over the operator's own columns
 
 
 class ScalarOperator:
@@ -284,23 +290,39 @@ class BrownianBlock:
         return Vector(self.R._extended(E[0], r[0], x.norm()), self.space)
 
 
+class _DirectSumPower(DenseOperator):
+    """k copies of T, stored once as `_matrix`; see direct_sum_power."""
+
+    def __init__(self, T: DenseOperator, k: int, space, indices):
+        self.k = k
+        super().__init__(T.matrix, space, indices)
+
+    dim = property(lambda self: self.k * self._matrix.shape[1])
+    matrix = property(lambda self: np.kron(np.eye(self.k), self._matrix))
+
+    def apply(self, x):
+        if isinstance(x, Vector):
+            return super().apply(x)
+        return self._product(np.asarray(x, dtype=np.complex128).T).T
+
+    def _product(self, rows: np.ndarray) -> np.ndarray:
+        d = self._matrix.shape[1]  # each row as k rows of T's width
+        return (rows.reshape(-1, d) @ self._matrix.T).reshape(rows.shape)
+
+
 def direct_sum_power(T: DenseOperator, k: int,
                      space: AmbientSpace | None = None,
                      indices=None) -> DenseOperator:
-    """Block-diagonal operator with k copies of T (k in {2, 4}).
-
-    If `space` and `indices` (the concatenated coordinate sets of the k
-    copies) are given, the result is attached to the ambient space.
+    """Block-diagonal operator with k copies of T (k in {2, 4}), applied
+    copy by copy; its norm is ||T||, and the dense `matrix` is built when
+    read.  If `space` and `indices` (the concatenated coordinate sets of the
+    k copies) are given, the result is attached to the ambient space.
     """
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")
     if T.matrix.shape[0] != T.matrix.shape[1]:
         raise ValueError("T must be square")
-    d = T.dim
-    big = np.zeros((k * d, k * d), dtype=np.complex128)
-    for j in range(k):
-        big[j * d:(j + 1) * d, j * d:(j + 1) * d] = T.matrix
-    return DenseOperator(big, space, indices)
+    return _DirectSumPower(T, k, space, indices)
 
 
 def _norm_of(x):
@@ -374,7 +396,10 @@ def read_operator(path) -> np.ndarray:
     """Read a matrix stored by write_operator."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols = doc["rows"], doc["cols"]
+    if not all(type(v) is int and v >= 1 for v in (rows, cols)):
+        raise ValueError("rows and cols must be JSON integers >= 1, "
+                         f"got {rows!r} and {cols!r}")
     entries = doc["entries"]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")

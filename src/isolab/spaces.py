@@ -12,7 +12,7 @@ the leading coordinates that carry them (`leading_rows`, `as_rows`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -86,20 +86,25 @@ class AmbientSpace:
 class Vector:
     """Immutable-by-convention coordinate vector tied to one AmbientSpace,
     stored as `prefix`, its coordinates up to the last nonzero one (`coords`
-    pads a copy to the capacity).  The inner product is conjugate-linear in
-    the *first* argument: ``v.inner(w) == sum(conj(v_k) w_k)``.
+    pads a copy to the capacity).  The constructor computes the squared norm
+    once and `norm()` returns its cached root, so nothing may write into
+    `prefix`.  The inner product is conjugate-linear in the *first*
+    argument: ``v.inner(w) == sum(conj(v_k) w_k)``.
     """
 
-    __slots__ = ("prefix", "space")
+    __slots__ = ("prefix", "space", "_sq")
 
     def __init__(self, coords: np.ndarray, space: AmbientSpace):
         coords = np.asarray(coords, dtype=np.complex128)
         if coords.ndim != 1 or len(coords) > space.capacity:
             raise ValueError("coords must be 1-d and at most the capacity long")
-        if not np.isfinite(coords).all():
-            raise ValueError("non-finite entries in vector")
         nonzero = coords.nonzero()[0]
         self.prefix = coords[:nonzero[-1] + 1 if nonzero.size else 0]
+        # a finite sum of squares proves every entry finite; an overflowing
+        # one (huge but finite entries) needs the entrywise check
+        self._sq = float(np.vdot(self.prefix, self.prefix).real)
+        if not isfinite(self._sq) and not np.isfinite(self.prefix).all():
+            raise ValueError("non-finite entries in vector")
         self.space = space
 
     @property
@@ -116,7 +121,7 @@ class Vector:
         return complex(np.vdot(self.prefix[:k], other.prefix[:k]))
 
     def norm(self) -> float:
-        return sqrt(np.vdot(self.prefix, self.prefix).real)
+        return sqrt(self._sq)
 
     def __add__(self, other: "Vector") -> "Vector":
         self.same_space(other)

@@ -345,9 +345,13 @@ class TestTheorem2:
         T = expansive_generator(64, "svd_random", seed=4)
         block, _, trace, sp, _ = self.run(T, n=8)
         assert sp.capacity == 4096
-        for rows in (trace.x_rows, trace.y1_rows, trace.y2_rows,
-                     trace.z1_rows, trace.z2_rows):
-            assert rows.shape == (8, sp.allocated)
+        # each system over the coordinates its support needs: x over F's
+        # 8, y over H1 and H2, z over all four copies
+        h = [sp.labels[k] for k in ("H1", "H2", "H3", "H4")]
+        widths = {"x": 8, "y1": 1 + max(h[1]), "y2": 1 + max(h[1]),
+                  "z1": 1 + max(h[3]), "z2": 1 + max(h[3])}
+        for name, width in widths.items():
+            assert getattr(trace, name + "_rows").shape == (8, width), name
         for _ in range(3):  # extensions keep the storage on the allocated span
             block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
             for rows in (block.R.defined_inputs, block.R.defined_outputs,
@@ -366,6 +370,20 @@ class TestTheorem2:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 64 * sp.capacity * 16
+
+    def test_construction_peak_memory_at_dim_128(self):
+        # T^(4) stored as T once and every system at its own width: a dense
+        # (4 dim H)^2 T^(4) alone takes 4 MiB of the budget
+        T = expansive_generator(128, "svd_random", seed=1)
+        sp = prepare_space(128)
+        f_basis = standard_f_basis(sp, 128)
+        tracemalloc.start()
+        try:
+            theorem2_construct(T, f_basis, sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     def test_memory_is_independent_of_capacity(self):
         # construction, certificate and 20 defect forms (every fifth on the

@@ -326,13 +326,37 @@ class TestMain:
         (["sweep", "--n", "2", "--family", "diag:inf"], None, "[1, inf)"),
         (["sweep", "--n", "2", "--family", "diag:nan"], None, "[1, inf)"),
         (["sweep", "--n", "2", "--family", "scalar:inf"], None, "[1, inf)"),
+        # huge but finite: dim(F) ||T|| or sigma_max just above its limit
+        (["theorem2", "--dim-f", "2", "--family", "scalar:5.0000001e75"],
+         None, "exceeds 1e+76"),
+        (["theorem2", "--dim-f", "2", "--family", "scalar:1e77"], None,
+         "exceeds 1e+76"),
+        (["theorem2", "--dim-f", "2", "--family", "scalar:1e100"], None,
+         "exceeds 1e+76"),
+        (["sweep", "--n", "2,3", "--family", "diag:1e200"], None,
+         "exceeds 1e+76"),
+        (["verify"], '{"rows": 1, "cols": 1, "entries": [[1.0000001e51, 0]]}',
+         "exceeds 1e+51"),
+        (["verify"], '{"rows": 1, "cols": 1, "entries": [[1e60, 0]]}',
+         "exceeds 1e+51"),
+        # the shape is two JSON integers >= 1
+        (["verify"], '{"rows": 2.7, "cols": 2, "entries": ' + str([[1, 0]] * 4)
+         + '}', "JSON integers"),
+        (["verify"], '{"rows": true, "cols": true, "entries": [[2, 0]]}',
+         "JSON integers"),
+        (["verify"], '{"rows": 0, "cols": 0, "entries": []}', "JSON integers"),
+        (["verify"], '{"rows": "1", "cols": 1, "entries": [[2, 0]]}',
+         "JSON integers"),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
             "verify-negative-tolerance", "zero-samples", "sweep-samples",
             "verify-negative-samples", "theorem1-tol-verify", "verify-out",
             "config-string-samples", "config-string-dim-f",
             "config-bad-format", "config-not-object", "unwritable-out",
-            "infinite-diag", "nan-diag", "infinite-scalar"])
+            "infinite-diag", "nan-diag", "infinite-scalar",
+            "scalar-above-limit", "scalar-1e77", "scalar-1e100", "diag-1e200",
+            "verify-above-limit", "verify-1e60", "float-rows", "bool-shape",
+            "zero-shape", "string-rows"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if content is not None:
@@ -345,6 +369,16 @@ class TestMain:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err
+
+    def test_norms_at_their_limits_still_certify(self, tmp_path, capsys):
+        # dim(F) ||T|| = 1e76 and sigma_max = 1e51 exactly; the values just
+        # above are rejected in test_bad_input_exit_two
+        for family in ("scalar:5e75", "scalar:1e20"):
+            assert main(["theorem2", "--dim-f", "2", "--family", family]) == 0
+        path = tmp_path / "op.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[1e51, 0]]}')
+        assert main(["verify", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unwritable_out_fails_before_any_row(self, monkeypatch, capsys):
         def no_rows(*args):

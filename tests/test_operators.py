@@ -527,6 +527,71 @@ class TestDirectSumPower:
         assert direct_sum_power(T, 4).operator_norm == pytest.approx(
             T.operator_norm)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
+           gaps=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_copywise_application_matches_the_dense_matrix(self, d, k, gaps,
+                                                           seed):
+        # the k copies lie on labels with gaps between them, listed in a
+        # random order; one more coordinate past them is off the domain
+        rng = np.random.default_rng(seed)
+        T = DenseOperator(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+        sp = AmbientSpace(k * d + sum(gaps) + 1)
+        copies = []
+        for gap in gaps[:k]:
+            sp.allocate(gap)
+            copies.append(sp.allocate(d))
+        outside = int(sp.allocate(1)[0])
+        indices = np.concatenate([copies[j] for j in rng.permutation(k)])
+        Tk = direct_sum_power(T, k, sp, indices)
+        dense = np.zeros((k * d, k * d), dtype=np.complex128)
+        for j in range(k):
+            dense[j * d:(j + 1) * d, j * d:(j + 1) * d] = T.matrix
+        np.testing.assert_array_equal(Tk.matrix, dense)
+
+        coeffs = (rng.standard_normal((3, k * d))
+                  + 1j * rng.standard_normal((3, k * d)))
+        coeffs /= np.linalg.norm(coeffs, axis=1)[:, None]
+        rows = np.zeros((3, sp.allocated), dtype=np.complex128)
+        rows[:, indices] = coeffs
+        expected = np.zeros_like(rows)
+        expected[:, indices] = coeffs @ dense.T
+        tol = 1e-14 * T.operator_norm
+        assert np.abs(Tk._apply_rows(rows) - expected).max() <= tol
+        for r, e in zip(rows, expected):
+            image = Tk.apply(Vector(r, sp))
+            assert np.abs(padded(image.prefix, len(e)) - e).max() <= tol
+        assert np.abs(Tk.apply(coeffs.T) - dense @ coeffs.T).max() <= tol
+        assert np.abs(Tk.apply(coeffs[0]) - dense @ coeffs[0]).max() <= tol
+        assert Tk.operator_norm == T.operator_norm
+
+        off = rows.copy()
+        off[0, outside] = 1.0
+        with pytest.raises(DomainMismatch):
+            Tk._apply_rows(off)
+        with pytest.raises(DomainMismatch):
+            Tk.apply(sp.basis_vector(outside))
+
+
+def test_cached_norms_are_fresh_norms(rng):
+    # every Vector a constructor or an operator returns caches the norm
+    # a fresh sum over its prefix gives
+    sp = prepare_space(3)
+    f_basis = standard_f_basis(sp, 2)
+    T = expansive_generator(3, "svd_random", seed=2)
+    block, T4, trace = theorem2_construct(T, f_basis, sp)
+    R = LazyIsometry(sp, [sp.basis_vector(0)], [sp.basis_vector(1)])
+    u = sp.vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    w = sp.vector([2.0, -1j], indices=[7, 4])
+    made = [u, w, sp.basis_vector(5), sp.zero(), Vector(np.zeros(4), sp),
+            u + w, u - w, 2.5j * u, u * 3, -w, T4.apply(w),
+            T.embedded(sp, sp.labels["H1"]).apply(u), R.apply(u),
+            block.apply(u), block.apply(block.apply(w)), *trace.z2]
+    for v in made:
+        assert v.norm() == np.sqrt(np.vdot(v.prefix, v.prefix).real)
+
 
 class TestNilpotents:
     def test_canonical_shift(self):

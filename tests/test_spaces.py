@@ -47,11 +47,19 @@ class TestVector:
 
     @pytest.mark.parametrize("coords", [
         np.ones(13), np.ones((1, 4)), np.array([1.0, np.nan]),
-        np.array([np.inf, 0.0]), np.array([0.0, 1j * np.inf])],
-        ids=["too-long", "2-d", "nan", "inf", "complex-inf"])
+        np.array([np.inf, 0.0]), np.array([0.0, 1j * np.inf]),
+        np.array([1e200, np.nan]), np.array([1e200, 0, -np.inf])],
+        ids=["too-long", "2-d", "nan", "inf", "complex-inf", "huge-and-nan",
+             "huge-and-inf"])
     def test_rejects_bad_arrays(self, coords):
         with pytest.raises(ValueError):
             Vector(coords, AmbientSpace(12))
+
+    def test_accepts_huge_finite_entries(self):
+        # the sum of squares overflows, the entries are finite
+        v = Vector(np.array([1e200, 1e200]), AmbientSpace(12))
+        np.testing.assert_array_equal(v.prefix, [1e200, 1e200])
+        assert v.norm() == np.sqrt(np.vdot(v.prefix, v.prefix).real)
 
 
 class TestAmbientSpace:
