@@ -7,10 +7,13 @@ twice across the four copies, and assemble a Brownian-type block whose
 upper-right entry carries direction-dependent weights
 sigma_i = sqrt((1 - eps^2)(1 - 1/||Tx_i||^2)) / eps.
 
-Each row is certified exactly: "measured" is the supremum of
-||(B - T^(4))x|| over unit x in F, defect_max the norm of the order-2
-defect on every instantiated coordinate, and expansivity the smallest
-eigenvalue of B*B compressed to them.
+Each row is certified: "measured" is the exact supremum of
+||(B - T^(4))x|| over unit x in F.  defect_max is an upper bound on the
+normalized order-2 defect on the whole space, and expansivity a lower
+bound on the normalized expansivity; both are read off how far the
+stored rows are from the hypotheses that make B an expansive 2-isometry
+(R isometric, R*V = 0, Im R and Im V orthogonal to K), so they sit at
+roundoff, about 1e-14, rather than at the exact 1e-20.
 """
 
 import numpy as np

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: orthonormalization, ONS extension, Gram
-matrices, and Hermitian eigendecomposition.
+matrices and their residuals, and Hermitian eigendecomposition.
 
 All routines are deterministic.  Vectors carry their ambient space;
 matrices are plain complex ndarrays.
@@ -71,10 +71,8 @@ def extend_ons(ons, count: int, space: AmbientSpace):
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if ons:
-        G = gram_matrix(ons)
-        if np.max(np.abs(G - np.eye(len(ons)))) > 1e-10:
-            raise ValueError("input system is not orthonormal to 1e-10")
+    if ons and gram_residual(leading_rows(ons, ons[0].space)) > 1e-10:
+        raise ValueError("input system is not orthonormal to 1e-10")
     indices = space.allocate(count)
     return [space.basis_vector(i) for i in indices]
 
@@ -86,6 +84,21 @@ def gram_matrix(vectors) -> np.ndarray:
     rows = leading_rows(vectors, vectors[0].space)
     G = np.conj(rows) @ rows.T
     return 0.5 * (G + np.conj(G.T))  # symmetrize roundoff
+
+
+def gram_residual(rows: np.ndarray, other: np.ndarray | None = None) -> float:
+    """Frobenius norm (a bound on the spectral one) of the rows' Gram matrix
+    minus I, or of their inner products with the rows of `other` over the
+    columns both carry: how far they are from orthonormal, or from `other`."""
+    if other is None:
+        return float(np.linalg.norm(np.conj(rows) @ rows.T - np.eye(len(rows))))
+    k = min(rows.shape[1], other.shape[1])
+    return float(np.linalg.norm(np.conj(rows[:, :k]) @ other[:, :k].T))
+
+
+def spectral_norm(rows: np.ndarray) -> float:
+    """||rows||_2 from the Gram matrix: for a few wide rows, cheaper than an SVD."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(rows @ np.conj(rows).T)[-1], 0.0)))
 
 
 def hermitian_eig(M: np.ndarray, tol: float = 1e-10):

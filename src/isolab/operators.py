@@ -5,9 +5,10 @@ A genuinely non-isometric 2-isometry cannot live on a finite-dimensional
 space, so the model never materializes full matrices for the block
 operators.  Instead, isometries are defined lazily: each time an input
 direction outside the defined span shows up, it is mapped to a freshly
-allocated unit coordinate.  Verdicts use forward applications, or read
-the images off the stored rows under that rule (`BrownianBlock._step`),
-which keeps them faithful to the infinite-dimensional operator modeled.
+allocated unit coordinate.  Verdicts use forward applications, read the
+images off the stored rows under that rule (`BrownianBlock._step`), or
+bound them by residuals of the stored rows, which keeps them faithful to
+the infinite-dimensional operator modeled.
 
 Lazy isometries and Brownian blocks store their directions as rows over
 the leading coordinates that carry them (at most the allocated ones), and
@@ -25,7 +26,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
-from .linalg import gram_matrix
+from .linalg import gram_matrix, gram_residual, spectral_norm
 from .spaces import AmbientSpace, Vector, as_rows, padded
 
 
@@ -135,7 +136,9 @@ class LazyIsometry:
         self._m = len(U)                            # stored rows
         self._cols = max(U.shape[1], W.shape[1])    # columns holding them
         self._U, self._W = padded(U, self._cols), padded(W, self._cols)
-        self._check_orthonormal()
+        for rows, which in ((U, "inputs"), (W, "outputs")):
+            if gram_residual(rows) > 1e-10:
+                raise ValueError(f"defined {which} are not orthonormal to 1e-10")
 
     @property
     def defined_count(self) -> int:
@@ -159,16 +162,6 @@ class LazyIsometry:
         self._U[m, :len(u)] = u
         self._W[m, :len(w)] = w
         self._m, self._cols = m + 1, cols
-
-    def _check_orthonormal(self):
-        m = self.defined_count
-        if m == 0:
-            return
-        for M, which in ((self.defined_inputs, "inputs"),
-                         (self.defined_outputs, "outputs")):
-            G = np.conj(M) @ M.T
-            if np.max(np.abs(G - np.eye(m))) > 1e-10:
-                raise ValueError(f"defined {which} are not orthonormal to 1e-10")
 
     def apply(self, x: Vector) -> Vector:
         """Evaluate (extending first if x leaves the defined span)."""
@@ -239,24 +232,11 @@ class BrownianBlock:
         K, V = as_rows(K_basis, self.space), as_rows(V_images, self.space)
         width = max(K.shape[1], V.shape[1])
         self._K, self._V = padded(K, width), padded(V, width)
-        n = len(K)
-        G = np.conj(self._K) @ self._K.T
-        if np.max(np.abs(G - np.eye(n))) > 1e-10:
+        if gram_residual(self._K) > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        # ||V||_2: the root of the largest eigenvalue of the n x n Gram V V*
-        self._vnorm = float(np.sqrt(max(np.linalg.eigvalsh(
-            self._V @ np.conj(self._V).T)[-1], 0.0))) if n else 0.0
-        self._check_hypothesis()
-
-    def _check_hypothesis(self):
-        """Im(R) perpendicular to Im(V) on everything instantiated so far."""
-        if self.R.defined_count == 0 or len(self._V) == 0:
-            return
-        vnorm = max(self._vnorm, 1e-300)
-        k = min(self.R.defined_outputs.shape[1], self._V.shape[1])
-        cross = np.max(np.abs(np.conj(self.R.defined_outputs[:, :k])
-                              @ self._V[:, :k].T))
-        if cross > 1e-10 * vnorm:
+        self._vnorm = spectral_norm(self._V) if len(K) else 0.0
+        # Im(R) perpendicular to Im(V) on everything instantiated so far
+        if gram_residual(R.defined_outputs, self._V) > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
     @property

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
-                    DenseOperator, DomainMismatch, LazyIsometry, NotExpansive,
-                    ScalarOperator, SubspaceNotContained, Vector,
+                    ConstructionTrace, DenseOperator, DomainMismatch,
+                    LazyIsometry, NotExpansive, ScalarOperator,
+                    SubspaceNotContained, Vector,
                     certificate_evaluate, compressed_gram, defect_form,
                     diagonalizing_basis, direct_sum_power, expansive_generator,
                     extend_ons, gram_matrix, gram_schmidt, hermitian_eig,
                     prepare_space, split_pair, standard_f_basis,
                     theorem1_construct, theorem2_construct, translate)
 
+from isolab.harness import DEFECT_THRESHOLD, _certificate_row
 from isolab.spaces import padded
 
 from conftest import make_space, vec
@@ -130,6 +132,35 @@ def reference_certificate(target, block, trace, G_basis):
     return (bound,
             float(np.linalg.norm(defect, 2)) / max(1.0, block.operator_norm ** 2) ** 2,
             float(np.linalg.eigvalsh(gram1)[0]))
+
+
+def exact_certificate(block, m):
+    """The order-2 defect and the expansivity of `block` over its m
+    instantiated coordinates, computed exactly from m x m Gram matrices, as
+    (defect_max, expansivity_min): with (E1, r1) = _step(I_m) and
+    (E2, r2) = _step(E1), B e_j is [E1 | r1] and B^2 e_j is [E2 | r2 | r1]
+    up to isometries of the fresh coordinates.  defect_max is
+    ||Gram(B^2 e_j) - 2 Gram(B e_j) + I||_2 / max(1, ||B||^2)^2 and
+    expansivity_min the smallest eigenvalue of Gram(B e_j)."""
+    b1 = np.hstack(block._step(np.eye(m, dtype=np.complex128)))
+    b2 = np.hstack(block._step(b1[:, :m]) + (b1[:, m:],))
+    gram1 = b1 @ np.conj(b1).T
+    defect = b2 @ np.conj(b2).T - 2 * gram1 + np.eye(m)
+    scale = max(1.0, block.operator_norm ** 2)
+    return (float(np.abs(np.linalg.eigvalsh(defect)).max()) / scale ** 2,
+            float(np.linalg.eigvalsh(gram1)[0]))
+
+
+def assert_exact_within_structural(cert, block, m):
+    """The exact defect and normalized expansivity deficit of `block` are at
+    most the structural ones of its certificate, up to the reference's own
+    rounding, 8 m u: where all seven residuals vanish (dim F = 1, eps = 1),
+    the structural values are 0 and the m x m sums read a few u."""
+    defect, expansivity = exact_certificate(block, m)
+    rounding = 8 * m * np.finfo(float).eps
+    assert defect <= cert.defect_max + rounding
+    assert ((1.0 - expansivity) / max(1.0, block.operator_norm ** 2)
+            <= 1.0 - cert.expansivity_min + rounding)
 
 
 def block_state(block):
@@ -336,10 +367,11 @@ class TestTheorem2:
         T = expansive_generator(8, "svd_random", seed=9)
         _, T4, trace, _, _ = self.run(T, n=4)
         assert trace.orthogonality_max <= 1e-10 * T.operator_norm
-        images = [T4.apply(v) for v in trace.z1 + trace.z2]
-        pairwise = max(abs(u.inner(w)) for u in images for w in trace.y2)
+        # the larger Frobenius norm of the overlaps of z1's and z2's images
+        overlaps = [np.linalg.norm([[T4.apply(u).inner(w) for w in trace.y2]
+                                    for u in z]) for z in (trace.z1, trace.z2)]
         assert trace.orthogonality_max == pytest.approx(
-            pairwise, rel=0, abs=1e-15 * T.operator_norm)
+            max(overlaps), rel=0, abs=1e-15 * T.operator_norm)
 
     def test_storage_spans_only_allocated_coordinates(self):
         T = expansive_generator(64, "svd_random", seed=4)
@@ -435,6 +467,17 @@ class TestTheorem2:
     def test_not_expansive_rejected(self):
         with pytest.raises(NotExpansive):
             self.run(DenseOperator(0.5 * np.eye(2)), n=2)
+
+    def test_mis_sized_label_named(self):
+        # H2 and H3 hold 4 dim T coordinates between them, but not dim T each
+        T = expansive_generator(4, "svd_random", seed=3)
+        for sizes, message in (((5, 3), "label H2 has 5 coordinates"),
+                               ((4, 3), "label H3 has 3 coordinates")):
+            sp = prepare_space(4)
+            for label, size in zip(("H2", "H3"), sizes):
+                sp.allocate(size, label=label)
+            with pytest.raises(ValueError, match=message):
+                theorem2_construct(T, standard_f_basis(sp, 2), sp)
 
     def test_defect_with_forced_lazy_extension(self, rng):
         T = expansive_generator(4, "svd_random", seed=13)
@@ -584,7 +627,7 @@ class TestCertificate:
     def test_defect_normalized_by_squared_norm_squared(self):
         # B is an isometry for T = id, so tB has defect (t^2-1)^2 ||x||^2,
         # Gram(tBe_j) = t^2 I, and ||tB|| = t: defect_max = (t^2-1)^2/t^4.
-        # The certificate takes B^2 e_j as [E2 | r2 | r1] from two steps,
+        # The exact reference takes B^2 e_j as [E2 | r2 | r1] from two steps,
         # so the wrapper scales the r1 part of (tB)^2 e_j once, not twice.
         # The defect's eigenvalues are then (t^2-1)^2 - (t^4-t^2) l, with l
         # an eigenvalue of r1 r1* in [0, 1]; at l = 0 (on K + span of R's
@@ -602,10 +645,50 @@ class TestCertificate:
         sp = prepare_space(4)
         f_basis = standard_f_basis(sp, 2)
         block, T4, trace = theorem2_construct(T, f_basis, sp)
-        cert = certificate_evaluate(T4, Scaled(block, 2.0), trace, f_basis,
-                                    operator_norm_T=1.0, bound_theoretical=1.0)
-        assert cert.defect_max == pytest.approx(9 / 16, abs=1e-12)
-        assert cert.expansivity_min == pytest.approx(4.0, abs=1e-12)
+        defect, expansivity = exact_certificate(Scaled(block, 2.0), sp.allocated)
+        assert defect == pytest.approx(9 / 16, abs=1e-12)
+        assert expansivity == pytest.approx(4.0, abs=1e-12)
+
+    def test_peak_memory_below_one_m_by_m_matrix(self):
+        # dim F = 2, dim H = 128: m = 512 coordinates, whose m x m complex
+        # matrix alone takes 4 MiB
+        T = expansive_generator(128, "svd_random", seed=1)
+        sp = prepare_space(128)
+        f_basis = standard_f_basis(sp, 2)
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        m = sp.allocated
+        assert m == 512
+        tracemalloc.start()
+        try:
+            certificate_evaluate(T4, block, trace, f_basis,
+                                 operator_norm_T=T.operator_norm,
+                                 bound_theoretical=(T.operator_norm + 1) / 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 16
+
+    def test_overlap_of_k_with_r_inputs_fails_the_row(self):
+        # R: e1 -> e2 and V(k) = 2 e3, with k = e0 tilted by 1e-6 towards R's
+        # input e1; the other six hypotheses hold to rounding, and so does
+        # the 2-isometry of B, which takes off k's part before applying R
+        sp = AmbientSpace(8)
+        sp.allocate(4, label="H1")
+        e = np.eye(4)
+        k = np.array([[np.sqrt(1 - 1e-12), 1e-6, 0, 0]])
+        R = LazyIsometry(sp, inputs=e[[1]], outputs=e[[2]])
+        block = BrownianBlock(R, K_basis=k, V_images=2 * e[[3]])
+        trace = ConstructionTrace(space=sp, x_rows=k, y1_rows=e[[1]],
+                                  y2_rows=k, z1_rows=e[[2]], z2_rows=e[[3]],
+                                  sigmas=[2.0], norms_Tx=[1.0],
+                                  orthogonality_max=0.0)
+        cert = certificate_evaluate(ScalarOperator(1.0), block, trace,
+                                    [Vector(k[0], sp)], operator_norm_T=1.0,
+                                    bound_theoretical=3.0)
+        assert exact_certificate(block, sp.allocated)[0] <= 1e-15
+        assert cert.bound_holds
+        assert cert.defect_max > DEFECT_THRESHOLD
+        assert not _certificate_row(cert, 0.0).ok
 
     def test_memory_does_not_grow_with_capacity(self):
         # dim H = dim F = 32: m = 128 instantiated coordinates
@@ -719,6 +802,34 @@ class TestLazyReference:
         assert abs(cert.defect_max - defect) <= 1e-12
         assert abs(cert.expansivity_min - expansivity) <= 1e-12 * max(
             1.0, block.operator_norm ** 2)
+        assert_exact_within_structural(cert, block, sp.allocated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["svd_random", "id_plus_psd"]),
+           dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           n_frac=st.floats(0.0, 1.0),
+           delta=st.sampled_from([0.0, 1e-13, 1e-12, 1e-11]),
+           extensions=st.integers(0, 2))
+    def test_exact_within_structural_on_perturbed_blocks(
+            self, family, dim, seed, n_frac, delta, extensions):
+        # V moved along W by delta ||V||, on a random F not aligned with
+        # the coordinates, with R extended before the certificate
+        rng = np.random.default_rng(seed)
+        T = expansive_generator(dim, family, seed=seed)
+        n = 1 + int(n_frac * (dim - 1))
+        sp = prepare_space(dim)
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        f_basis = [sp.vector(c, sp.labels["H1"]) for c in coeffs]
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        W = block.R.defined_outputs
+        moved = padded(block._V, W.shape[1]) + delta * block._vnorm * W
+        perturbed = BrownianBlock(block.R, block._K, moved)
+        for _ in range(extensions):
+            defect_form(perturbed, random_instantiated(sp, rng), 2)
+        cert = certificate_evaluate(T4, perturbed, trace, f_basis,
+                                    operator_norm_T=T.operator_norm,
+                                    bound_theoretical=(T.operator_norm + 1) / n)
+        assert_exact_within_structural(cert, perturbed, sp.allocated)
 
 
 class TestRowPipeline:

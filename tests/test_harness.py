@@ -10,9 +10,9 @@ from isolab import (DenseOperator, UsageError, defect_form,
                     expansive_generator, random_2nilpotent, read_operator,
                     write_operator)
 from isolab import harness
-from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
-                            parse_config, read_sweep_csv, run_construction,
-                            run_sweep, run_verify, SweepRow)
+from isolab.harness import (CSV_HEADER, EXPANSIVITY_THRESHOLD, RunConfig,
+                            emit_report, main, parse_config, read_sweep_csv,
+                            run_construction, run_sweep, run_verify, SweepRow)
 
 
 def reference_verify(cfg, stream):
@@ -160,6 +160,15 @@ class TestEmitReport:
         for orig, back in zip(rows, parsed):
             for key in CSV_HEADER:
                 assert getattr(orig, key) == getattr(back, key)
+
+    def test_row_below_expansivity_threshold_fails(self):
+        row = SweepRow(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
+                       bound_measured=0.25, defect_max=0.0,
+                       expansivity_min=1.0 - EXPANSIVITY_THRESHOLD / 2,
+                       orthogonality_max=0.0, wall_ms=1.0)
+        assert row.ok
+        row.expansivity_min = 1.0 - 2 * EXPANSIVITY_THRESHOLD
+        assert not row.ok
 
     def test_report_format_mirrors_fields(self):
         row = SweepRow(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
@@ -379,6 +388,14 @@ class TestMain:
         path.write_text('{"rows": 1, "cols": 1, "entries": [[1e51, 0]]}')
         assert main(["verify", "--input", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("family", ["scalar:1e10", "scalar:1e20"])
+    def test_expansivity_normalized_at_large_norms(self, family, capsys):
+        # at 1e20 the entries of B*B are about 1e40, so its smallest
+        # eigenvalue in floats would be roundoff of order 1e24
+        assert main(["theorem2", "--dim-f", "2", "--family", family]) == 0
+        (row,) = read_sweep_csv(capsys.readouterr().out)
+        assert abs(row.expansivity_min - 1.0) <= 1e-8
 
     def test_unwritable_out_fails_before_any_row(self, monkeypatch, capsys):
         def no_rows(*args):
