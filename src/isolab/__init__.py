@@ -11,7 +11,7 @@ from .errors import (AllVectorsNegligible, CapacityExceeded, DomainMismatch,
                      NotHermitian, NotNilpotent, OddDimension,
                      SubspaceNotContained, UsageError)
 from .spaces import AmbientSpace, Vector
-from .linalg import gram_schmidt, extend_ons, gram_matrix, hermitian_eig
+from .linalg import gram_schmidt, gram_matrix, hermitian_eig
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         ScalarOperator, compressed_gram, defect_form,
                         direct_sum_power, random_2nilpotent, read_operator,

@@ -102,16 +102,17 @@ def diagonalizing_basis(T: DenseOperator, F_basis):
     pairwise orthogonal: the orthonormal eigenbasis of the compression
     P_F T*T|_F.  T must be attached to the space of F_basis."""
     space = F_basis[0].space
-    return row_vectors(_diagonalizing_rows(T, leading_rows(F_basis, space)),
-                       space)
+    x, _ = _diagonalizing_rows(T, leading_rows(F_basis, space))
+    return row_vectors(x, space)
 
 
-def _diagonalizing_rows(T: DenseOperator, rows: np.ndarray) -> np.ndarray:
-    """`diagonalizing_basis` on rows: an orthonormal basis of the row span."""
+def _diagonalizing_rows(T: DenseOperator, rows: np.ndarray):
+    """`diagonalizing_basis` on rows: (x, Tx), an orthonormal basis x of the
+    row span and its T-images, both as rows."""
     onb = orthonormal_rows(rows)
     images = T._apply_rows(onb)
     _, eigvecs = hermitian_eig(np.conj(images) @ images.T)
-    return eigvecs.T @ onb
+    return eigvecs.T @ onb, eigvecs.T @ images
 
 
 def split_pair(xs, c: float, partner):
@@ -228,8 +229,8 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
     T1 = T.embedded(space, h1)
-    x = _diagonalizing_rows(T1, leading_rows(F_basis, space))
-    norms_Tx = np.linalg.norm(T1._apply_rows(x), axis=1)  # _assemble checks >= 1
+    x, tx = _diagonalizing_rows(T1, leading_rows(F_basis, space))
+    norms_Tx = np.linalg.norm(tx, axis=1)  # _assemble checks >= 1
 
     T4 = direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4])
     block, trace = _assemble(
@@ -268,18 +269,18 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     4.5e_K + 2e_U + 8e_W + 9e_WK + 2.7e_VK + 4e_WV <= 9 eta.  Higher orders
     stay within 10 eta and 5 eta for eta <= 1/50, past which the row fails
     anyway.  e_UK enters neither, but y1 is orthogonal to y2 so that
-    B y1 = R y1.  Nothing is extended or formed m x m (m instantiated).
+    B y1 = R y1.  Nothing is extended or formed m x m (m instantiated), and
+    Q is as wide as G or F, not m.
     """
-    m = trace.space.allocated
-    # DomainMismatch for G elsewhere; wider than m for support past e_m
-    g_rows = padded(leading_rows(G_basis, trace.space), m)
-    f_rows = padded(trace.x_rows, g_rows.shape[1])
+    g_rows = leading_rows(G_basis, trace.space)  # DomainMismatch for G elsewhere
+    width = max(g_rows.shape[1], trace.x_rows.shape[1])
+    g_rows, f_rows = padded(g_rows, width), padded(trace.x_rows, width)
     g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
     resid = np.linalg.norm(g_rows - g_in_f, axis=1)
     if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(g_rows, axis=1), 1e-300)):
         raise SubspaceNotContained("G is not contained in span(F) to tolerance")
     # the projection onto F keeps roundoff off R's undefined directions
-    q = orthonormal_rows(g_in_f[:, :m])
+    q = orthonormal_rows(g_in_f)
     eq, rq = block._step(q)
     moved = getattr(target, "_apply_rows", target.apply)(q)  # target(Q)
     # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
@@ -294,8 +295,15 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        operator_norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
-                       bound_measured=spectral_norm(np.hstack([eq - moved, rq])),
-                       bound_exact=eps * spectral_norm(moved - q),
+                       bound_measured=spectral_norm(
+                           np.hstack([_minus(eq, moved), rq])),
+                       bound_exact=eps * spectral_norm(_minus(moved, q)),
                        defect_max=10.0 * eta, expansivity_min=1.0 - 5.0 * eta,
                        orthogonality_max=trace.orthogonality_max)
 
+
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b for rows over leading prefixes of different widths."""
+    out = padded(a, b.shape[1])
+    out[:, :b.shape[1]] -= b
+    return out

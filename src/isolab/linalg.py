@@ -1,5 +1,5 @@
-"""Dense complex linear algebra: orthonormalization, ONS extension, Gram
-matrices and their residuals, and Hermitian eigendecomposition.
+"""Dense complex linear algebra: orthonormalization, Gram matrices and their
+residuals, and Hermitian eigendecomposition.
 
 All routines are deterministic.  Vectors carry their ambient space;
 matrices are plain complex ndarrays.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllVectorsNegligible, NotHermitian
-from .spaces import AmbientSpace, leading_rows, row_vectors
+from .spaces import leading_rows, row_vectors
 
 
 def gram_schmidt(vectors, rank_tol: float | None = None):
@@ -58,23 +58,6 @@ def orthonormal_rows(rows: np.ndarray, rank_tol: float | None = None):
     if k == 0:
         raise AllVectorsNegligible("every vector dropped as dependent")
     return basis[:k]
-
-
-def extend_ons(ons, count: int, space: AmbientSpace):
-    """Extend an orthonormal system by `count` fresh orthonormal vectors.
-
-    The extension draws fresh coordinates from the space's allocator, which
-    are orthogonal to everything instantiated so far, so the result is
-    deterministic given the allocator state.
-
-    Raises CapacityExceeded if the coordinate budget is insufficient.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    if ons and gram_residual(leading_rows(ons, ons[0].space)) > 1e-10:
-        raise ValueError("input system is not orthonormal to 1e-10")
-    indices = space.allocate(count)
-    return [space.basis_vector(i) for i in indices]
 
 
 def gram_matrix(vectors) -> np.ndarray:

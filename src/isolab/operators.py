@@ -10,10 +10,11 @@ images off the stored rows under that rule (`BrownianBlock._step`), or
 bound them by residuals of the stored rows, which keeps them faithful to
 the infinite-dimensional operator modeled.
 
-Lazy isometries and Brownian blocks store their directions as rows over
-the leading coordinates that carry them (at most the allocated ones), and
-`Vector`s hold only their leading prefixes, so memory and the cost of an
-application grow with the instantiated span, not with the capacity.  Every
+Lazy isometries and Brownian blocks store each system of directions (U,
+W, K, V) as rows over the leading coordinates that carry it (at most the
+allocated ones), at its own width, and `Vector`s hold only their leading
+prefixes, so memory and the cost of an application grow with the
+instantiated span, not with the capacity.  Every
 application projects through `LazyIsometry._project` and extends through
 `LazyIsometry._extended`; the constructors also take the rows themselves.
 """
@@ -51,6 +52,12 @@ class DenseOperator:
             if (idx is None or len(idx) != self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
+            # one selector of the domain's columns: a slice for a contiguous
+            # ascending run (views, no gather), else the index array
+            lo = int(idx[0]) if len(idx) else 0
+            run = np.array_equal(idx, np.arange(lo, lo + len(idx)))
+            self._sel = slice(lo, lo + len(idx)) if run else idx
+            self._end = int(idx.max(initial=-1)) + 1
         self._norm = None
 
     matrix = property(lambda self: self._matrix)
@@ -82,13 +89,14 @@ class DenseOperator:
         (widened to cover the operator's indices)."""
         if self.space is None:
             raise DomainMismatch("operator is not attached to a space")
-        if rows.shape[1] <= self.indices.max():  # no copy when wide enough
-            rows = padded(rows, int(self.indices.max()) + 1)
-        off = np.linalg.norm(np.delete(rows, self.indices, axis=1), axis=1)
+        if rows.shape[1] < self._end:  # no copy when wide enough
+            rows = padded(rows, self._end)
+        sel = self._sel
+        off = np.linalg.norm(np.delete(rows, sel, axis=1), axis=1)
         if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
             raise DomainMismatch("vector has support outside operator domain")
         out = np.zeros_like(rows)
-        out[:, self.indices] = self._product(rows[:, self.indices])
+        out[:, sel] = self._product(rows[:, sel])
         return out
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
@@ -120,10 +128,12 @@ class LazyIsometry:
     image stays orthogonal to any constraint subspace that was instantiated
     earlier (models Im(R) perpendicular to Im(V)).
 
-    The directions are stored as rows over the leading coordinates that
-    carry them (at most the allocated ones), in buffers that double as
-    rows and columns are added, never past the space's capacity.  The seed
-    `inputs` and `outputs` are Vector lists or 2-d arrays of such rows.
+    The inputs U and the outputs W are each stored as rows over the
+    leading coordinates that carry them (at most the allocated ones), U
+    and W at their own widths, in buffers that double as rows and columns
+    are added, never past the space's capacity.  The seed `inputs` and
+    `outputs` are Vector lists or 2-d arrays of such rows, kept as given:
+    the first extension moves them into grown buffers.
     """
 
     def __init__(self, space: AmbientSpace, inputs=(), outputs=(),
@@ -132,11 +142,10 @@ class LazyIsometry:
             raise ValueError("inputs and outputs must have equal length")
         self.space = space
         self.extension_tol = extension_tol
-        U, W = as_rows(inputs, space), as_rows(outputs, space)
-        self._m = len(U)                            # stored rows
-        self._cols = max(U.shape[1], W.shape[1])    # columns holding them
-        self._U, self._W = padded(U, self._cols), padded(W, self._cols)
-        for rows, which in ((U, "inputs"), (W, "outputs")):
+        self._U, self._W = as_rows(inputs, space), as_rows(outputs, space)
+        self._m = len(self._U)                                  # stored rows
+        self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths
+        for rows, which in ((self._U, "inputs"), (self._W, "outputs")):
             if gram_residual(rows) > 1e-10:
                 raise ValueError(f"defined {which} are not orthonormal to 1e-10")
 
@@ -146,39 +155,41 @@ class LazyIsometry:
 
     @property
     def defined_inputs(self) -> np.ndarray:
-        """View of the stored input rows (defined_count x stored columns)."""
-        return self._U[:self._m, :self._cols]
+        """View of the stored input rows (defined_count x U's columns)."""
+        return self._U[:self._m, :self._uc]
 
     @property
     def defined_outputs(self) -> np.ndarray:
-        """View of the stored output rows, on the same columns as the inputs."""
-        return self._W[:self._m, :self._cols]
+        """View of the stored output rows (defined_count x W's columns)."""
+        return self._W[:self._m, :self._wc]
 
     def _append(self, u: np.ndarray, w: np.ndarray):
-        """Store one more input/output pair, each given over leading coordinates."""
-        m, cols = self._m, max(self._cols, len(u), len(w))
-        self._U = _grown(self._U, m + 1, cols, self.space.capacity)
-        self._W = _grown(self._W, m + 1, cols, self.space.capacity)
+        """Store one more input/output pair, each given over leading
+        coordinates; U and W each grow only to their own widths."""
+        m, cap = self._m, self.space.capacity
+        self._uc, self._wc = max(self._uc, len(u)), max(self._wc, len(w))
+        self._U = _grown(self._U, m + 1, self._uc, cap)
+        self._W = _grown(self._W, m + 1, self._wc, cap)
         self._U[m, :len(u)] = u
         self._W[m, :len(w)] = w
-        self._m, self._cols = m + 1, cols
+        self._m = m + 1
 
     def apply(self, x: Vector) -> Vector:
         """Evaluate (extending first if x leaves the defined span)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
-        r = padded(x.prefix, self._cols)
-        image, r = self._project(np.zeros(r.shape, dtype=np.complex128), r)
+        r = padded(x.prefix, self._uc)
+        image, r = self._project(np.zeros(self._wc, dtype=np.complex128), r)
         return Vector(self._extended(image, r, x.norm()), self.space)
 
     def _project(self, image: np.ndarray, r: np.ndarray):
         """One projection pass, in place, over `r` (one vector or rows over
-        the stored columns or more): its part in the defined span is taken
-        off and mapped through R onto `image`, which is as wide as `r`."""
-        U = self.defined_inputs
-        p = np.conj(np.conj(r[..., :self._cols]) @ U.T)
-        r[..., :self._cols] -= p @ U
-        image[..., :self._cols] += p @ self.defined_outputs
+        U's columns or more): its part in the defined span is taken off and
+        mapped through R onto `image` (over W's columns or more)."""
+        U, uc = self.defined_inputs, self._uc
+        p = np.conj(np.conj(r[..., :uc]) @ U.T)
+        r[..., :uc] -= p @ U
+        image[..., :self._wc] += p @ self.defined_outputs
         return image, r
 
     def _extended(self, image: np.ndarray, r: np.ndarray, xnorm: float):
@@ -221,7 +232,8 @@ class BrownianBlock:
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
     R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
     Im(V), this is a 2-isometry.  K and V, given as Vector lists or as
-    2-d arrays of rows, are stored as rows over one leading width.
+    2-d arrays of rows, are each stored (as given) as rows over the leading
+    coordinates that carry them, K at its own width and V at its own.
     """
 
     def __init__(self, R: LazyIsometry, K_basis, V_images):
@@ -229,12 +241,10 @@ class BrownianBlock:
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        K, V = as_rows(K_basis, self.space), as_rows(V_images, self.space)
-        width = max(K.shape[1], V.shape[1])
-        self._K, self._V = padded(K, width), padded(V, width)
+        self._K, self._V = (as_rows(a, self.space) for a in (K_basis, V_images))
         if gram_residual(self._K) > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        self._vnorm = spectral_norm(self._V) if len(K) else 0.0
+        self._vnorm = spectral_norm(self._V) if len(self._K) else 0.0
         # Im(R) perpendicular to Im(V) on everything instantiated so far
         if gram_residual(R.defined_outputs, self._V) > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
@@ -248,19 +258,21 @@ class BrownianBlock:
     def _step(self, X: np.ndarray):
         """B on the rows of X without extending R: (E, r) with B X = E + R r,
         r being X_L off R's span after two passes, which R maps to fresh
-        coordinates; rows over leading prefixes, as wide as X or R's rows."""
+        coordinates; rows over leading prefixes, E as wide as K, V and W,
+        r as X, K and U."""
         return self.R._project(*self._first_pass(X))
 
     def _first_pass(self, X: np.ndarray):
         """`_step` with one projection pass (`LazyIsometry._project`)."""
         K, V = self._K, self._V
-        k = K.shape[1]
-        XL = padded(X, max(k, self.R.defined_inputs.shape[1]))
+        k, v = K.shape[1], V.shape[1]
+        XL = padded(X, max(k, self.R._uc))
         c = np.conj(np.conj(XL[:, :k]) @ K.T)
         xK = c @ K
         XL[:, :k] -= xK
-        E = np.zeros(XL.shape, dtype=np.complex128)
-        E[:, :k] = xK + c @ V
+        E = np.zeros((len(X), max(k, v, self.R._wc)), dtype=np.complex128)
+        E[:, :k] = xK
+        E[:, :v] += c @ V
         return self.R._project(E, XL)
 
     def apply(self, x: Vector) -> Vector:

@@ -10,7 +10,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     SubspaceNotContained, Vector,
                     certificate_evaluate, compressed_gram, defect_form,
                     diagonalizing_basis, direct_sum_power, expansive_generator,
-                    extend_ons, gram_matrix, gram_schmidt, hermitian_eig,
+                    gram_matrix, gram_schmidt, hermitian_eig,
                     prepare_space, split_pair, standard_f_basis,
                     theorem1_construct, theorem2_construct, translate)
 
@@ -48,8 +48,8 @@ def reference_construct(T, F_basis, space):
     x = reference_gram_schmidt(F_basis)
     n = len(x)
     if T is None:
-        def partner1(v):
-            return extend_ons([v], 1, space)[0]
+        def partner1(v):  # a fresh coordinate, orthogonal to everything
+            return space.basis_vector(int(space.allocate(1)[0]))
         partner2, target, norms = partner1, ScalarOperator(2.0), [2.0] * n
     else:
         for name in ("H2", "H3", "H4"):
@@ -417,6 +417,37 @@ class TestTheorem2:
             tracemalloc.stop()
         assert peak < 14e6
 
+    def test_construction_and_certificate_peak_memory_at_dim_128(self):
+        # measured 12.6 MB (19.4 MB with K, U and the certificate's Q
+        # padded to the widest system)
+        T = expansive_generator(128, "svd_random", seed=1)
+        sp = prepare_space(128)
+        f_basis = standard_f_basis(sp, 128)
+        tracemalloc.start()
+        try:
+            block, T4, trace = theorem2_construct(T, f_basis, sp)
+            certificate_evaluate(T4, block, trace, f_basis,
+                                 operator_norm_T=T.operator_norm,
+                                 bound_theoretical=(T.operator_norm + 1) / 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
+    @pytest.mark.parametrize("d, n", [(5, 5), (6, 2)])
+    def test_each_system_stored_at_its_own_width(self, d, n):
+        # K and U (y2, y1) lie over H1 and H2, V and W over all four copies;
+        # an extension widens W by its fresh coordinate and U not at all
+        T = expansive_generator(d, "svd_random", seed=d)
+        block, T4, trace, sp, _ = self.run(T, n)
+        R = block.R
+        assert block._K.shape == R.defined_inputs.shape == (n, 2 * d)
+        assert block._V.shape == R.defined_outputs.shape == (n, 4 * d)
+        if n < d:  # e_n lies in H1 off F: R stores its residual over H1, H2
+            block.apply(sp.basis_vector(n))
+            assert R.defined_inputs.shape == (n + 1, 2 * d)
+            assert R.defined_outputs.shape == (n + 1, 4 * d + 1)
+
     def test_memory_is_independent_of_capacity(self):
         # construction, certificate and 20 defect forms (every fifth on the
         # newest coordinate, which extends R) allocate the same at any
@@ -710,6 +741,77 @@ class TestCertificate:
         assert m == 128
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
         assert max(peaks) < 16 * m * m * 16
+
+
+def bound_at_full_width(target, block, trace, G_basis):
+    """(bound_measured, bound_exact) as the certificate defines them, with
+    G, F and Q padded to all m instantiated coordinates and SVD norms."""
+    m = trace.space.allocated
+    g_rows = padded(np.array([v.coords[:m] for v in G_basis]), m)
+    f_rows = padded(trace.x_rows, m)
+    q = gram_schmidt([Vector(row, trace.space)
+                      for row in (g_rows @ np.conj(f_rows).T) @ f_rows])
+    q = np.array([v.coords[:m] for v in q])
+    eq, rq = block._step(q)
+    moved = getattr(target, "_apply_rows", target.apply)(q)
+    width = max(m, eq.shape[1], moved.shape[1])
+    eq, moved, q = (padded(a, width) for a in (eq, moved, q))
+    eps = float(np.real(np.vdot(trace.x_rows[0],
+                                trace.y2_rows[0, :trace.x_rows.shape[1]])))
+    return (np.linalg.norm(np.hstack([eq - moved, rq]), 2),
+            eps * np.linalg.norm(moved - q, 2))
+
+
+class TestCertificateWidth:
+    """The certificate's Q at the wider of G's and F's widths against the
+    same bound over all m instantiated coordinates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(theorem=st.sampled_from([1, 2]), dim=st.integers(2, 7),
+           seed=st.integers(0, 2**32 - 1), n_frac=st.floats(0.0, 1.0),
+           narrow_frac=st.floats(0.0, 1.0))
+    def test_bound_matches_the_full_width_reference(self, theorem, dim, seed,
+                                                    n_frac, narrow_frac):
+        # F = span of j random vectors over the first w < dim coordinates
+        # and n - j over all dim; G = random combinations of the first j,
+        # so G lies in F, is not coordinate-aligned and is narrower than F
+        rng = np.random.default_rng(seed)
+        n = 2 + int(n_frac * (dim - 2))
+        j = 1 + int(narrow_frac * (n - 2))
+        w = j + int(narrow_frac * (dim - 1 - j))
+        sp = prepare_space(dim)
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        coeffs[:j, w:] = 0
+        f_basis = [sp.vector(c, np.arange(dim)) for c in coeffs]
+        if theorem == 1:
+            block, trace = theorem1_construct(f_basis, sp)
+            target, norm_T = ScalarOperator(2.0), 2.0
+        else:
+            T = expansive_generator(dim, "svd_random", seed=seed)
+            block, target, trace = theorem2_construct(T, f_basis, sp)
+            norm_T = T.operator_norm
+        mix = rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))
+        g_basis = [Vector(c @ coeffs[:j, :w], sp) for c in mix]
+        assert max(len(g.prefix) for g in g_basis) < trace.x_rows.shape[1]
+
+        cert = certificate_evaluate(target, block, trace, g_basis,
+                                    operator_norm_T=norm_T,
+                                    bound_theoretical=1.0)
+        measured, exact = bound_at_full_width(target, block, trace, g_basis)
+        scale = norm_T + 1
+        assert abs(cert.bound_measured - measured) <= 1e-14 * scale
+        assert abs(cert.bound_exact - exact) <= 1e-14 * scale
+
+        # a G vector with support off F, inside F's width or past it
+        for col in (w, sp.allocated - 1):
+            leak = g_basis[0] + 1e-3 * sp.basis_vector(col)
+            if col < trace.x_rows.shape[1] and abs(
+                    np.vdot(trace.x_rows[:, col], trace.x_rows[:, col])) > 1 - 1e-3:
+                continue  # e_col lies (almost) in F
+            with pytest.raises(SubspaceNotContained):
+                certificate_evaluate(target, block, trace, [leak],
+                                     operator_norm_T=norm_T,
+                                     bound_theoretical=1.0)
 
 
 class TestLazyReference:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from isolab import (AllVectorsNegligible, CapacityExceeded, NotHermitian,
-                    Vector, extend_ons, gram_matrix, gram_schmidt,
-                    hermitian_eig)
+from isolab import (AllVectorsNegligible, NotHermitian, Vector, gram_matrix,
+                    gram_schmidt, hermitian_eig)
 
 from conftest import make_space, vec
 
@@ -67,40 +66,6 @@ class TestGramSchmidt:
         out = gram_schmidt(vecs)
         G = gram_matrix(out)
         assert np.max(np.abs(G - np.eye(len(out)))) <= 1e-10
-
-
-class TestExtendOns:
-    def test_single_forced_orthogonal(self):
-        sp = make_space(1, capacity=3)
-        x = vec(sp, [1])
-        (new,) = extend_ons([x], 1, sp)
-        assert abs(x.inner(new)) <= 1e-15
-        assert abs(new.norm() - 1) <= 1e-15
-
-    def test_empty_input(self):
-        sp = make_space(1, capacity=4)
-        out = extend_ons([], 2, sp)
-        G = gram_matrix(out)
-        np.testing.assert_allclose(G, np.eye(2), atol=1e-15)
-
-    def test_extension_of_plane_in_8dim(self, rng):
-        sp = make_space(2, capacity=8)
-        raw = [vec(sp, rng.standard_normal(2) + 1j * rng.standard_normal(2))
-               for _ in range(2)]
-        ons = gram_schmidt(raw)
-        new = extend_ons(ons, 2, sp)
-        G = gram_matrix(ons + new)
-        assert np.max(np.abs(G - np.eye(4))) <= 1e-10
-
-    def test_capacity_exceeded(self):
-        sp = make_space(2, capacity=3)
-        with pytest.raises(CapacityExceeded):
-            extend_ons([], 2, sp)
-
-    def test_rejects_non_orthonormal_input(self):
-        sp = make_space(2, capacity=8)
-        with pytest.raises(ValueError):
-            extend_ons([vec(sp, [1, 1])], 1, sp)
 
 
 class TestGramMatrix:

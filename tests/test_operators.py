@@ -86,7 +86,7 @@ def reference_block_apply(block, x):
     xnorm = float(np.linalg.norm(xL))
     xL[:k] -= xK
     out = padded(reference_lazy_coords(block.R, xL, xnorm), x.space.capacity)
-    out[:k] += c @ V
+    out[:V.shape[1]] += c @ V
     out[:k] += xK
     return out
 
@@ -573,6 +573,47 @@ class TestDirectSumPower:
             Tk._apply_rows(off)
         with pytest.raises(DomainMismatch):
             Tk.apply(sp.basis_vector(outside))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
+           lead=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_contiguous_and_permuted_copies_agree(self, d, k, lead, seed):
+        # the same k copies on one contiguous run, listed in order (a slice
+        # selects them) and in reverse (an index array does): equal images,
+        # and the same verdict on rows with parts off the run on either side
+        rng = np.random.default_rng(seed)
+        T = DenseOperator(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+        sp = AmbientSpace(lead + k * d + 1)
+        sp.allocate(lead)
+        copies = [sp.allocate(d) for _ in range(k)]
+        after = int(sp.allocate(1)[0])
+        run = direct_sum_power(T, k, sp, np.concatenate(copies))
+        permuted = direct_sum_power(T, k, sp, np.concatenate(copies[::-1]))
+        assert isinstance(run._sel, slice)
+        assert isinstance(permuted._sel, np.ndarray)
+
+        rows = np.zeros((3, sp.allocated), dtype=np.complex128)
+        rows[:, lead:after] = (rng.standard_normal((3, k * d))
+                               + 1j * rng.standard_normal((3, k * d)))
+        tol = 1e-14 * T.operator_norm * np.linalg.norm(rows, axis=1).max()
+        image = run._apply_rows(rows)
+        assert np.abs(image - permuted._apply_rows(rows)).max() <= tol
+        assert np.abs(image[:, :lead]).max(initial=0) == 0
+        assert np.abs(image[:, after:]).max(initial=0) == 0
+        assert np.abs(image[:, lead:after] - run.apply(rows[:, lead:after].T).T
+                      ).max() <= tol
+
+        for col in ([after] if lead == 0 else [0, after]):
+            for size, raises in ((1e-12, False), (1e-9, True), (1.0, True)):
+                off = rows.copy()
+                off[1, col] = size * np.linalg.norm(rows[1])
+                for op in (run, permuted):
+                    if raises:
+                        with pytest.raises(DomainMismatch):
+                            op._apply_rows(off)
+                    else:  # below 1e-10 relative: dropped from the image
+                        assert np.abs(op._apply_rows(off) - image).max() <= tol
 
 
 def test_cached_norms_are_fresh_norms(rng):
