@@ -47,22 +47,41 @@ class ConstructionTrace:
     z2 = property(lambda self: row_vectors(self.z2_rows, self.space))
 
 
+#: threshold on the normalized order-2 defect for a row to count as passed
+DEFECT_THRESHOLD = 1e-8
+
+#: threshold on 1 - expansivity_min, the normalized deficit of B*B below I:
+#: the certificate reports it as 5 eta and the defect as 10 eta (eta: summed
+#: hypothesis residuals), so this passes the rows the defect threshold does
+EXPANSIVITY_THRESHOLD = DEFECT_THRESHOLD / 2
+
+
 @dataclass
 class Certificate:
-    """Measured vs. theoretical quantities for one construction run."""
+    """Measured vs. theoretical quantities for one construction run, in the
+    CSV column order; a run that failed carries NaNs and its `error`."""
     n: int
     epsilon: float
-    operator_norm_T: float
+    norm_T: float
     bound_theoretical: float
     bound_measured: float
-    bound_exact: float           # eps ||(target - I)|_G||
     defect_max: float            # upper bound, normalized by max(1, ||B||^2)^2
     expansivity_min: float       # lower bound, normalized
     orthogonality_max: float
+    wall_ms: float = np.nan
+    bound_exact: float = np.nan  # eps ||(target - I)|_G||
+    error: str | None = None
 
     @property
     def bound_holds(self) -> bool:
         return self.bound_measured <= self.bound_theoretical * (1 + 1e-9)
+
+    @property
+    def ok(self) -> bool:
+        """The run's verdict: no error, the bound and both thresholds hold."""
+        return (self.error is None and self.bound_holds
+                and self.defect_max <= DEFECT_THRESHOLD
+                and 1.0 - self.expansivity_min <= EXPANSIVITY_THRESHOLD)
 
 
 def prepare_space(dim_h: int, capacity: int | None = None) -> AmbientSpace:
@@ -293,7 +312,7 @@ def certificate_evaluate(target, block, trace, G_basis, *,
            + (gram_residual(W, V) + gram_residual(V, K)) / nu)
 
     return Certificate(n=len(trace.x_rows), epsilon=eps,
-                       operator_norm_T=operator_norm_T,
+                       norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
                        bound_measured=spectral_norm(
                            np.hstack([_minus(eq, moved), rq])),

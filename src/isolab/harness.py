@@ -18,20 +18,12 @@ import numpy as np
 from .constructions import (certificate_evaluate, prepare_space,
                             standard_f_basis, theorem1_construct,
                             theorem2_construct, Certificate)
-from .errors import IsolabError, UsageError
+from .errors import InvalidFamilyParameter, IsolabError, UsageError
 from .generators import expansive_generator
 from .operators import ScalarOperator, defect_form, read_operator, DenseOperator
 
 CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
               "defect_max", "expansivity_min", "orthogonality_max", "wall_ms")
-
-#: threshold on the normalized order-2 defect for a row to count as passed
-DEFECT_THRESHOLD = 1e-8
-
-#: threshold on 1 - expansivity_min, the normalized deficit of B*B below I:
-#: the certificate reports it as 5 eta and the defect as 10 eta (eta: summed
-#: hypothesis residuals), so this passes the rows the defect threshold does
-EXPANSIVITY_THRESHOLD = DEFECT_THRESHOLD / 2
 
 #: largest dim(F) ||T|| a construction command accepts: the defect
 #: normalization max(1, ||B||^2)^2 takes the 4th power of
@@ -58,28 +50,6 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     input_path: str | None = None
-
-
-@dataclass
-class SweepRow:
-    n: int
-    epsilon: float
-    norm_T: float
-    bound_theoretical: float
-    bound_measured: float
-    defect_max: float
-    expansivity_min: float
-    orthogonality_max: float
-    wall_ms: float
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        if self.error is not None:
-            return False
-        return (self.bound_measured <= self.bound_theoretical * (1 + 1e-9)
-                and self.defect_max <= DEFECT_THRESHOLD
-                and 1.0 - self.expansivity_min <= EXPANSIVITY_THRESHOLD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,7 +178,7 @@ def _family_operator(cfg: RunConfig) -> DenseOperator:
             # tile prescribed entries cyclically to fill dim(H)
             tiled = [entries[i % len(entries)] for i in range(cfg.dim_h)]
             return expansive_generator(cfg.dim_h, "diagonal", diag=tiled)
-    except ValueError as exc:
+    except (ValueError, InvalidFamilyParameter) as exc:
         raise UsageError(f"--family {spec}: {exc}") from exc
     if spec == "svd-random":
         return expansive_generator(cfg.dim_h, "svd_random", seed=cfg.seed)
@@ -217,14 +187,8 @@ def _family_operator(cfg: RunConfig) -> DenseOperator:
     raise UsageError(f"--family: unknown spec {spec!r}")
 
 
-def _certificate_row(cert: Certificate, wall_ms: float) -> SweepRow:
-    return SweepRow(wall_ms=wall_ms, **{
-        key: getattr(cert, "operator_norm_T" if key == "norm_T" else key)
-        for key in CSV_HEADER[:-1]})
-
-
 def run_construction(cfg: RunConfig, n: int,
-                     T: DenseOperator | None) -> SweepRow:
+                     T: DenseOperator | None) -> Certificate:
     """Construct and certify one row: theorem1 approximates 2*id within
     1/n, every other command T^(4) within (||T||+1)/n."""
     start = time.perf_counter()
@@ -240,11 +204,12 @@ def run_construction(cfg: RunConfig, n: int,
     cert = certificate_evaluate(target, block, trace, f_basis,
                                 operator_norm_T=norm_T,
                                 bound_theoretical=bound)
-    return _certificate_row(cert, 1e3 * (time.perf_counter() - start))
+    cert.wall_ms = 1e3 * (time.perf_counter() - start)
+    return cert
 
 
 def run_sweep(cfg: RunConfig):
-    """One SweepRow per n, increasing; failed rows carry an error marker.
+    """One Certificate per n, increasing; failed rows carry an error marker.
 
     T is built and checked against CONSTRUCTION_NORM_LIMIT once, before
     any row, so a bad --family ends the run instead of failing every row."""
@@ -260,8 +225,7 @@ def run_sweep(cfg: RunConfig):
             rows.append(run_construction(cfg, n, T))
         except IsolabError as exc:
             # every value from norm_T on is NaN
-            rows.append(SweepRow(n, 1.0 / n, *[np.nan] * (len(CSV_HEADER) - 2),
-                                 error=str(exc)))
+            rows.append(Certificate(n, 1.0 / n, *[np.nan] * 7, error=str(exc)))
     return rows
 
 
@@ -304,7 +268,7 @@ def _write_out(path: str, text: str, mode: str) -> None:
 
 
 def read_sweep_csv(text: str):
-    """Parse a CSV report back into SweepRow objects (round-trip fidelity)."""
+    """Parse a CSV report back into Certificates (round-trip fidelity)."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader))
     if header != CSV_HEADER:
@@ -312,7 +276,7 @@ def read_sweep_csv(text: str):
     rows = []
     for record in reader:
         values = [int(record[0])] + [float(v) for v in record[1:]]
-        rows.append(SweepRow(*values))
+        rows.append(Certificate(*values))
     return rows
 
 

@@ -136,12 +136,13 @@ class LazyIsometry:
     the first extension moves them into grown buffers.
     """
 
-    def __init__(self, space: AmbientSpace, inputs=(), outputs=(),
-                 extension_tol: float = 1e-12):
+    #: a residual above this times ||x|| is a new direction, not roundoff
+    extension_tol = 1e-12
+
+    def __init__(self, space: AmbientSpace, inputs=(), outputs=()):
         if len(inputs) != len(outputs):
             raise ValueError("inputs and outputs must have equal length")
         self.space = space
-        self.extension_tol = extension_tol
         self._U, self._W = as_rows(inputs, space), as_rows(outputs, space)
         self._m = len(self._U)                                  # stored rows
         self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths

@@ -14,7 +14,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     prepare_space, split_pair, standard_f_basis,
                     theorem1_construct, theorem2_construct, translate)
 
-from isolab.harness import DEFECT_THRESHOLD, _certificate_row
+from isolab.constructions import DEFECT_THRESHOLD
 from isolab.spaces import padded
 
 from conftest import make_space, vec
@@ -95,8 +95,7 @@ def copy_to(block, space):
                          f"the block needs {m}")
     # every stored row is supported on the instantiated prefix
     R = LazyIsometry(space, block.R.defined_inputs[:, :m],
-                     block.R.defined_outputs[:, :m],
-                     extension_tol=block.R.extension_tol)
+                     block.R.defined_outputs[:, :m])
     return BrownianBlock(R, block._K[:, :m], block._V[:, :m])
 
 
@@ -719,7 +718,7 @@ class TestCertificate:
         assert exact_certificate(block, sp.allocated)[0] <= 1e-15
         assert cert.bound_holds
         assert cert.defect_max > DEFECT_THRESHOLD
-        assert not _certificate_row(cert, 0.0).ok
+        assert not cert.ok
 
     def test_memory_does_not_grow_with_capacity(self):
         # dim H = dim F = 32: m = 128 instantiated coordinates

@@ -1,6 +1,8 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ and every Python block of README.md
+runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,26 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           flags=re.M | re.S)
+
+
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.stem)
 def test_demo_exits_zero(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python([str(script)])
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_exits_zero(block):
+    run_python(["-c", block])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -6,13 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isolab import (DenseOperator, UsageError, defect_form,
-                    expansive_generator, random_2nilpotent, read_operator,
-                    write_operator)
+from isolab import (DenseOperator, UsageError, certificate_evaluate,
+                    defect_form, expansive_generator, prepare_space,
+                    random_2nilpotent, read_operator, standard_f_basis,
+                    theorem2_construct, write_operator)
 from isolab import harness
-from isolab.harness import (CSV_HEADER, EXPANSIVITY_THRESHOLD, RunConfig,
-                            emit_report, main, parse_config, read_sweep_csv,
-                            run_construction, run_sweep, run_verify, SweepRow)
+from isolab.constructions import (DEFECT_THRESHOLD, EXPANSIVITY_THRESHOLD,
+                                  Certificate)
+from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
+                            parse_config, read_sweep_csv, run_construction,
+                            run_sweep, run_verify)
 
 
 def reference_verify(cfg, stream):
@@ -162,19 +166,19 @@ class TestEmitReport:
                 assert getattr(orig, key) == getattr(back, key)
 
     def test_row_below_expansivity_threshold_fails(self):
-        row = SweepRow(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
-                       bound_measured=0.25, defect_max=0.0,
-                       expansivity_min=1.0 - EXPANSIVITY_THRESHOLD / 2,
-                       orthogonality_max=0.0, wall_ms=1.0)
+        row = Certificate(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
+                          bound_measured=0.25, defect_max=0.0,
+                          expansivity_min=1.0 - EXPANSIVITY_THRESHOLD / 2,
+                          orthogonality_max=0.0, wall_ms=1.0)
         assert row.ok
         row.expansivity_min = 1.0 - 2 * EXPANSIVITY_THRESHOLD
         assert not row.ok
 
     def test_report_format_mirrors_fields(self):
-        row = SweepRow(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
-                       bound_measured=0.25, defect_max=0.0,
-                       expansivity_min=1.0, orthogonality_max=0.0,
-                       wall_ms=1.0)
+        row = Certificate(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
+                          bound_measured=0.25, defect_max=0.0,
+                          expansivity_min=1.0, orthogonality_max=0.0,
+                          wall_ms=1.0)
         text = emit_report([row], "report", None)
         for key in CSV_HEADER[1:]:
             assert key in text
@@ -183,6 +187,82 @@ class TestEmitReport:
         path = tmp_path / "out.csv"
         emit_report([], "csv", str(path))
         assert path.read_text() == ",".join(CSV_HEADER) + "\n"
+
+
+def reference_ok(row):
+    """The pass/fail rule of a CLI row, written out apart from Certificate."""
+    if row.error is not None:
+        return False
+    return (row.bound_measured <= row.bound_theoretical * (1 + 1e-9)
+            and row.defect_max <= DEFECT_THRESHOLD
+            and 1.0 - row.expansivity_min <= EXPANSIVITY_THRESHOLD)
+
+
+def passing_row(**changes):
+    fields = dict(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
+                  bound_measured=0.25, defect_max=1e-14,
+                  expansivity_min=1.0 - 5e-15, orthogonality_max=0.0,
+                  wall_ms=1.0)
+    return Certificate(**{**fields, **changes})
+
+
+_SLACK = 0.75 * (1 + 1e-9)
+_EXP = 1.0 - EXPANSIVITY_THRESHOLD
+
+
+class TestCertificateRecord:
+    def test_leading_fields_are_the_csv_header(self):
+        names = [f.name for f in dataclasses.fields(Certificate)]
+        assert tuple(names[:len(CSV_HEADER)]) == CSV_HEADER
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"bound_measured": _SLACK},
+        {"bound_measured": np.nextafter(_SLACK, 0)},
+        {"bound_measured": np.nextafter(_SLACK, 1)},
+        {"bound_measured": 0.75 * (1 + 2e-9)},
+        {"defect_max": DEFECT_THRESHOLD},
+        {"defect_max": np.nextafter(DEFECT_THRESHOLD, 0)},
+        {"defect_max": np.nextafter(DEFECT_THRESHOLD, 1)},
+        {"expansivity_min": _EXP},
+        {"expansivity_min": np.nextafter(_EXP, 0)},
+        {"expansivity_min": np.nextafter(_EXP, 1)},
+        {"expansivity_min": 1.0 + 1e-3},
+        {"bound_measured": np.nan},
+        {"bound_theoretical": np.nan},
+        {"defect_max": np.nan},
+        {"expansivity_min": np.nan},
+        {"norm_T": np.nan, "orthogonality_max": np.nan, "wall_ms": np.nan},
+        {"error": "need 2 coordinates, 1 left of 3"},
+        {"error": ""},
+        # the row run_sweep records for a failed run
+        {**dict.fromkeys(CSV_HEADER[2:], np.nan), "error": "out of coordinates"},
+        {**dict.fromkeys(CSV_HEADER[2:], np.nan)},
+    ])
+    def test_ok_matches_the_reference_rule(self, changes):
+        row = passing_row(**changes)
+        assert row.ok == reference_ok(row)
+
+    def test_error_row_read_back_still_fails(self):
+        rows = run_sweep(parse_config(["theorem2", "--dim-f", "2",
+                                       "--capacity", "3"]))
+        assert rows[0].error is not None
+        (back,) = read_sweep_csv(emit_report(rows, "csv", None))
+        assert back.error is None and not back.ok
+
+    def test_sweep_rows_carry_the_certificate_bound_exact(self):
+        cfg = parse_config(["sweep", "--family", "svd-random", "--n", "2,5",
+                            "--dim-h", "8", "--seed", "3"])
+        T = expansive_generator(8, "svd_random", seed=3)
+        for row in run_sweep(cfg):
+            space = prepare_space(8)
+            f_basis = standard_f_basis(space, row.n)
+            block, T4, trace = theorem2_construct(T, f_basis, space)
+            cert = certificate_evaluate(
+                T4, block, trace, f_basis, operator_norm_T=T.operator_norm,
+                bound_theoretical=(T.operator_norm + 1) / row.n)
+            assert np.isfinite(row.bound_exact)
+            assert row.bound_exact == cert.bound_exact
 
 
 class TestVerify:
@@ -335,6 +415,11 @@ class TestMain:
         (["sweep", "--n", "2", "--family", "diag:inf"], None, "[1, inf)"),
         (["sweep", "--n", "2", "--family", "diag:nan"], None, "[1, inf)"),
         (["sweep", "--n", "2", "--family", "scalar:inf"], None, "[1, inf)"),
+        # out-of-range family parameters name their flag
+        (["sweep", "--n", "2", "--family", "diag:0.5"], None,
+         "--family diag:0.5: "),
+        (["sweep", "--n", "2", "--family", "scalar:0.5"], None,
+         "--family scalar:0.5: "),
         # huge but finite: dim(F) ||T|| or sigma_max just above its limit
         (["theorem2", "--dim-f", "2", "--family", "scalar:5.0000001e75"],
          None, "exceeds 1e+76"),
@@ -362,7 +447,8 @@ class TestMain:
             "verify-negative-samples", "theorem1-tol-verify", "verify-out",
             "config-string-samples", "config-string-dim-f",
             "config-bad-format", "config-not-object", "unwritable-out",
-            "infinite-diag", "nan-diag", "infinite-scalar",
+            "infinite-diag", "nan-diag", "infinite-scalar", "diag-below-one",
+            "scalar-below-one",
             "scalar-above-limit", "scalar-1e77", "scalar-1e100", "diag-1e200",
             "verify-above-limit", "verify-1e60", "float-rows", "bool-shape",
             "zero-shape", "string-rows"])
