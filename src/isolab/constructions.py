@@ -31,6 +31,7 @@ class ConstructionTrace:
     over the leading coordinates its support needs (see `_assemble`); `x`,
     `y1`, `y2`, `z1` and `z2` build the systems as Vector lists on demand."""
     space: AmbientSpace
+    epsilon: float               # the first splitting's c, 1/dim(F) by default
     x_rows: np.ndarray           # diagonalizing ONB of F
     y1_rows: np.ndarray          # inputs of R
     y2_rows: np.ndarray          # ONB of the corner K
@@ -170,12 +171,12 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     `target`-images are pairwise orthogonal with norms `norms_Tx` (an array,
     all >= 1).  `partner1` maps the x_i, and `partner2` the y1_i,
     isometrically onto rows that end at a copy orthogonal to everything
-    built so far; `target` commutes with both and keeps rows at least as
-    wide.  So y1, y2 lie over x's and the first copy's coordinates, z1, z2
-    and their images over every copy's.  The block is (R, V; 0, id_K) with
-    K spanned by the first splitting's complements y2, R lazily extended
-    from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
-    sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
+    built so far; the operator `target` commutes with both and keeps rows
+    at least as wide.  So y1, y2 lie over x's and the first copy's
+    coordinates, z1, z2 and their images over every copy's.  The block is
+    (R, V; 0, id_K), K spanned by the first splitting's complements y2, R
+    lazily extended from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) =
+    sigma_i target(z2_i), sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
     """
     eps = 1.0 / len(x) if epsilon is None else float(epsilon)
     if not 0.0 < eps <= 1.0:
@@ -193,13 +194,14 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
     sigmas = np.sqrt(1.0 - eps * eps) * b / eps
-    tz1, tz2 = target(z1), target(z2)
+    tz1, tz2 = target._apply_rows(z1), target._apply_rows(z2)
     R = LazyIsometry(space, inputs=y1, outputs=a[:, None] * tz1)
     block = BrownianBlock(R, K_basis=y2, V_images=sigmas[:, None] * tz2)
 
     ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
-    trace = ConstructionTrace(space=space, x_rows=x, y1_rows=y1, y2_rows=y2,
-                              z1_rows=z1, z2_rows=z2, sigmas=sigmas.tolist(),
+    trace = ConstructionTrace(space=space, epsilon=eps, x_rows=x, y1_rows=y1,
+                              y2_rows=y2, z1_rows=z1, z2_rows=z2,
+                              sigmas=sigmas.tolist(),
                               norms_Tx=norms_Tx.tolist(),
                               orthogonality_max=ortho)
     return block, trace
@@ -223,7 +225,7 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
         return _moved(np.eye(n), np.arange(n), space.allocate(n))
 
     return _assemble(space, x, np.full(n, 2.0),
-                     ScalarOperator(2.0).apply, fresh, fresh, epsilon)
+                     ScalarOperator(2.0), fresh, fresh, epsilon)
 
 
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
@@ -253,7 +255,7 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
 
     T4 = direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4])
     block, trace = _assemble(
-        space, x, norms_Tx, T4._apply_rows, lambda rows: _moved(rows, h1, h2),
+        space, x, norms_Tx, T4, lambda rows: _moved(rows, h1, h2),
         lambda rows: _moved(rows, np.r_[h1, h2], np.r_[h3, h4]), epsilon)
     return block, T4, trace
 
@@ -268,28 +270,9 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     bound_measured = ||[E - target(Q) | r]||_2 = sup ||(B - target)x|| over
     unit x in span(G), and bound_exact = eps ||(target - I)Q||_2 equals it.
 
-    defect_max = 10 eta and expansivity_min = 1 - 5 eta, for eta the sum of
-    the Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I (U, W: R's stored
-    inputs and outputs, extension rows included) and e_WV, e_UK, e_WK, e_VK
-    of WV*/nu, UK*, WK*, VK*/nu (nu = ||V||), bound B on the whole space as
-    its rows define it: with s = 1 + nu^2 = max(1, ||B||^2),
-    ||B*^2 B^2 - 2B*B + I|| <= defect_max s^2, B*B >= 1 - (1 - expansivity_min) s.
-    Why: `_step` maps a row x to [xM | xN], xN on fresh coordinates, with
-    M = P + K*V + A(I + C)U*W, N = AC^2, P = K*K, A = I - P, C = I - U*U
-    (R's two projection passes, CGS2; an extension stores such a residual
-    in U, with a fresh unit row in W).  So B*B = G = MM* + NN*, B*^2 B^2 =
-    MGM* + NN* and the defect is D = M(G - I)M* - (G - I).  With ||A|| <= 1,
-    ||I + C|| <= 2 and (I + C)U*U(I + C) + C^4 = f(U*U), f(0) = 1,
-    f(q) = q(2 - q)^2 + (1 - q)^4 = 2 - q + O((q - 1)^2), to first order
-    G = I + K*VV*K + Z, ||Z|| <= 2e_K + e_U + 4e_W + 4e_WK + 2nu(e_VK + 2e_WV)
-    <= 4 eta s as nu <= s/2, so B*B >= 1 - ||Z||.  MK* = K* + F with ||F||
-    <= e_K + nu e_VK + 2e_WK gives D = FVV*K + K*VV*F* + FVV*F* + MZM* - Z,
-    and ||MM*|| <= ||G||, nu^2 <= s^2/4, nu^3 <= s^2/3 give ||D||/s^2 <=
-    4.5e_K + 2e_U + 8e_W + 9e_WK + 2.7e_VK + 4e_WV <= 9 eta.  Higher orders
-    stay within 10 eta and 5 eta for eta <= 1/50, past which the row fails
-    anyway.  e_UK enters neither, but y1 is orthogonal to y2 so that
-    B y1 = R y1.  Nothing is extended or formed m x m (m instantiated), and
-    Q is as wide as G or F, not m.
+    defect_max = 10 eta and expansivity_min = 1 - 5 eta, normalized, for
+    eta = `block.hypothesis_residual()`, whose docstring derives both bounds.
+    Nothing is extended or formed m x m, and Q is as wide as G or F, not m.
     """
     g_rows = leading_rows(G_basis, trace.space)  # DomainMismatch for G elsewhere
     width = max(g_rows.shape[1], trace.x_rows.shape[1])
@@ -301,15 +284,8 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     # the projection onto F keeps roundoff off R's undefined directions
     q = orthonormal_rows(g_in_f)
     eq, rq = block._step(q)
-    moved = getattr(target, "_apply_rows", target.apply)(q)  # target(Q)
-    # epsilon is recoverable from the first splitting: <x_i, y_i^(2)> = eps
-    x0 = trace.x_rows[0]
-    eps = float(np.real(np.vdot(x0, trace.y2_rows[0, :len(x0)])))
-    U, W = block.R.defined_inputs, block.R.defined_outputs
-    K, V, nu = block._K, block._V, max(block._vnorm, 1e-300)
-    eta = (gram_residual(U) + gram_residual(W) + gram_residual(K)
-           + gram_residual(U, K) + gram_residual(W, K)
-           + (gram_residual(W, V) + gram_residual(V, K)) / nu)
+    moved = target._apply_rows(q)
+    eps, eta = trace.epsilon, block.hypothesis_residual()
 
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        norm_T=operator_norm_T,

@@ -80,8 +80,7 @@ class DenseOperator:
             if x.space is not self.space:
                 raise DomainMismatch("vector lives in a different space")
             return Vector(self._apply_rows(x.prefix[None, :])[0], self.space)
-        x = np.asarray(x, dtype=np.complex128)
-        return self.matrix @ x
+        return self._product(np.asarray(x, dtype=np.complex128).T).T
 
     def _apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Images of the vectors of the attached space whose coordinates
@@ -115,6 +114,8 @@ class ScalarOperator:
 
     def apply(self, x):
         return x * self.scale
+
+    _apply_rows = apply  # a scalar maps rows to rows as is
 
 
 class LazyIsometry:
@@ -263,6 +264,34 @@ class BrownianBlock:
         r as X, K and U."""
         return self.R._project(*self._first_pass(X))
 
+    def hypothesis_residual(self) -> float:
+        """eta: the summed Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I
+        (U, W: R's stored inputs and outputs, extension rows included) and
+        e_UK, e_WK, e_WV, e_VK of UK*, WK*, WV*/nu, VK*/nu (nu = ||V||), of
+        the rows as stored; nothing is extended or allocated.  With
+        s = 1 + nu^2 = max(1, ||B||^2), B as its rows define it satisfies
+        ||B*^2 B^2 - 2B*B + I|| <= 10 eta s^2 and B*B >= 1 - 5 eta s.
+        Why: `_step` maps a row x to [xM | xN], xN on fresh coordinates, with
+        M = P + K*V + A(I + C)U*W, N = AC^2, P = K*K, A = I - P, C = I - U*U
+        (R's two projection passes, CGS2; an extension stores such a residual
+        in U, with a fresh unit row in W).  So B*B = G = MM* + NN*, B*^2 B^2 =
+        MGM* + NN* and the defect is D = M(G - I)M* - (G - I).  With ||A|| <= 1,
+        ||I + C|| <= 2 and (I + C)U*U(I + C) + C^4 = f(U*U), f(0) = 1,
+        f(q) = q(2 - q)^2 + (1 - q)^4 = 2 - q + O((q - 1)^2), to first order
+        G = I + K*VV*K + Z, ||Z|| <= 2e_K + e_U + 4e_W + 4e_WK + 2nu(e_VK + 2e_WV)
+        <= 4 eta s as nu <= s/2, so B*B >= 1 - ||Z||.  MK* = K* + F with ||F||
+        <= e_K + nu e_VK + 2e_WK gives D = FVV*K + K*VV*F* + FVV*F* + MZM* - Z,
+        and ||MM*|| <= ||G||, nu^2 <= s^2/4, nu^3 <= s^2/3 give ||D||/s^2 <=
+        4.5e_K + 2e_U + 8e_W + 9e_WK + 2.7e_VK + 4e_WV <= 9 eta.  Higher orders
+        stay within 10 eta and 5 eta for eta <= 1/50, past which the row fails
+        anyway.  e_UK enters neither, but y1 is orthogonal to y2 so that
+        B y1 = R y1."""
+        U, W = self.R.defined_inputs, self.R.defined_outputs
+        K, V, nu = self._K, self._V, max(self._vnorm, 1e-300)
+        return (gram_residual(U) + gram_residual(W) + gram_residual(K)
+                + gram_residual(U, K) + gram_residual(W, K)
+                + (gram_residual(W, V) + gram_residual(V, K)) / nu)
+
     def _first_pass(self, X: np.ndarray):
         """`_step` with one projection pass (`LazyIsometry._project`)."""
         K, V = self._K, self._V
@@ -292,11 +321,6 @@ class _DirectSumPower(DenseOperator):
 
     dim = property(lambda self: self.k * self._matrix.shape[1])
     matrix = property(lambda self: np.kron(np.eye(self.k), self._matrix))
-
-    def apply(self, x):
-        if isinstance(x, Vector):
-            return super().apply(x)
-        return self._product(np.asarray(x, dtype=np.complex128).T).T
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
         d = self._matrix.shape[1]  # each row as k rows of T's width

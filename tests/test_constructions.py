@@ -708,7 +708,8 @@ class TestCertificate:
         k = np.array([[np.sqrt(1 - 1e-12), 1e-6, 0, 0]])
         R = LazyIsometry(sp, inputs=e[[1]], outputs=e[[2]])
         block = BrownianBlock(R, K_basis=k, V_images=2 * e[[3]])
-        trace = ConstructionTrace(space=sp, x_rows=k, y1_rows=e[[1]],
+        trace = ConstructionTrace(space=sp, epsilon=1.0, x_rows=k,
+                                  y1_rows=e[[1]],
                                   y2_rows=k, z1_rows=e[[2]], z2_rows=e[[3]],
                                   sigmas=[2.0], norms_Tx=[1.0],
                                   orthogonality_max=0.0)
@@ -740,6 +741,73 @@ class TestCertificate:
         assert m == 128
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
         assert max(peaks) < 16 * m * m * 16
+
+
+def seven_term_eta(block):
+    """The block's hypothesis residual written out: Frobenius norms of
+    UU* - I, WW* - I, KK* - I, UK*, WK*, WV*/nu and VK*/nu over the
+    columns each pair carries, in the order the certificate sums them."""
+    U, W = block.R.defined_inputs, block.R.defined_outputs
+    K, V = block._K, block._V
+    nu = np.linalg.norm(V, 2)
+
+    def fro(a, b=None):
+        if b is None:
+            return np.linalg.norm(np.conj(a) @ a.T - np.eye(len(a)))
+        k = min(a.shape[1], b.shape[1])
+        return np.linalg.norm(np.conj(a[:, :k]) @ b[:, :k].T)
+
+    return (fro(U) + fro(W) + fro(K) + fro(U, K) + fro(W, K)
+            + (fro(W, V) + fro(V, K)) / nu)
+
+
+class TestRecordedQuantities:
+    """The certificate reads epsilon from the trace and eta from the block."""
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_epsilon_is_the_one_the_block_was_built_with(self, theorem):
+        sp = prepare_space(8)
+        f_basis = standard_f_basis(sp, 5)
+        if theorem == 1:
+            block, trace = theorem1_construct(f_basis, sp, epsilon=0.3)
+            target, norm_T = ScalarOperator(2.0), 2.0
+        else:
+            T = expansive_generator(8, "svd_random", seed=4)
+            block, target, trace = theorem2_construct(T, f_basis, sp,
+                                                      epsilon=0.3)
+            norm_T = T.operator_norm
+        cert = certificate_evaluate(target, block, trace, f_basis,
+                                    operator_norm_T=norm_T,
+                                    bound_theoretical=0.3 * (norm_T + 1))
+        assert trace.epsilon == 0.3
+        assert cert.epsilon == 0.3
+
+    def test_hypothesis_residual_is_the_seven_term_sum(self):
+        T = expansive_generator(8, "svd_random", seed=4)
+        sp = prepare_space(8)
+        block, _, _ = theorem2_construct(T, standard_f_basis(sp, 4), sp)
+        for extend in (False, True):
+            if extend:  # the last coordinate of H4 lies outside R's span
+                count = block.R.defined_count
+                block.apply(sp.basis_vector(sp.allocated - 1))
+                assert block.R.defined_count == count + 1
+            allocated, count = sp.allocated, block.R.defined_count
+            eta = block.hypothesis_residual()
+            assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
+            assert 0.0 < eta < 1e-12
+            assert (sp.allocated, block.R.defined_count) == (allocated, count)
+
+    def test_certificate_reports_ten_and_five_eta(self):
+        T = expansive_generator(8, "svd_random", seed=4)
+        sp = prepare_space(8)
+        f_basis = standard_f_basis(sp, 4)
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        cert = certificate_evaluate(T4, block, trace, f_basis,
+                                    operator_norm_T=T.operator_norm,
+                                    bound_theoretical=(T.operator_norm + 1) / 4)
+        eta = block.hypothesis_residual()
+        assert cert.defect_max == 10.0 * eta
+        assert cert.expansivity_min == 1.0 - 5.0 * eta
 
 
 def bound_at_full_width(target, block, trace, G_basis):

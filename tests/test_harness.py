@@ -370,6 +370,13 @@ class TestMain:
         rows = read_sweep_csv(out.read_text())
         assert [r.n for r in rows] == [2, 4]
 
+    def test_sweep_epsilon_is_one_over_n_exactly(self, capsys):
+        ns = [2, 3, 5, 7, 8, 16, 32]
+        assert main(["sweep", "--family", "svd-random", "--seed", "3",
+                     "--n", ",".join(map(str, ns))]) == 0
+        rows = read_sweep_csv(capsys.readouterr().out)
+        assert [(r.n, r.epsilon) for r in rows] == [(n, 1.0 / n) for n in ns]
+
     @pytest.mark.parametrize("capacity", ["24", "50"])
     def test_certificate_fits_any_run_that_built(self, capacity, capsys):
         # 24 = dim H + 2n is the construction's whole footprint
