@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExpansive, SubspaceNotContained
+from .generators import EXPANSIVITY_TOL
 from .linalg import (gram_residual, hermitian_eig, orthonormal_rows,
                      spectral_norm)
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         ScalarOperator, direct_sum_power)
-from .spaces import AmbientSpace, Vector, leading_rows, padded, row_vectors
+from .spaces import AmbientSpace, Vector, as_rows, padded, row_vectors
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
@@ -122,7 +123,7 @@ def diagonalizing_basis(T: DenseOperator, F_basis):
     pairwise orthogonal: the orthonormal eigenbasis of the compression
     P_F T*T|_F.  T must be attached to the space of F_basis."""
     space = F_basis[0].space
-    x, _ = _diagonalizing_rows(T, leading_rows(F_basis, space))
+    x, _ = _diagonalizing_rows(T, as_rows(F_basis, space))
     return row_vectors(x, space)
 
 
@@ -150,17 +151,17 @@ def split_pair(xs, c: float, partner):
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
-    s = np.sqrt(1.0 - c * c)
-    pairs = [_split(x, partner(x), s, c) for x in xs]
-    return [y1 for y1, _ in pairs], [y2 for _, y2 in pairs]
+    space = xs[0].space if xs else None  # no Vectors, no rows
+    y1, y2 = _split(as_rows(xs, space), as_rows([partner(x) for x in xs], space),
+                    np.sqrt(1.0 - c * c), c)
+    return row_vectors(y1, space), row_vectors(y2, space)
 
 
 def _split(x, p, s, c):
-    """(s x + c p, c x - s p): the splitting of `split_pair`, for Vectors
-    or for rows (with s and c scalars or columns; the narrower rows padded)."""
-    if isinstance(x, np.ndarray):
-        w = max(x.shape[1], p.shape[1])
-        x, p = (a if a.shape[1] == w else padded(a, w) for a in (x, p))
+    """(s x + c p, c x - s p): the splitting of `split_pair` on rows, with
+    s and c scalars or columns; the narrower rows are padded."""
+    w = max(x.shape[1], p.shape[1])
+    x, p = (a if a.shape[1] == w else padded(a, w) for a in (x, p))
     return s * x + c * p, c * x - s * p
 
 
@@ -169,14 +170,15 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
 
     `x` holds an ONB of F as rows over F's leading coordinates; their
     `target`-images are pairwise orthogonal with norms `norms_Tx` (an array,
-    all >= 1).  `partner1` maps the x_i, and `partner2` the y1_i,
-    isometrically onto rows that end at a copy orthogonal to everything
-    built so far; the operator `target` commutes with both and keeps rows
-    at least as wide.  So y1, y2 lie over x's and the first copy's
-    coordinates, z1, z2 and their images over every copy's.  The block is
-    (R, V; 0, id_K), K spanned by the first splitting's complements y2, R
-    lazily extended from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) =
-    sigma_i target(z2_i), sigma_i = sqrt((1-eps^2)(1 - 1/||Tx_i||^2))/eps.
+    all >= 1 - EXPANSIVITY_TOL).  `partner1` maps the x_i, and `partner2` the
+    y1_i, isometrically onto rows that end at a copy orthogonal to
+    everything built so far; the operator `target` commutes with both and
+    keeps rows at least as wide.  So y1, y2 lie over x's and the first
+    copy's coordinates, z1, z2 and their images over every copy's.  The
+    block is (R, V; 0, id_K), K spanned by the first splitting's complements
+    y2, R lazily extended from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) =
+    sigma_i target(z2_i), sigma_i = sqrt((1-eps^2)(1 - a_i^2))/eps, where
+    a_i = min(1/||Tx_i||, 1) is the weight of y1_i in z1_i.
     """
     eps = 1.0 / len(x) if epsilon is None else float(epsilon)
     if not 0.0 < eps <= 1.0:
@@ -186,16 +188,17 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     y1, y2 = _split(x, partner1(x), np.sqrt(1.0 - eps * eps), eps)
 
     # Step 2: split the y1 once more, across the second partner copy
-    a = 1.0 / norms_Tx
-    if np.any(1.0 - a * a < -1e-12):  # above that, roundoff: clamped to 0
-        raise NotExpansive(f"image norm below 1: 1/||Tx|| = {a.max()}")
-    b = np.sqrt(np.maximum(1.0 - a * a, 0.0))
+    if not np.all(norms_Tx >= 1.0 - EXPANSIVITY_TOL):
+        raise NotExpansive(f"image norm below 1: ||Tx|| = {norms_Tx.min()}")
+    inv = 1.0 / norms_Tx
+    a = np.minimum(inv, 1.0)  # a norm just below 1 is roundoff: z1 = y1
+    b = np.sqrt(1.0 - a * a)
     z1, z2 = _split(y1, partner2(y1), a[:, None], b[:, None])
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
     sigmas = np.sqrt(1.0 - eps * eps) * b / eps
     tz1, tz2 = target._apply_rows(z1), target._apply_rows(z2)
-    R = LazyIsometry(space, inputs=y1, outputs=a[:, None] * tz1)
+    R = LazyIsometry(space, inputs=y1, outputs=inv[:, None] * tz1)
     block = BrownianBlock(R, K_basis=y2, V_images=sigmas[:, None] * tz2)
 
     ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
@@ -216,7 +219,7 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     copies of H, and F may be any subspace of `space`.  On F the block
     satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
     """
-    x = orthonormal_rows(leading_rows(F_basis, space))
+    x = orthonormal_rows(as_rows(F_basis, space))
     n = len(x)
 
     def fresh(rows):
@@ -237,8 +240,8 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     assemble the block (see `_assemble`) with target
     T4 = T (+) T (+) T (+) T on the copies, which stores T once.
 
-    Returns (block, T4, trace).  Raises NotExpansive if some ||Tx_i|| < 1
-    beyond tolerance.
+    Returns (block, T4, trace).  Raises NotExpansive if some ||Tx_i|| <
+    1 - EXPANSIVITY_TOL.
     """
     d = T.dim
     for name in ("H1", "H2", "H3", "H4"):  # only H1 must exist already
@@ -250,7 +253,7 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
     T1 = T.embedded(space, h1)
-    x, tx = _diagonalizing_rows(T1, leading_rows(F_basis, space))
+    x, tx = _diagonalizing_rows(T1, as_rows(F_basis, space))
     norms_Tx = np.linalg.norm(tx, axis=1)  # _assemble checks >= 1
 
     T4 = direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4])
@@ -274,7 +277,7 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     eta = `block.hypothesis_residual()`, whose docstring derives both bounds.
     Nothing is extended or formed m x m, and Q is as wide as G or F, not m.
     """
-    g_rows = leading_rows(G_basis, trace.space)  # DomainMismatch for G elsewhere
+    g_rows = as_rows(G_basis, trace.space)  # DomainMismatch for G elsewhere
     width = max(g_rows.shape[1], trace.x_rows.shape[1])
     g_rows, f_rows = padded(g_rows, width), padded(trace.x_rows, width)
     g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
@@ -285,20 +288,14 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     q = orthonormal_rows(g_in_f)
     eq, rq = block._step(q)
     moved = target._apply_rows(q)
+    width = max(a.shape[1] for a in (eq, moved, q))
+    eq, moved, q = (padded(a, width) for a in (eq, moved, q))
     eps, eta = trace.epsilon, block.hypothesis_residual()
 
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
-                       bound_measured=spectral_norm(
-                           np.hstack([_minus(eq, moved), rq])),
-                       bound_exact=eps * spectral_norm(_minus(moved, q)),
+                       bound_measured=spectral_norm(np.hstack([eq - moved, rq])),
+                       bound_exact=eps * spectral_norm(moved - q),
                        defect_max=10.0 * eta, expansivity_min=1.0 - 5.0 * eta,
                        orthogonality_max=trace.orthogonality_max)
-
-
-def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b for rows over leading prefixes of different widths."""
-    out = padded(a, b.shape[1])
-    out[:, :b.shape[1]] -= b
-    return out

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidFamilyParameter
+from .errors import InvalidFamilyParameter, NotExpansive
 from .operators import DenseOperator
 
 #: singular values of the svd_random family are drawn uniformly from this
 #: range; kept small so the approximation bounds stay tight at desk scale
 SV_RANGE = (1.0, 3.0)
+
+#: an operator counts as expansive when its smallest singular value, or the
+#: norm of its image of a unit vector, is at least 1 - EXPANSIVITY_TOL
+EXPANSIVITY_TOL = 1e-10
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -32,8 +36,8 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
       id_plus_psd   -- identity + seeded positive semidefinite perturbation
 
     The result is certified internally: raises InvalidFamilyParameter if any
-    prescribed singular value is not finite and >= 1, AssertionError if the
-    built matrix fails the sigma_min >= 1 - 1e-10 check.
+    prescribed singular value is not finite and >= 1, NotExpansive if the
+    built matrix has sigma_min < 1 - EXPANSIVITY_TOL.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -64,5 +68,6 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
     else:
         raise InvalidFamilyParameter(f"unknown family {family!r}")
     smin = np.linalg.svd(M, compute_uv=False).min()
-    assert smin >= 1.0 - 1e-10, f"generator produced sigma_min={smin}"
+    if not smin >= 1.0 - EXPANSIVITY_TOL:
+        raise NotExpansive(f"generator produced sigma_min={smin}")
     return DenseOperator(M)

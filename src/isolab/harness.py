@@ -147,8 +147,8 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("--samples must be at least 1")
     if cfg.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    if cfg.tol_verify <= 0:
-        raise UsageError("--tol-verify must be positive")
+    if not 0 < cfg.tol_verify < 1:
+        raise UsageError("--tol-verify must lie in (0, 1)")
     if cfg.command == "verify":
         if cfg.input_path is None:
             raise UsageError("--input is required for verify")
@@ -292,7 +292,7 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
         raise UsageError(f"--input {cfg.input_path}: "
                          f"{type(exc).__name__}: {exc}") from exc
     rows, cols = op.matrix.shape
-    if rows != cols or rows == 0:
+    if rows != cols:
         raise UsageError(f"--input {cfg.input_path}: need a nonempty square "
                          f"matrix, got {rows}x{cols}")
     rng = np.random.default_rng(cfg.seed)

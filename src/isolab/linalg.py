@@ -10,34 +10,31 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AllVectorsNegligible, NotHermitian
-from .spaces import leading_rows, row_vectors
+from .spaces import as_rows, row_vectors
 
 
-def gram_schmidt(vectors, rank_tol: float | None = None):
+def gram_schmidt(vectors, rank_tol: float = 1e-10):
     """Orthonormalize `vectors`, dropping numerically dependent ones.
 
     Works on the leading coordinates that carry the inputs (see
     `orthonormal_rows`).  A vector whose residual after projection is at
-    most ``rank_tol * max input norm`` is dropped.  Default rank_tol is 1e-10.
+    most ``rank_tol * max input norm`` is dropped.
 
     Raises AllVectorsNegligible if nothing survives.
     """
     if not vectors:
         raise AllVectorsNegligible("no input vectors")
     space = vectors[0].space
-    return row_vectors(orthonormal_rows(leading_rows(vectors, space), rank_tol),
-                       space)
+    return row_vectors(orthonormal_rows(as_rows(vectors, space), rank_tol), space)
 
 
-def orthonormal_rows(rows: np.ndarray, rank_tol: float | None = None):
+def orthonormal_rows(rows: np.ndarray, rank_tol: float = 1e-10):
     """Orthonormal rows spanning the rows of `rows`, taken in order.
 
     Classical Gram-Schmidt with one reorthogonalization (CGS2): each row is
     projected off the accepted block twice, by two matrix-vector passes.
     The drop rule and errors are those of `gram_schmidt`.
     """
-    if rank_tol is None:
-        rank_tol = 1e-10
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
     if len(rows) == 0:
@@ -64,7 +61,7 @@ def gram_matrix(vectors) -> np.ndarray:
     """Matrix of pairwise inner products G[i, j] = <v_i, v_j> (Hermitian)."""
     if not vectors:
         raise ValueError("empty vector list")
-    rows = leading_rows(vectors, vectors[0].space)
+    rows = as_rows(vectors, vectors[0].space)
     G = np.conj(rows) @ rows.T
     return 0.5 * (G + np.conj(G.T))  # symmetrize roundoff
 
@@ -84,17 +81,17 @@ def spectral_norm(rows: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(rows @ np.conj(rows).T)[-1], 0.0)))
 
 
-def hermitian_eig(M: np.ndarray, tol: float = 1e-10):
+def hermitian_eig(M: np.ndarray):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues descending, eigenvector columns).  The columns are
     orthonormal and satisfy ``M v_k = w_k v_k`` to solver precision.
 
-    Raises NotHermitian if M deviates from M^H by more than `tol` relative.
+    Raises NotHermitian if M deviates from M^H by more than 1e-10 relative.
     """
     M = np.asarray(M, dtype=np.complex128)
     scale = max(np.max(np.abs(M)), 1e-300)
-    if np.max(np.abs(M - np.conj(M.T))) > tol * scale:
+    if np.max(np.abs(M - np.conj(M.T))) > 1e-10 * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(0.5 * (M + np.conj(M.T)))
     order = np.argsort(w)[::-1]

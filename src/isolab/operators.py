@@ -22,6 +22,7 @@ application projects through `LazyIsometry._project` and extends through
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
@@ -58,7 +59,6 @@ class DenseOperator:
             run = np.array_equal(idx, np.arange(lo, lo + len(idx)))
             self._sel = slice(lo, lo + len(idx)) if run else idx
             self._end = int(idx.max(initial=-1)) + 1
-        self._norm = None
 
     matrix = property(lambda self: self._matrix)
 
@@ -66,11 +66,9 @@ class DenseOperator:
     def dim(self) -> int:
         return self._matrix.shape[1]
 
-    @property
+    @cached_property
     def operator_norm(self) -> float:
-        if self._norm is None:
-            self._norm = float(np.linalg.norm(self._matrix, 2))
-        return self._norm
+        return float(np.linalg.norm(self._matrix, 2))
 
     def embedded(self, space: AmbientSpace, indices) -> "DenseOperator":
         return DenseOperator(self.matrix, space, indices)

@@ -5,8 +5,7 @@ monotone cursor, so "fresh" directions are always orthogonal to everything
 instantiated so far and runs are reproducible.  The capacity is a budget,
 not a storage size: a Vector stores the leading prefix that holds its
 support.  Systems of vectors can also be held as the rows of one array over
-the leading coordinates that carry them (`leading_rows`, `as_rows`,
-`row_vectors`).
+the leading coordinates that carry them (`as_rows`, `row_vectors`).
 """
 
 from __future__ import annotations
@@ -23,39 +22,35 @@ from .errors import CapacityExceeded, DomainMismatch
 class AmbientSpace:
     """Coordinate allocator with named subspace labels.
 
-    Allocation only moves ``next_free`` forward; a coordinate, once handed
+    Allocation only moves ``allocated`` forward; a coordinate, once handed
     out, is never reused.  Single writer: concurrent construction runs must
     each own their space.
     """
 
     capacity: int
-    next_free: int = 0
-    labels: dict = field(default_factory=dict)
+    allocated: int = field(default=0, init=False)
+    labels: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
 
-    @property
-    def allocated(self) -> int:
-        return self.next_free
-
     def allocate(self, count: int, label: str | None = None) -> np.ndarray:
         """Reserve `count` fresh coordinates, optionally under a label."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if self.next_free + count > self.capacity:
+        if self.allocated + count > self.capacity:
             raise CapacityExceeded(
-                f"need {count} coordinates, {self.capacity - self.next_free} left "
+                f"need {count} coordinates, {self.capacity - self.allocated} left "
                 f"of {self.capacity}")
-        indices = np.arange(self.next_free, self.next_free + count)
-        self.next_free += count
+        indices = np.arange(self.allocated, self.allocated + count)
+        self.allocated += count
         if label is not None:
             self.labels[label] = indices
         return indices
 
     def basis_vector(self, index: int) -> "Vector":
-        if not 0 <= index < self.next_free:
+        if not 0 <= index < self.allocated:
             raise ValueError(f"coordinate {index} not allocated")
         coords = np.zeros(index + 1, dtype=np.complex128)
         coords[index] = 1.0
@@ -67,13 +62,13 @@ class AmbientSpace:
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d list")
         if indices is None:
-            if len(values) > self.next_free:
+            if len(values) > self.allocated:
                 raise ValueError("values placed on unallocated coordinates")
             return Vector(values, self)
         indices = np.asarray(indices)
         if indices.shape != values.shape or len(np.unique(indices)) != len(indices):
             raise ValueError("need one distinct index per value")
-        if np.min(indices) < 0 or np.max(indices) >= self.next_free:
+        if np.min(indices) < 0 or np.max(indices) >= self.allocated:
             raise ValueError("values placed on unallocated coordinates")
         coords = np.zeros(int(np.max(indices)) + 1, dtype=np.complex128)
         coords[indices] = values
@@ -145,23 +140,19 @@ class Vector:
         return f"Vector(support={support.tolist()[:8]}..., norm={self.norm():.6g})"
 
 
-def leading_rows(vectors, space: AmbientSpace) -> np.ndarray:
-    """Coordinates of `vectors`, all in `space`, as the rows of one array
-    over the leading coordinates that hold every nonzero entry."""
-    cols = max((len(v.prefix) for v in vectors), default=0)
-    rows = np.zeros((len(vectors), cols), dtype=np.complex128)
-    for i, v in enumerate(vectors):
-        if v.space is not space:
-            raise DomainMismatch("vector lives in a different space")
-        rows[i, :len(v.prefix)] = v.prefix
-    return rows
-
-
 def as_rows(items, space: AmbientSpace) -> np.ndarray:
     """`items` as rows over leading coordinates of `space`: a 2-d array as
-    it is, a list of Vectors through `leading_rows`."""
+    it is, Vectors (all in `space`) over the leading coordinates that hold
+    every nonzero entry."""
     if not isinstance(items, np.ndarray):
-        return leading_rows(list(items), space)
+        vectors = list(items)
+        rows = np.zeros((len(vectors), max((len(v.prefix) for v in vectors),
+                                           default=0)), dtype=np.complex128)
+        for i, v in enumerate(vectors):
+            if v.space is not space:
+                raise DomainMismatch("vector lives in a different space")
+            rows[i, :len(v.prefix)] = v.prefix
+        return rows
     rows = np.asarray(items, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] > space.capacity:
         raise ValueError("rows must be 2-d and at most the capacity wide")

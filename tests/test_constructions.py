@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
-                    ConstructionTrace, DenseOperator, DomainMismatch,
-                    LazyIsometry, NotExpansive, ScalarOperator,
-                    SubspaceNotContained, Vector,
+from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
+                    CapacityExceeded, ConstructionTrace, DenseOperator,
+                    DomainMismatch, LazyIsometry, NotExpansive,
+                    ScalarOperator, SubspaceNotContained, Vector,
                     certificate_evaluate, compressed_gram, defect_form,
                     diagonalizing_basis, direct_sum_power, expansive_generator,
                     gram_matrix, gram_schmidt, hermitian_eig,
@@ -75,11 +75,12 @@ def reference_construct(T, F_basis, space):
     y1 = [s * v + eps * q for v, q in zip(x, p)]
     y2 = [eps * v - s * q for v, q in zip(x, p)]
     q = [partner2(v) for v in y1]
-    a = [1.0 / t for t in norms]
-    b = [np.sqrt(max(1.0 - ai * ai, 0.0)) for ai in a]
+    a = [min(1.0 / t, 1.0) for t in norms]  # z1 = y1 for a norm just below 1
+    b = [np.sqrt(1.0 - ai * ai) for ai in a]
     z1 = [a[i] * y1[i] + b[i] * q[i] for i in range(n)]
     z2 = [b[i] * y1[i] - a[i] * q[i] for i in range(n)]
-    R = LazyIsometry(space, y1, [a[i] * target.apply(z1[i]) for i in range(n)])
+    R = LazyIsometry(space, y1, [target.apply(z1[i]) * (1.0 / norms[i])
+                                 for i in range(n)])
     block = BrownianBlock(R, y2, [(s * b[i] / eps) * target.apply(z2[i])
                                   for i in range(n)])
     return block, {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
@@ -306,6 +307,21 @@ class TestTheorem1:
         assert sp.allocated == 5 + 4 and sp.labels == {}
         assert_distance_to_twice_identity(block, f_basis, rng)
 
+    def test_empty_f_rejected(self):
+        sp = prepare_space(4)
+        with pytest.raises(AllVectorsNegligible, match="no input vectors"):
+            theorem1_construct([], sp)
+
+    def test_f_wider_than_h_rejected(self):
+        with pytest.raises(ValueError, match="exceeds dim"):
+            standard_f_basis(prepare_space(4), 5)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, 1.5, np.nan])
+    def test_epsilon_outside_zero_one_rejected(self, epsilon):
+        sp = prepare_space(4)
+        with pytest.raises(ValueError, match="epsilon"):
+            theorem1_construct(standard_f_basis(sp, 2), sp, epsilon=epsilon)
+
     def test_trace_reconstructions(self):
         sp = prepare_space(4)
         _, trace = theorem1_construct(standard_f_basis(sp, 3), sp)
@@ -497,6 +513,24 @@ class TestTheorem2:
     def test_not_expansive_rejected(self):
         with pytest.raises(NotExpansive):
             self.run(DenseOperator(0.5 * np.eye(2)), n=2)
+
+    def test_image_norm_just_below_one_is_roundoff(self):
+        # the generators' tolerance: 1 - 5e-11 certifies, 1 - 2e-10 does not
+        block, T4, trace, sp, f_basis = self.run(
+            DenseOperator(np.diag([1 - 5e-11, 2.0])), n=2)
+        cert = certificate_evaluate(T4, block, trace, f_basis,
+                                    operator_norm_T=2.0, bound_theoretical=1.5)
+        assert cert.ok and cert.defect_max <= 1e-13
+        assert cert.bound_measured == pytest.approx(0.5, rel=1e-9)
+        assert cert.bound_exact == pytest.approx(0.5, rel=1e-9)
+        i = int(np.argmin(trace.norms_Tx))
+        assert trace.norms_Tx[i] < 1.0 and trace.sigmas[i] == 0.0
+        np.testing.assert_array_equal(  # z1 = y1, and R's outputs stay unit
+            trace.z1_rows[i], padded(trace.y1_rows[i], trace.z1_rows.shape[1]))
+        np.testing.assert_allclose(
+            np.linalg.norm(block.R.defined_outputs, axis=1), 1.0, atol=1e-15)
+        with pytest.raises(NotExpansive):
+            self.run(DenseOperator(np.diag([1 - 2e-10, 2.0])), n=2)
 
     def test_mis_sized_label_named(self):
         # H2 and H3 hold 4 dim T coordinates between them, but not dim T each

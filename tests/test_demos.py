@@ -1,18 +1,24 @@
-"""Every narrative script in demos/ and every Python block of README.md
-runs to completion."""
+"""Every narrative script in demos/, every Python block of README.md and
+every `isolab` command line of README.md runs to completion."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from isolab import write_operator
+from isolab.harness import main
+
 ROOT = Path(__file__).resolve().parent.parent
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (ROOT / "README.md").read_text(encoding="utf-8"),
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README,
                            flags=re.M | re.S)
+README_CLI_LINES = re.findall(r"^isolab (.+)$", README, flags=re.M)
 
 
 def run_python(args):
@@ -33,3 +39,12 @@ def test_demo_exits_zero(script):
                          ids=[f"block{i}" for i in range(len(README_BLOCKS))])
 def test_readme_python_block_exits_zero(block):
     run_python(["-c", block])
+
+
+@pytest.mark.parametrize("line", README_CLI_LINES,
+                         ids=[line.split()[0] for line in README_CLI_LINES])
+def test_readme_cli_line_exits_zero(line, tmp_path, monkeypatch, capsys):
+    # run where README's relative paths (operator.json, table.csv) resolve
+    monkeypatch.chdir(tmp_path)
+    write_operator("operator.json", 2 * np.eye(3))
+    assert main(shlex.split(line)) == 0, capsys.readouterr().err

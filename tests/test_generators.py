@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from isolab import InvalidFamilyParameter, expansive_generator, random_unitary
+from isolab import (InvalidFamilyParameter, NotExpansive, expansive_generator,
+                    generators, random_unitary)
 
 
 def test_scalar_family():
@@ -54,3 +55,16 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(0)
     U = random_unitary(7, rng)
     np.testing.assert_allclose(np.conj(U.T) @ U, np.eye(7), atol=1e-12)
+
+
+def test_dim_must_be_positive():
+    with pytest.raises(ValueError):
+        expansive_generator(0, "scalar")
+
+
+def test_built_matrix_below_one_raises_not_expansive(monkeypatch):
+    # singular values drawn below 1 fail the final check, a raise that
+    # `python -O` keeps (an assert would be stripped)
+    monkeypatch.setattr(generators, "SV_RANGE", (0.5, 0.9))
+    with pytest.raises(NotExpansive, match="sigma_min"):
+        expansive_generator(4, "svd_random", seed=0)

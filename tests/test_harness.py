@@ -183,6 +183,17 @@ class TestEmitReport:
         for key in CSV_HEADER[1:]:
             assert key in text
 
+    def test_report_format_of_an_error_row(self):
+        row = Certificate(3, 1 / 3, *[np.nan] * 7, error="out of budget")
+        lines = emit_report([row], "report", None).splitlines()
+        assert lines[0] == "run n=3"
+        assert lines[2:] == [f"  {key}: nan" for key in CSV_HEADER[2:]] + [
+            "  error: out of budget"]
+
+    def test_read_rejects_a_wrong_header(self):
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_sweep_csv("n,epsilon\n2,0.5\n")
+
     def test_writes_file(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_report([], "csv", str(path))
@@ -361,6 +372,9 @@ class TestVerifyBlocks:
         assert sorted(set(orders)) == [1, 2, 3]
 
 
+HALF = '{"rows": 1, "cols": 1, "entries": [[0.5, 0]]}'
+
+
 class TestMain:
     def test_sweep_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -376,6 +390,15 @@ class TestMain:
                      "--n", ",".join(map(str, ns))]) == 0
         rows = read_sweep_csv(capsys.readouterr().out)
         assert [(r.n, r.epsilon) for r in rows] == [(n, 1.0 / n) for n in ns]
+
+    def test_id_plus_psd_family_certifies(self, capsys):
+        assert main(["sweep", "--family", "id-plus-psd", "--n", "1,3,7",
+                     "--dim-h", "8", "--seed", "5"]) == 0
+        rows = read_sweep_csv(capsys.readouterr().out)
+        T = expansive_generator(8, "id_plus_psd", seed=5)
+        assert [(r.n, r.norm_T) for r in rows] == [
+            (n, T.operator_norm) for n in (1, 3, 7)]
+        assert all(r.ok for r in rows)
 
     @pytest.mark.parametrize("capacity", ["24", "50"])
     def test_certificate_fits_any_run_that_built(self, capacity, capsys):
@@ -448,6 +471,19 @@ class TestMain:
         (["verify"], '{"rows": 0, "cols": 0, "entries": []}', "JSON integers"),
         (["verify"], '{"rows": "1", "cols": 1, "entries": [[2, 0]]}',
          "JSON integers"),
+        # the tolerance lies in (0, 1), else the contraction 0.5 passes
+        (["verify", "--tol-verify", "inf"], HALF, "--tol-verify"),
+        (["verify", "--tol-verify", "1.5"], HALF, "--tol-verify"),
+        (["verify", "--tol-verify", "nan"], HALF, "--tol-verify"),
+        (["verify", "--config", "PATH"], '{"tol_verify": Infinity}',
+         "--tol-verify"),
+        # malformed sweep lists and family specs, an unreadable config
+        (["sweep", "--n", "2,x"], None, "--n: invalid literal"),
+        (["sweep", "--n", "0"], None, "--n: entries must be positive"),
+        (["sweep", "--n", "2", "--family", "diag:"], None, "needs entries"),
+        (["sweep", "--n", "2", "--family", "nope"], None, "unknown spec"),
+        (["theorem1", "--dim-f", "2", "--config", "/nonexistent/cfg.json"],
+         None, "--config: "),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
             "verify-negative-tolerance", "zero-samples", "sweep-samples",
@@ -458,7 +494,10 @@ class TestMain:
             "scalar-below-one",
             "scalar-above-limit", "scalar-1e77", "scalar-1e100", "diag-1e200",
             "verify-above-limit", "verify-1e60", "float-rows", "bool-shape",
-            "zero-shape", "string-rows"])
+            "zero-shape", "string-rows", "tol-verify-inf", "tol-verify-1.5",
+            "tol-verify-nan", "config-tol-verify-inf", "n-not-integer",
+            "n-zero", "diag-no-entries", "unknown-family",
+            "unreadable-config"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if content is not None:

@@ -37,6 +37,17 @@ class TestGramSchmidt:
         with pytest.raises(AllVectorsNegligible):
             gram_schmidt([])
 
+    def test_negative_rank_tol_rejected(self):
+        sp = make_space(2)
+        with pytest.raises(ValueError, match="rank_tol"):
+            gram_schmidt([vec(sp, [1, 0])], rank_tol=-1e-10)
+
+    def test_every_vector_dropped_raises(self):
+        # no residual exceeds the largest input norm, so rank_tol 1.5 drops all
+        sp = make_space(2)
+        with pytest.raises(AllVectorsNegligible, match="every vector dropped"):
+            gram_schmidt([vec(sp, [1, 0]), vec(sp, [1, 1])], rank_tol=1.5)
+
     @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("factor, kept", [(1.01, 2), (0.99, 1)])
     def test_dependent_at_the_rank_tol_edge(self, rank_tol, factor, kept):
@@ -69,6 +80,10 @@ class TestGramSchmidt:
 
 
 class TestGramMatrix:
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            gram_matrix([])
+
     def test_orthonormal_gives_identity(self):
         sp = make_space(3)
         basis = [sp.basis_vector(i) for i in range(3)]

@@ -616,6 +616,37 @@ class TestDirectSumPower:
                         assert np.abs(op._apply_rows(off) - image).max() <= tol
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda sp: DenseOperator([1.0, 2.0]), "2-d"),
+    (lambda sp: LazyIsometry(sp, inputs=[sp.basis_vector(0)], outputs=[]),
+     "equal length"),
+    (lambda sp: BrownianBlock(LazyIsometry(sp), K_basis=[sp.basis_vector(0)],
+                              V_images=[]), "equal length"),
+    (lambda sp: BrownianBlock(LazyIsometry(sp), K_basis=[vec(sp, [1, 1])],
+                              V_images=[sp.zero()]), "not orthonormal"),
+    (lambda sp: direct_sum_power(DenseOperator(np.eye(2)), 3), "k must be"),
+    (lambda sp: direct_sum_power(DenseOperator(np.ones((2, 3))), 2),
+     "square"),
+    (lambda sp: defect_form(ScalarOperator(2.0), np.ones(2), 0), "m must be"),
+], ids=["1-d-matrix", "lazy-unequal-lengths", "block-unequal-lengths",
+        "non-orthonormal-k", "power-three", "non-square-power", "order-zero"])
+def test_malformed_arguments_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(make_space(2, capacity=8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda sp: DenseOperator(np.eye(2), sp, sp.labels["H1"]),
+    lambda sp: LazyIsometry(sp),
+    lambda sp: BrownianBlock(LazyIsometry(sp), [sp.basis_vector(0)],
+                             [sp.zero()]),
+], ids=["dense", "lazy", "block"])
+def test_vector_of_another_space_rejected(build):
+    op = build(make_space(2, capacity=8))
+    with pytest.raises(DomainMismatch):
+        op.apply(make_space(2, capacity=8).basis_vector(0))
+
+
 def test_cached_norms_are_fresh_norms(rng):
     # every Vector a constructor or an operator returns caches the norm
     # a fresh sum over its prefix gives

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolab import AmbientSpace, Vector
+from isolab import AmbientSpace, DomainMismatch, Vector
 
 from conftest import make_space
 
@@ -55,6 +55,15 @@ class TestVector:
         with pytest.raises(ValueError):
             Vector(coords, AmbientSpace(12))
 
+    def test_inner_across_spaces_rejected(self):
+        a, b = AmbientSpace(4), AmbientSpace(4)
+        with pytest.raises(DomainMismatch):
+            Vector(np.ones(2), a).inner(Vector(np.ones(2), b))
+
+    def test_repr_names_support_and_norm(self):
+        v = Vector(np.array([3.0, 0.0, 4j]), AmbientSpace(4))
+        assert repr(v) == "Vector(support=[0, 2]..., norm=5)"
+
     def test_accepts_huge_finite_entries(self):
         # the sum of squares overflows, the entries are finite
         v = Vector(np.array([1e200, 1e200]), AmbientSpace(12))
@@ -63,6 +72,17 @@ class TestVector:
 
 
 class TestAmbientSpace:
+    def test_rejects_bad_capacity_count_and_coordinate(self):
+        with pytest.raises(ValueError, match="capacity"):
+            AmbientSpace(0)
+        space = AmbientSpace(4)
+        with pytest.raises(ValueError, match="count"):
+            space.allocate(-1)
+        space.allocate(2)
+        with pytest.raises(ValueError, match="not allocated"):
+            space.basis_vector(2)
+        assert space.allocated == 2
+
     def test_vector_rejects_negative_indices(self):
         space = AmbientSpace(8)
         space.allocate(2)
@@ -75,9 +95,10 @@ class TestAmbientSpace:
 
     @pytest.mark.parametrize("values, indices", [
         ([1.0, 2.0], [0, 0]), ([1.0, 2.0, 3.0], [2, 0, 2]),
-        ([1.0], [0, 1, 2]), ([1.0, 2.0], [1]), ([1.0, 2.0], [[0, 1]])],
+        ([1.0], [0, 1, 2]), ([1.0, 2.0], [1]), ([1.0, 2.0], [[0, 1]]),
+        ([], None)],
         ids=["duplicate", "duplicate-unsorted", "one-value-three-indices",
-             "two-values-one-index", "2-d-indices"])
+             "two-values-one-index", "2-d-indices", "no-values"])
     def test_vector_rejects_malformed_index_lists(self, values, indices):
         space = AmbientSpace(8)
         space.allocate(3)
