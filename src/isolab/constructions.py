@@ -279,7 +279,8 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     """
     g_rows = as_rows(G_basis, trace.space)  # DomainMismatch for G elsewhere
     width = max(g_rows.shape[1], trace.x_rows.shape[1])
-    g_rows, f_rows = padded(g_rows, width), padded(trace.x_rows, width)
+    g_rows, f_rows = (a if a.shape[1] == width else padded(a, width)
+                      for a in (g_rows, trace.x_rows))
     g_in_f = (g_rows @ np.conj(f_rows).T) @ f_rows
     resid = np.linalg.norm(g_rows - g_in_f, axis=1)
     if np.any(resid > 1e-8 * np.maximum(np.linalg.norm(g_rows, axis=1), 1e-300)):
@@ -287,15 +288,17 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     # the projection onto F keeps roundoff off R's undefined directions
     q = orthonormal_rows(g_in_f)
     eq, rq = block._step(q)
-    moved = target._apply_rows(q)
-    width = max(a.shape[1] for a in (eq, moved, q))
-    eq, moved, q = (padded(a, width) for a in (eq, moved, q))
+    moved = target._apply_rows(q)  # a new array, at least as wide as q
+    if eq.shape[1] < moved.shape[1]:
+        eq = padded(eq, moved.shape[1])
+    eq[:, :moved.shape[1]] -= moved  # (B - target)Q, then (target - I)Q,
+    moved[:, :q.shape[1]] -= q       # in place: only narrower rows are padded
     eps, eta = trace.epsilon, block.hypothesis_residual()
 
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
-                       bound_measured=spectral_norm(np.hstack([eq - moved, rq])),
-                       bound_exact=eps * spectral_norm(moved - q),
+                       bound_measured=spectral_norm(np.hstack([eq, rq])),
+                       bound_exact=eps * spectral_norm(moved),
                        defect_max=10.0 * eta, expansivity_min=1.0 - 5.0 * eta,
                        orthogonality_max=trace.orthogonality_max)

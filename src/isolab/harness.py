@@ -20,7 +20,7 @@ from .constructions import (certificate_evaluate, prepare_space,
                             theorem2_construct, Certificate)
 from .errors import InvalidFamilyParameter, IsolabError, UsageError
 from .generators import expansive_generator
-from .operators import ScalarOperator, defect_form, read_operator, DenseOperator
+from .operators import DenseOperator, ScalarOperator, defect_form, read_operator
 
 CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
               "defect_max", "expansivity_min", "orthogonality_max", "wall_ms")
@@ -31,8 +31,8 @@ CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
 #: inside the float range, so the Gram sums behind the verdicts stay finite
 CONSTRUCTION_NORM_LIMIT = 1e76
 
-#: largest sigma_max verify accepts: the order-3 defect form and its scale
-#: take sigma_max^6, kept below 1e306
+#: largest sigma_max verify accepts: the order-3 defect operator and its
+#: scale take sigma_max^6, kept below 1e306
 VERIFY_NORM_LIMIT = 1e51
 
 
@@ -57,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-#: argparse types of the flags each subcommand reads; theorem1 builds no T
-#: and ignores --seed, which it accepts like the other construction commands
+#: argparse types of the flags each subcommand takes; theorem1 builds no T
+#: and ignores --seed, which it accepts like the other construction commands,
+#: and verify, which computes its defects exactly, ignores --samples and --seed
 _RUN_FLAGS = {"--dim-h": int, "--seed": int, "--capacity": int, "--out": str,
               "--format": str}
 _COMMAND_FLAGS = {
@@ -283,34 +284,31 @@ def read_sweep_csv(text: str):
 def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
     """Defect (orders 1-3) and expansivity suites on a stored operator.
 
-    Exit status 0 iff the operator is certified expansive at tol_verify;
-    the m-isometry verdicts are informational.
+    Reports max |d_m| = ||beta_m||_2, beta_0 = I, beta_m = B* beta_{m-1} B -
+    beta_{m-1}, as d_m at the eigenvector attaining it.  --samples and
+    --seed are accepted but not read.  Exit status 0 iff the operator is
+    certified expansive at tol_verify; m-isometry verdicts are informational.
     """
     try:
         op = DenseOperator(read_operator(cfg.input_path))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"--input {cfg.input_path}: "
                          f"{type(exc).__name__}: {exc}") from exc
     rows, cols = op.matrix.shape
     if rows != cols:
         raise UsageError(f"--input {cfg.input_path}: need a nonempty square "
                          f"matrix, got {rows}x{cols}")
-    rng = np.random.default_rng(cfg.seed)
     sigma = np.linalg.svd(op.matrix, compute_uv=False)
     if not sigma.max() <= VERIFY_NORM_LIMIT:
         raise UsageError(f"--input {cfg.input_path}: sigma_max = "
                          f"{float(sigma.max())!r} exceeds {VERIFY_NORM_LIMIT:g}")
     scale = max(1.0, float(sigma.max()) ** 2)
-    # blocks of 128 KiB of samples keep memory flat; each holds the draws of
-    # its samples in their one-by-one order, so a seed tests the same vectors
-    block = max(1, 8192 // op.dim)
+    B, beta = op.matrix, np.eye(op.dim, dtype=np.complex128)
     for m in (1, 2, 3):
-        worst = 0.0
-        for start in range(0, cfg.samples, block):
-            draws = rng.standard_normal((min(block, cfg.samples - start), 2, op.dim))
-            X = (draws[:, 0] + 1j * draws[:, 1]).T
-            X /= np.linalg.norm(X, axis=0)
-            worst = max(worst, float(np.abs(defect_form(op, X, m)).max()))
+        beta = np.conj(B.T) @ beta @ B - beta
+        beta = 0.5 * (beta + np.conj(beta.T))  # symmetrize roundoff
+        w, vecs = np.linalg.eigh(beta)
+        worst = abs(defect_form(op, vecs[:, np.abs(w).argmax()], m))
         verdict = "yes" if worst <= cfg.tol_verify * scale ** m else "no"
         stream.write(f"defect order {m}: max |d_{m}| = {_fmt(worst)} "
                      f"({m}-isometry: {verdict})\n")

@@ -340,26 +340,21 @@ def direct_sum_power(T: DenseOperator, k: int,
     return _DirectSumPower(T, k, space, indices)
 
 
-def _norm_of(x):
-    if isinstance(x, Vector):
-        return x.norm()
-    return np.linalg.norm(x, axis=0) if np.ndim(x) == 2 else float(np.linalg.norm(x))
-
-
 def defect_form(B, x, m: int):
     """Quadratic form of the m-isometry defect at x.
 
     Returns sum_{k=0}^m (-1)^(m-k) C(m, k) ||B^k x||^2, evaluated with
     forward applications only.  Zero (to roundoff) iff x is annihilated by
-    the defect operator of an m-isometry.  For a DenseOperator or
-    ScalarOperator, a (dim x k) array x gives the k forms of its columns.
+    the defect operator of an m-isometry.  x is a Vector, or a 1-d array
+    for a DenseOperator or ScalarOperator.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     total = 0.0
     v = x
     for k in range(m + 1):
-        total += (-1) ** (m - k) * comb(m, k) * _norm_of(v) ** 2
+        norm = v.norm() if isinstance(v, Vector) else float(np.linalg.norm(v))
+        total += (-1) ** (m - k) * comb(m, k) * norm ** 2
         if k < m:
             v = B.apply(v)
     return total

@@ -18,13 +18,14 @@ import numpy as np
 from .errors import CapacityExceeded, DomainMismatch
 
 
-@dataclass
+@dataclass(eq=False)
 class AmbientSpace:
     """Coordinate allocator with named subspace labels.
 
     Allocation only moves ``allocated`` forward; a coordinate, once handed
     out, is never reused.  Single writer: concurrent construction runs must
-    each own their space.
+    each own their space.  A space equals only itself and hashes by
+    identity, as vectors compare spaces with ``is``.
     """
 
     capacity: int
@@ -136,8 +137,9 @@ class Vector:
         return Vector(-self.prefix, self.space)
 
     def __repr__(self):
-        support = np.nonzero(np.abs(self.prefix) > 0)[0]
-        return f"Vector(support={support.tolist()[:8]}..., norm={self.norm():.6g})"
+        support = np.nonzero(self.prefix)[0].tolist()
+        more = "..." if len(support) > 8 else ""
+        return f"Vector(support={support[:8]}{more}, norm={self.norm():.6g})"
 
 
 def as_rows(items, space: AmbientSpace) -> np.ndarray:

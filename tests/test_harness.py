@@ -2,14 +2,14 @@ import dataclasses
 import io
 import json
 import re
-import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from isolab import (DenseOperator, UsageError, certificate_evaluate,
                     defect_form, expansive_generator, prepare_space,
-                    random_2nilpotent, read_operator, standard_f_basis,
+                    random_2nilpotent, random_unitary, standard_f_basis,
                     theorem2_construct, write_operator)
 from isolab import harness
 from isolab.constructions import (DEFECT_THRESHOLD, EXPANSIVITY_THRESHOLD,
@@ -17,29 +17,6 @@ from isolab.constructions import (DEFECT_THRESHOLD, EXPANSIVITY_THRESHOLD,
 from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
                             parse_config, read_sweep_csv, run_construction,
                             run_sweep, run_verify)
-
-
-def reference_verify(cfg, stream):
-    """`run_verify` one sample at a time: a draw of dim real and dim
-    imaginary parts and one `defect_form` call per sample."""
-    op = DenseOperator(read_operator(cfg.input_path))
-    rng = np.random.default_rng(cfg.seed)
-    dim = op.dim
-    scale = max(1.0, op.operator_norm ** 2)
-    for m in (1, 2, 3):
-        worst = 0.0
-        for _ in range(cfg.samples):
-            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            x /= np.linalg.norm(x)
-            worst = max(worst, abs(defect_form(op, x, m)))
-        verdict = "yes" if worst <= cfg.tol_verify * scale ** m else "no"
-        stream.write(f"defect order {m}: max |d_{m}| = {worst:.17g} "
-                     f"({m}-isometry: {verdict})\n")
-    smin = float(np.linalg.svd(op.matrix, compute_uv=False).min())
-    expansive = smin >= 1.0 - cfg.tol_verify
-    stream.write(f"sigma_min: {smin:.17g} "
-                 f"(expansive: {'yes' if expansive else 'no'})\n")
-    return 0 if expansive else 1
 
 
 class TestParseConfig:
@@ -314,47 +291,42 @@ class TestVerify:
         assert "(3-isometry: yes)" in lines[2]
 
 
-class TestVerifyBlocks:
-    DEFECT_LINE = re.compile(r"max \|d_\d\| = (\S+) \((\d-isometry: \w+)\)")
+class TestVerifyExact:
+    DEFECT_LINE = re.compile(r"defect order (\d): max \|d_\d\| = (\S+) ")
 
-    @pytest.mark.parametrize("samples", [1, 2000])
-    def test_blocks_match_the_per_sample_loop(self, tmp_path, samples):
-        dim = 48  # 170 samples a block: 2000 end in a partial block
-        for name, M in (
-                ("id+A", np.eye(dim) + random_2nilpotent(dim, 1).matrix),
-                ("svd", expansive_generator(dim, "svd_random", seed=2).matrix)):
+    @staticmethod
+    def operators(dim, rng):
+        """svd_random, id + A with A 2-nilpotent, and U diag(s) V* with s
+        from 0.3 to 2: expansive, a 3-isometry and a non-expansive one."""
+        s = np.linspace(0.3, 2.0, dim)
+        return {"svd": expansive_generator(dim, "svd_random", seed=dim).matrix,
+                "id+A": np.eye(dim) + random_2nilpotent(dim, dim + 1).matrix,
+                "usv": (random_unitary(dim, rng) * s) @ random_unitary(dim, rng)}
+
+    @pytest.mark.parametrize("dim", [2, 8, 48])
+    def test_reported_supremum_bounds_samples_and_is_attained(self, tmp_path,
+                                                              dim):
+        rng = np.random.default_rng(dim)
+        for name, M in self.operators(dim, rng).items():
             path = tmp_path / f"{name}.json"
             write_operator(path, M)
-            cfg = RunConfig(command="verify", input_path=str(path),
-                            samples=samples, seed=7)
-            out, ref = io.StringIO(), io.StringIO()
-            assert run_verify(cfg, out) == reference_verify(cfg, ref)
-            lines, ref_lines = (s.getvalue().splitlines() for s in (out, ref))
-            assert len(lines) == 4 and lines[3] == ref_lines[3]
-            scale = max(1.0, np.linalg.norm(M, 2) ** 2)
-            for m in (1, 2, 3):
-                value, verdict = self.DEFECT_LINE.search(lines[m - 1]).groups()
-                ref_value, ref_verdict = self.DEFECT_LINE.search(
-                    ref_lines[m - 1]).groups()
-                assert verdict == ref_verdict
-                assert abs(float(value) - float(ref_value)) <= 1e-12 * scale ** m
-
-    def test_peak_memory_flat_in_samples(self, tmp_path):
-        path = tmp_path / "op.json"
-        write_operator(path, 2 * np.eye(8))
-        peaks = []
-        for samples in (200, 20000):
-            cfg = RunConfig(command="verify", input_path=str(path),
-                            samples=samples)
-            tracemalloc.start()
-            try:
-                run_verify(cfg, io.StringIO())
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # blocks of 8192 // 8 = 1024 samples peak near 0.7 MB; one block of
-        # all 20000 samples would peak near 10 MB
-        assert peaks[1] <= peaks[0] + 2 ** 21
+            out = io.StringIO()
+            run_verify(RunConfig(command="verify", input_path=str(path)), out)
+            op, scale = DenseOperator(M), max(1.0, np.linalg.norm(M, 2) ** 2)
+            for found in self.DEFECT_LINE.finditer(out.getvalue()):
+                m, value = int(found.group(1)), float(found.group(2))
+                tol = scale ** m
+                # beta_m from its sum, not from verify's recursion
+                powers = [np.linalg.matrix_power(M, k) for k in range(m + 1)]
+                beta = sum((-1) ** (m - k) * comb(m, k) * np.conj(P.T) @ P
+                           for k, P in enumerate(powers))
+                w, vecs = np.linalg.eigh(0.5 * (beta + np.conj(beta.T)))
+                top = vecs[:, np.argmax(np.abs(w))]
+                assert abs(abs(defect_form(op, top, m)) - value) <= 1e-10 * tol
+                for _ in range(200):
+                    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                    x /= np.linalg.norm(x)
+                    assert abs(defect_form(op, x, m)) <= value + 1e-12 * tol
 
     def test_calls_defect_form_through_the_harness_binding(self, tmp_path,
                                                            monkeypatch):
@@ -369,7 +341,18 @@ class TestVerifyBlocks:
         write_operator(path, 2 * np.eye(3))
         run_verify(RunConfig(command="verify", input_path=str(path)),
                    io.StringIO())
-        assert sorted(set(orders)) == [1, 2, 3]
+        assert orders == [1, 2, 3]
+
+    def test_output_ignores_samples_and_seed(self, tmp_path):
+        path = tmp_path / "op.json"
+        write_operator(path, expansive_generator(8, "svd_random", seed=4).matrix)
+        reports = set()
+        for flags in (["--samples", "1"], ["--samples", "20000"],
+                      ["--seed", "0"], ["--seed", "12345"]):
+            out = io.StringIO()
+            cfg = parse_config(["verify", "--input", str(path), *flags])
+            reports.add((run_verify(cfg, out), out.getvalue()))
+        assert len(reports) == 1
 
 
 HALF = '{"rows": 1, "cols": 1, "entries": [[0.5, 0]]}'
@@ -417,6 +400,8 @@ class TestMain:
          "non-finite"),
         (["verify"], None, "No such file"),
         (["verify"], '{"rows": 1, ', "JSONDecodeError"),
+        (["verify"], '{"rows": 1, "cols": 1, "entries": [[1' + '0' * 400
+         + ', 0]]}', "OverflowError"),
         (["sweep", "--n", "2", "--family", "diag:abc"], None, "diag:abc"),
         (["sweep", "--n", "2", "--seed", "-1"], None, "--seed"),
         (["theorem1", "--dim-f", "2", "--capacity", "0"], None, "--capacity"),
@@ -485,6 +470,7 @@ class TestMain:
         (["theorem1", "--dim-f", "2", "--config", "/nonexistent/cfg.json"],
          None, "--config: "),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
+            "huge-int-entry",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
             "verify-negative-tolerance", "zero-samples", "sweep-samples",
             "verify-negative-samples", "theorem1-tol-verify", "verify-out",

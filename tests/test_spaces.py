@@ -62,7 +62,14 @@ class TestVector:
 
     def test_repr_names_support_and_norm(self):
         v = Vector(np.array([3.0, 0.0, 4j]), AmbientSpace(4))
-        assert repr(v) == "Vector(support=[0, 2]..., norm=5)"
+        assert repr(v) == "Vector(support=[0, 2], norm=5)"
+
+    def test_repr_marks_only_a_cut_support(self):
+        space = AmbientSpace(12)
+        assert repr(space.zero()) == "Vector(support=[], norm=0)"
+        eight, nine = (Vector(np.ones(k), space) for k in (8, 9))
+        assert repr(eight) == f"Vector(support={list(range(8))}, norm={8 ** 0.5:.6g})"
+        assert repr(nine) == f"Vector(support={list(range(8))}..., norm=3)"
 
     def test_accepts_huge_finite_entries(self):
         # the sum of squares overflows, the entries are finite
@@ -72,6 +79,14 @@ class TestVector:
 
 
 class TestAmbientSpace:
+    def test_equality_is_identity_and_spaces_hash(self):
+        a, b = AmbientSpace(4), AmbientSpace(4)
+        assert a == a and a != b
+        a.allocate(2, label="H1")
+        b.allocate(2, label="H1")  # equal fields, numpy labels included
+        assert a != b
+        assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+
     def test_rejects_bad_capacity_count_and_coordinate(self):
         with pytest.raises(ValueError, match="capacity"):
             AmbientSpace(0)
