@@ -28,16 +28,14 @@ DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
 @dataclass
 class ConstructionTrace:
-    """Every intermediate orthonormal system of a construction run, as rows
-    over the leading coordinates its support needs (see `_assemble`); `x`,
-    `y1`, `y2`, `z1` and `z2` build the systems as Vector lists on demand."""
+    """The systems x, y1, y2 of a construction run as rows over the leading
+    coordinates they need (see `_assemble`; the block holds z1's and z2's
+    images as W and V), built as Vector lists on demand by `x`, `y1`, `y2`."""
     space: AmbientSpace
     epsilon: float               # the first splitting's c, 1/dim(F) by default
     x_rows: np.ndarray           # diagonalizing ONB of F
     y1_rows: np.ndarray          # inputs of R
     y2_rows: np.ndarray          # ONB of the corner K
-    z1_rows: np.ndarray
-    z2_rows: np.ndarray
     sigmas: list
     norms_Tx: list
     orthogonality_max: float     # max_k ||<target(z_i^(k)), y2_j>||_F
@@ -45,8 +43,6 @@ class ConstructionTrace:
     x = property(lambda self: row_vectors(self.x_rows, self.space))
     y1 = property(lambda self: row_vectors(self.y1_rows, self.space))
     y2 = property(lambda self: row_vectors(self.y2_rows, self.space))
-    z1 = property(lambda self: row_vectors(self.z1_rows, self.space))
-    z2 = property(lambda self: row_vectors(self.z2_rows, self.space))
 
 
 #: threshold on the normalized order-2 defect for a row to count as passed
@@ -198,13 +194,14 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     # Step 3: K on the y2, V scaled per direction, R lazily extended
     sigmas = np.sqrt(1.0 - eps * eps) * b / eps
     tz1, tz2 = target._apply_rows(z1), target._apply_rows(z2)
-    R = LazyIsometry(space, inputs=y1, outputs=inv[:, None] * tz1)
-    block = BrownianBlock(R, K_basis=y2, V_images=sigmas[:, None] * tz2)
-
     ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
+    tz1 *= inv[:, None]     # W and V, scaled in place: `_apply_rows`
+    tz2 *= sigmas[:, None]  # always returns a new array
+    R = LazyIsometry(space, inputs=y1, outputs=tz1)
+    block = BrownianBlock(R, K_basis=y2, V_images=tz2)
+
     trace = ConstructionTrace(space=space, epsilon=eps, x_rows=x, y1_rows=y1,
-                              y2_rows=y2, z1_rows=z1, z2_rows=z2,
-                              sigmas=sigmas.tolist(),
+                              y2_rows=y2, sigmas=sigmas.tolist(),
                               norms_Tx=norms_Tx.tolist(),
                               orthogonality_max=ortho)
     return block, trace
@@ -298,7 +295,7 @@ def certificate_evaluate(target, block, trace, G_basis, *,
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        norm_T=operator_norm_T,
                        bound_theoretical=bound_theoretical,
-                       bound_measured=spectral_norm(np.hstack([eq, rq])),
+                       bound_measured=spectral_norm(eq, rq),
                        bound_exact=eps * spectral_norm(moved),
                        defect_max=10.0 * eta, expansivity_min=1.0 - 5.0 * eta,
                        orthogonality_max=trace.orthogonality_max)

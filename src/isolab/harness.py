@@ -335,8 +335,8 @@ def main(argv=None) -> int:
         if not cfg.out:
             sys.stdout.write(text)
         return 0 if all(row.ok for row in rows) else 1
-    except IsolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IsolabError, MemoryError) as exc:  # e.g. a huge --dim-h
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

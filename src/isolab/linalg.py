@@ -76,9 +76,11 @@ def gram_residual(rows: np.ndarray, other: np.ndarray | None = None) -> float:
     return float(np.linalg.norm(np.conj(rows[:, :k]) @ other[:, :k].T))
 
 
-def spectral_norm(rows: np.ndarray) -> float:
-    """||rows||_2 from the Gram matrix: for a few wide rows, cheaper than an SVD."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(rows @ np.conj(rows).T)[-1], 0.0)))
+def spectral_norm(*blocks: np.ndarray) -> float:
+    """||[blocks]||_2 of row blocks side by side, from the sum of their Gram
+    matrices: for a few wide rows, cheaper than an SVD, and nothing stacked."""
+    gram = sum(b @ np.conj(b).T for b in blocks)
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def hermitian_eig(M: np.ndarray):

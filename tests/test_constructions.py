@@ -17,7 +17,7 @@ from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
 from isolab.constructions import DEFECT_THRESHOLD
 from isolab.spaces import padded
 
-from conftest import make_space, vec
+from conftest import make_space, second_split, theorem2_partner2, vec
 
 
 def random_instantiated(space, rng):
@@ -74,16 +74,24 @@ def reference_construct(T, F_basis, space):
     p = [partner1(v) for v in x]
     y1 = [s * v + eps * q for v, q in zip(x, p)]
     y2 = [eps * v - s * q for v, q in zip(x, p)]
-    q = [partner2(v) for v in y1]
-    a = [min(1.0 / t, 1.0) for t in norms]  # z1 = y1 for a norm just below 1
-    b = [np.sqrt(1.0 - ai * ai) for ai in a]
-    z1 = [a[i] * y1[i] + b[i] * q[i] for i in range(n)]
-    z2 = [b[i] * y1[i] - a[i] * q[i] for i in range(n)]
+    z1, z2 = second_split(y1, norms, partner2)
+    b = [np.sqrt(1.0 - min(1.0 / t, 1.0) ** 2) for t in norms]
     R = LazyIsometry(space, y1, [target.apply(z1[i]) * (1.0 / norms[i])
                                  for i in range(n)])
     block = BrownianBlock(R, y2, [(s * b[i] / eps) * target.apply(z2[i])
                                   for i in range(n)])
-    return block, {"x": x, "y1": y1, "y2": y2, "z1": z1, "z2": z2}
+    return block, {"x": x, "y1": y1, "y2": y2}
+
+
+def assert_block_holds_z_images(block, trace, target, z1, z2):
+    """R's first outputs W are target(z1_i)/||Tx_i|| and V's rows are
+    sigma_i target(z2_i), for z1, z2 rebuilt by `second_split`."""
+    tol = 1e-12 * target.operator_norm * max(1.0, *trace.sigmas)
+    for i in range(len(z1)):
+        w = Vector(block.R.defined_outputs[i], trace.space)
+        v = Vector(block._V[i], trace.space)
+        assert (w - (1.0 / trace.norms_Tx[i]) * target.apply(z1[i])).norm() <= tol
+        assert (v - trace.sigmas[i] * target.apply(z2[i])).norm() <= tol
 
 
 def copy_to(block, space):
@@ -324,14 +332,18 @@ class TestTheorem1:
 
     def test_trace_reconstructions(self):
         sp = prepare_space(4)
-        _, trace = theorem1_construct(standard_f_basis(sp, 3), sp)
+        block, trace = theorem1_construct(standard_f_basis(sp, 3), sp)
+        fresh = iter(range(sp.allocated - 3, sp.allocated))  # second partner
+        z1, z2 = second_split(trace.y1, trace.norms_Tx,
+                              lambda v: sp.basis_vector(next(fresh)))
         eps = 1.0 / 3.0
         s = np.sqrt(1 - eps ** 2)
         for i in range(3):
             recon = s * trace.y1[i] + eps * trace.y2[i]
             assert (trace.x[i] - recon).norm() <= 1e-12
-            recon2 = 0.5 * trace.z1[i] + (np.sqrt(3) / 2) * trace.z2[i]
+            recon2 = 0.5 * z1[i] + (np.sqrt(3) / 2) * z2[i]
             assert (trace.y1[i] - recon2).norm() <= 1e-12
+        assert_block_holds_z_images(block, trace, ScalarOperator(2.0), z1, z2)
         G = gram_matrix(trace.y1 + trace.y2)
         assert np.max(np.abs(G - np.eye(6))) <= 1e-10
 
@@ -380,11 +392,12 @@ class TestTheorem2:
 
     def test_step3_orthogonality(self):
         T = expansive_generator(8, "svd_random", seed=9)
-        _, T4, trace, _, _ = self.run(T, n=4)
+        _, T4, trace, sp, _ = self.run(T, n=4)
         assert trace.orthogonality_max <= 1e-10 * T.operator_norm
         # the larger Frobenius norm of the overlaps of z1's and z2's images
+        zs = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
         overlaps = [np.linalg.norm([[T4.apply(u).inner(w) for w in trace.y2]
-                                    for u in z]) for z in (trace.z1, trace.z2)]
+                                    for u in z]) for z in zs]
         assert trace.orthogonality_max == pytest.approx(
             max(overlaps), rel=0, abs=1e-15 * T.operator_norm)
 
@@ -393,12 +406,13 @@ class TestTheorem2:
         block, _, trace, sp, _ = self.run(T, n=8)
         assert sp.capacity == 4096
         # each system over the coordinates its support needs: x over F's
-        # 8, y over H1 and H2, z over all four copies
+        # 8, y over H1 and H2, W and V (z's images) over all four copies
         h = [sp.labels[k] for k in ("H1", "H2", "H3", "H4")]
-        widths = {"x": 8, "y1": 1 + max(h[1]), "y2": 1 + max(h[1]),
-                  "z1": 1 + max(h[3]), "z2": 1 + max(h[3])}
+        widths = {"x": 8, "y1": 1 + max(h[1]), "y2": 1 + max(h[1])}
         for name, width in widths.items():
             assert getattr(trace, name + "_rows").shape == (8, width), name
+        for rows in (block.R.defined_outputs, block._V):
+            assert rows.shape == (8, 1 + max(h[3]))
         for _ in range(3):  # extensions keep the storage on the allocated span
             block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
             for rows in (block.R.defined_inputs, block.R.defined_outputs,
@@ -431,6 +445,26 @@ class TestTheorem2:
         finally:
             tracemalloc.stop()
         assert peak < 14e6
+
+    def test_each_construction_array_held_once_at_dim_128(self):
+        # the block holds W and V, the trace no z1, z2 and the certificate
+        # no stacked copy: measured 3.43e6 B retained and an 8.94e6 B peak
+        # (5.53e6 and 12.35e6 with the z rows kept and [E | r] stacked)
+        T = expansive_generator(128, "svd_random", seed=1)
+        sp = prepare_space(128)
+        f_basis = standard_f_basis(sp, 128)
+        tracemalloc.start()
+        try:
+            block, T4, trace = theorem2_construct(T, f_basis, sp)
+            retained = tracemalloc.get_traced_memory()[0]
+            certificate_evaluate(T4, block, trace, f_basis,
+                                 operator_norm_T=T.operator_norm,
+                                 bound_theoretical=(T.operator_norm + 1) / 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 4.5e6
+        assert peak < 10.5e6
 
     def test_construction_and_certificate_peak_memory_at_dim_128(self):
         # measured 12.6 MB (19.4 MB with K, U and the certificate's Q
@@ -501,14 +535,16 @@ class TestTheorem2:
     def test_step2_reconstruction_and_norms(self):
         T = expansive_generator(4, "id_plus_psd", seed=1)
         block, T4, trace, sp, _ = self.run(T, n=2)
+        z1, z2 = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
         for i in range(2):
             a = 1.0 / trace.norms_Tx[i]
             b = np.sqrt(1 - a ** 2)
-            recon = a * trace.z1[i] + b * trace.z2[i]
+            recon = a * z1[i] + b * z2[i]
             assert (trace.y1[i] - recon).norm() <= 1e-12
-            assert T4.apply(trace.z1[i]).norm() == pytest.approx(
+            assert T4.apply(z1[i]).norm() == pytest.approx(
                 trace.norms_Tx[i], abs=1e-10)
             assert trace.norms_Tx[i] >= 1.0 - 1e-10
+        assert_block_holds_z_images(block, trace, T4, z1, z2)
 
     def test_not_expansive_rejected(self):
         with pytest.raises(NotExpansive):
@@ -525,8 +561,12 @@ class TestTheorem2:
         assert cert.bound_exact == pytest.approx(0.5, rel=1e-9)
         i = int(np.argmin(trace.norms_Tx))
         assert trace.norms_Tx[i] < 1.0 and trace.sigmas[i] == 0.0
-        np.testing.assert_array_equal(  # z1 = y1, and R's outputs stay unit
-            trace.z1_rows[i], padded(trace.y1_rows[i], trace.z1_rows.shape[1]))
+        # z1 = y1, so W = T4(y1)/||Tx|| and V's row is zero; R's outputs
+        # stay unit
+        z1, z2 = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
+        np.testing.assert_array_equal(z1[i].prefix, trace.y1[i].prefix)
+        assert_block_holds_z_images(block, trace, T4, z1, z2)
+        np.testing.assert_array_equal(block._V[i], 0.0)
         np.testing.assert_allclose(
             np.linalg.norm(block.R.defined_outputs, axis=1), 1.0, atol=1e-15)
         with pytest.raises(NotExpansive):
@@ -744,8 +784,7 @@ class TestCertificate:
         block = BrownianBlock(R, K_basis=k, V_images=2 * e[[3]])
         trace = ConstructionTrace(space=sp, epsilon=1.0, x_rows=k,
                                   y1_rows=e[[1]],
-                                  y2_rows=k, z1_rows=e[[2]], z2_rows=e[[3]],
-                                  sigmas=[2.0], norms_Tx=[1.0],
+                                  y2_rows=k, sigmas=[2.0], norms_Tx=[1.0],
                                   orthogonality_max=0.0)
         cert = certificate_evaluate(ScalarOperator(1.0), block, trace,
                                     [Vector(k[0], sp)], operator_norm_T=1.0,
@@ -1092,6 +1131,14 @@ class TestRowPipeline:
             for v, ref_v in zip(vectors, ref_vectors):
                 np.testing.assert_allclose(v.coords, ref_v.coords,
                                            rtol=0, atol=1e-12)
+
+        def stored(b):  # U, W, K, V: y1, z1's and z2's images, y2
+            return [padded(a, sp.capacity) for a in (
+                b.R.defined_inputs, b.R.defined_outputs, b._K, b._V)]
+
+        for rows, ref_rows in zip(stored(block), stored(ref_block)):
+            np.testing.assert_allclose(rows, ref_rows, rtol=0,
+                                       atol=1e-12 * max(1.0, ref_block._vnorm))
         for _ in range(3):  # each application extends R on both sides
             c = rng.standard_normal(sp.allocated) + 1j * rng.standard_normal(
                 sp.allocated)
@@ -1104,3 +1151,63 @@ class TestRowPipeline:
             np.testing.assert_allclose(block.apply(sp.vector(c)).coords, want,
                                        rtol=0, atol=1e-12 * np.linalg.norm(c))
             assert sp.allocated == ref_sp.allocated
+
+
+def random_combination(basis, rng):
+    """A random nonzero vector of span(basis), with complex coefficients."""
+    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return sum((cj * v for cj, v in zip(c, basis)), basis[0].space.zero())
+
+
+class TestPointwiseIdentity:
+    """||(B - T^(4))x|| = eps ||(T - I)x|| at every x in F, not only at the
+    supremum the certificate reports: B x_i = s T^(4)y1_i + eps y2_i, and
+    T^(4) commutes with the partner map.  Theorem 1 is the T = 2 id case,
+    ||(B - 2)x|| = eps ||x||.  Along a chain with eps = 1/dim F_k this is
+    the strong-operator convergence B_k -> T^(4) on F_1 (demo 05)."""
+
+    epsilons = st.one_of(st.none(), st.floats(1e-60, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["svd_random", "id_plus_psd", "diagonal"]),
+           dim=st.integers(1, 8), n_frac=st.floats(0.0, 1.0),
+           epsilon=epsilons, seed=st.integers(0, 2**32 - 1))
+    def test_theorem2_distance_at_every_x(self, family, dim, n_frac, epsilon,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        T = expansive_generator(dim, family, seed=seed,
+                                diag=1.0 + 3.0 * rng.random(dim))
+        sp = prepare_space(dim)
+        n = 1 + int(n_frac * (dim - 1))
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        f_basis = [sp.vector(c, sp.labels["H1"]) for c in coeffs]  # not aligned
+        block, T4, trace = theorem2_construct(T, f_basis, sp, epsilon=epsilon)
+        T1 = T.embedded(sp, sp.labels["H1"])
+        scale = max(1.0, block.operator_norm ** 2) ** 2
+        for _ in range(5):
+            x = random_combination(f_basis, rng)
+            gap = ((block.apply(x) - T4.apply(x)).norm()
+                   - trace.epsilon * (T1.apply(x) - x).norm())
+            assert abs(gap) <= 1e-12 * (T.operator_norm + 1) * x.norm()
+            assert abs(defect_form(block, x, 2)) <= 1e-8 * scale * x.norm() ** 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 6), extra=st.integers(0, 3),
+           n_frac=st.floats(0.0, 1.0), epsilon=epsilons,
+           seed=st.integers(0, 2**32 - 1))
+    def test_theorem1_distance_at_every_x(self, dim, extra, n_frac, epsilon,
+                                          seed):
+        rng = np.random.default_rng(seed)
+        sp = prepare_space(dim)
+        sp.allocate(extra)
+        span = dim + extra  # F anywhere in the instantiated span
+        n = 1 + int(n_frac * (span - 1))
+        coeffs = rng.standard_normal((n, span)) + 1j * rng.standard_normal((n, span))
+        f_basis = [sp.vector(c) for c in coeffs]
+        block, trace = theorem1_construct(f_basis, sp, epsilon=epsilon)
+        scale = max(1.0, block.operator_norm ** 2) ** 2
+        for _ in range(5):
+            x = random_combination(f_basis, rng)
+            gap = (block.apply(x) - 2.0 * x).norm() - trace.epsilon * x.norm()
+            assert abs(gap) <= 3e-12 * x.norm()
+            assert abs(defect_form(block, x, 2)) <= 1e-8 * scale * x.norm() ** 2

@@ -515,6 +515,22 @@ class TestMain:
         (row,) = read_sweep_csv(capsys.readouterr().out)
         assert abs(row.expansivity_min - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type int64", "Unable to allocate 7.28 TiB"),
+        ("", "MemoryError")], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exit_two(self, monkeypatch, capsys, message, shown):
+        # a huge --dim-h ends in numpy's MemoryError; it is raised by hand
+        # here, since a host that overcommits memory would try to allocate
+        def out_of_memory(*args):
+            raise MemoryError(message)
+        monkeypatch.setattr(harness, "prepare_space", out_of_memory)
+        assert main(["theorem1", "--dim-f", "1",
+                     "--dim-h", "1000000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {shown}")
+        assert err.count("\n") == 1
+
     def test_unwritable_out_fails_before_any_row(self, monkeypatch, capsys):
         def no_rows(*args):
             raise AssertionError("a row was built")

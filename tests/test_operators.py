@@ -14,7 +14,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     write_operator)
 from isolab.spaces import padded
 
-from conftest import make_space, vec
+from conftest import make_space, second_split, theorem2_partner2, vec
 
 
 class FullCapacityIsometry:
@@ -663,7 +663,8 @@ def test_cached_norms_are_fresh_norms(rng):
     made = [u, w, sp.basis_vector(5), sp.zero(), Vector(np.zeros(4), sp),
             u + w, u - w, 2.5j * u, u * 3, -w, T4.apply(w),
             T.embedded(sp, sp.labels["H1"]).apply(u), R.apply(u),
-            block.apply(u), block.apply(block.apply(w)), *trace.z2]
+            block.apply(u), block.apply(block.apply(w)), *trace.y2,
+            *second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))[1]]
     for v in made:
         assert v.norm() == np.sqrt(np.vdot(v.prefix, v.prefix).real)
 
