@@ -25,6 +25,13 @@ from .spaces import AmbientSpace, Vector, as_rows, padded, row_vectors
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
+#: largest dim(F) ||T|| a construction command accepts, and largest
+#: ||Tx_i||/eps the assembly accepts: the defect normalization
+#: max(1, ||B||^2)^2 takes the 4th power of ||B|| <= sqrt(1 + (||T||/eps)^2),
+#: kept below 1e304, four decades inside the float range, so the Gram sums
+#: behind the verdicts stay finite
+CONSTRUCTION_NORM_LIMIT = 1e76
+
 
 @dataclass
 class ConstructionTrace:
@@ -179,6 +186,10 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
     eps = 1.0 / len(x) if epsilon is None else float(epsilon)
     if not 0.0 < eps <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
+    # V's rows are orthogonal with norms sigma_i ||Tx_i|| <= ||Tx_i||/eps
+    if norms_Tx.max() > eps * CONSTRUCTION_NORM_LIMIT:
+        raise ValueError(f"epsilon = {eps!r} too small: ||Tx||/epsilon exceeds "
+                         f"{CONSTRUCTION_NORM_LIMIT:g}")
 
     # Step 1: split across the first partner copy
     y1, y2 = _split(x, partner1(x), np.sqrt(1.0 - eps * eps), eps)

@@ -15,21 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import (certificate_evaluate, prepare_space,
-                            standard_f_basis, theorem1_construct,
-                            theorem2_construct, Certificate)
+from .constructions import (CONSTRUCTION_NORM_LIMIT, certificate_evaluate,
+                            prepare_space, standard_f_basis,
+                            theorem1_construct, theorem2_construct,
+                            Certificate)
 from .errors import InvalidFamilyParameter, IsolabError, UsageError
 from .generators import expansive_generator
 from .operators import DenseOperator, ScalarOperator, defect_form, read_operator
 
 CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
               "defect_max", "expansivity_min", "orthogonality_max", "wall_ms")
-
-#: largest dim(F) ||T|| a construction command accepts: the defect
-#: normalization max(1, ||B||^2)^2 takes the 4th power of
-#: ||B|| <= sqrt(1 + (dim(F) ||T||)^2), kept below 1e304, four decades
-#: inside the float range, so the Gram sums behind the verdicts stay finite
-CONSTRUCTION_NORM_LIMIT = 1e76
 
 #: largest sigma_max verify accepts: the order-3 defect operator and its
 #: scale take sigma_max^6, kept below 1e306

@@ -17,8 +17,9 @@ def gram_schmidt(vectors, rank_tol: float = 1e-10):
     """Orthonormalize `vectors`, dropping numerically dependent ones.
 
     Works on the leading coordinates that carry the inputs (see
-    `orthonormal_rows`).  A vector whose residual after projection is at
-    most ``rank_tol * max input norm`` is dropped.
+    `orthonormal_rows`: one Householder QR, or the Gram-Schmidt loop when
+    a vector is dropped).  A vector whose residual after projection onto
+    the ones before it is at most ``rank_tol * max input norm`` is dropped.
 
     Raises AllVectorsNegligible if nothing survives.
     """
@@ -31,9 +32,14 @@ def gram_schmidt(vectors, rank_tol: float = 1e-10):
 def orthonormal_rows(rows: np.ndarray, rank_tol: float = 1e-10):
     """Orthonormal rows spanning the rows of `rows`, taken in order.
 
-    Classical Gram-Schmidt with one reorthogonalization (CGS2): each row is
-    projected off the accepted block twice, by two matrix-vector passes.
-    The drop rule and errors are those of `gram_schmidt`.
+    One reduced Householder QR of the rows as columns, rows = (QR)^T.  The
+    k-th residual after projection onto the rows before it is R_kk q_k,
+    so the rows (Q diag(R_kk/|R_kk|))^T are those of Gram-Schmidt up to
+    rounding: same order, nested spans and phases.  When some |R_kk| is
+    at most ``rank_tol * max row norm`` (the drop rule of `gram_schmidt`),
+    or there are more rows than columns, classical Gram-Schmidt with one
+    reorthogonalization (CGS2) runs instead, row by row, and drops those
+    rows: so which rows are dropped follows from the input's rank alone.
     """
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
@@ -42,6 +48,13 @@ def orthonormal_rows(rows: np.ndarray, rank_tol: float = 1e-10):
     scale = np.linalg.norm(rows, axis=1).max()
     if scale == 0.0:
         raise AllVectorsNegligible("all inputs are zero")
+    if len(rows) <= rows.shape[1]:
+        q, r = np.linalg.qr(rows.T)
+        d = np.diagonal(r)
+        ad = np.abs(d)
+        if np.all(ad > rank_tol * scale):
+            return np.multiply(q.T, (d / ad)[:, None], order="C",
+                               dtype=np.complex128)
     basis = np.zeros(rows.shape, dtype=np.complex128)
     k = 0
     for row in rows:

@@ -145,8 +145,11 @@ class LazyIsometry:
         self._U, self._W = as_rows(inputs, space), as_rows(outputs, space)
         self._m = len(self._U)                                  # stored rows
         self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths
-        for rows, which in ((self._U, "inputs"), (self._W, "outputs")):
-            if gram_residual(rows) > 1e-10:
+        # (defined_count, e_U, e_W) of the rows given, which
+        # `BrownianBlock.hypothesis_residual` reads until R extends
+        self._residuals = (self._m, gram_residual(self._U), gram_residual(self._W))
+        for e, which in zip(self._residuals[1:], ("inputs", "outputs")):
+            if e > 1e-10:
                 raise ValueError(f"defined {which} are not orthonormal to 1e-10")
 
     @property
@@ -242,11 +245,14 @@ class BrownianBlock:
         self.R = R
         self.space = R.space
         self._K, self._V = (as_rows(a, self.space) for a in (K_basis, V_images))
-        if gram_residual(self._K) > 1e-10:
+        self._e_K = gram_residual(self._K)
+        if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
         self._vnorm = spectral_norm(self._V) if len(self._K) else 0.0
-        # Im(R) perpendicular to Im(V) on everything instantiated so far
-        if gram_residual(R.defined_outputs, self._V) > 1e-10 * self._vnorm:
+        # Im(R) perpendicular to Im(V) on everything instantiated so far;
+        # (R's row count, e_WV) kept for `hypothesis_residual`
+        self._e_WV = (R.defined_count, gram_residual(R.defined_outputs, self._V))
+        if self._e_WV[1] > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
     @property
@@ -283,12 +289,20 @@ class BrownianBlock:
         4.5e_K + 2e_U + 8e_W + 9e_WK + 2.7e_VK + 4e_WV <= 9 eta.  Higher orders
         stay within 10 eta and 5 eta for eta <= 1/50, past which the row fails
         anyway.  e_UK enters neither, but y1 is orthogonal to y2 so that
-        B y1 = R y1."""
+        B y1 = R y1.
+        e_K, and e_U, e_W and e_WV while R holds the rows it held when they
+        were computed, are those the constructors checked (the same floats);
+        once R has extended, these three are computed afresh from its rows.
+        e_UK, e_WK and e_VK are computed here."""
         U, W = self.R.defined_inputs, self.R.defined_outputs
         K, V, nu = self._K, self._V, max(self._vnorm, 1e-300)
-        return (gram_residual(U) + gram_residual(W) + gram_residual(K)
-                + gram_residual(U, K) + gram_residual(W, K)
-                + (gram_residual(W, V) + gram_residual(V, K)) / nu)
+        (m, e_U, e_W), (m_WV, e_WV) = self.R._residuals, self._e_WV
+        if m != self.R.defined_count:  # R has extended since
+            e_U, e_W = gram_residual(U), gram_residual(W)
+        if m_WV != self.R.defined_count:
+            e_WV = gram_residual(W, V)
+        return (e_U + e_W + self._e_K + gram_residual(U, K) + gram_residual(W, K)
+                + (e_WV + gram_residual(V, K)) / nu)
 
     def _first_pass(self, X: np.ndarray):
         """`_step` with one projection pass (`LazyIsometry._project`)."""

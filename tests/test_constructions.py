@@ -14,6 +14,7 @@ from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
                     prepare_space, split_pair, standard_f_basis,
                     theorem1_construct, theorem2_construct, translate)
 
+from isolab import operators
 from isolab.constructions import DEFECT_THRESHOLD
 from isolab.spaces import padded
 
@@ -362,6 +363,22 @@ class TestTheorem2:
         sp = prepare_space(dim)
         f_basis = standard_f_basis(sp, n)
         return theorem2_construct(T, f_basis, sp, epsilon=epsilon) + (sp, f_basis)
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 5e-324, 1e-150])
+    def test_epsilon_too_small_for_the_norm_limit_rejected(self, epsilon):
+        # V's rows have norms up to ||Tx||/eps: above 1e76 the block's norm,
+        # the 1/eps scaling or the certificate's normalization overflows
+        T = expansive_generator(3, "svd_random", seed=0)
+        with pytest.raises(ValueError, match="epsilon = .* too small"):
+            self.run(T, n=2, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1e-60, 1e-20])
+    def test_small_epsilon_within_the_norm_limit_builds(self, epsilon):
+        T = expansive_generator(3, "svd_random", seed=0)
+        block, T4, trace, sp, f_basis = self.run(T, n=2, epsilon=epsilon)
+        assert np.isfinite(block.operator_norm)
+        assert block.operator_norm <= T.operator_norm / epsilon
+        assert block.hypothesis_residual() < 1e-12
 
     def test_identity_operator(self, rng):
         block, T4, trace, sp, f_basis = self.run(
@@ -869,6 +886,44 @@ class TestRecordedQuantities:
             assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
             assert 0.0 < eta < 1e-12
             assert (sp.allocated, block.R.defined_count) == (allocated, count)
+
+    def test_certificate_reuses_the_constructors_residuals(self, monkeypatch):
+        # the constructors computed e_U, e_W, e_K and e_WV on the same rows;
+        # the certificate computes only e_UK, e_WK and e_VK, and adds the
+        # same floats in the same order as seven fresh calls would
+        T = expansive_generator(8, "svd_random", seed=4)
+        sp = prepare_space(8)
+        f_basis = standard_f_basis(sp, 4)
+        block, T4, trace = theorem2_construct(T, f_basis, sp)
+        residual = operators.gram_residual
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        def fresh_eta():
+            U, W = block.R.defined_inputs, block.R.defined_outputs
+            K, V, nu = block._K, block._V, block._vnorm
+            return (residual(U) + residual(W) + residual(K) + residual(U, K)
+                    + residual(W, K) + (residual(W, V) + residual(V, K)) / nu)
+
+        monkeypatch.setattr(operators, "gram_residual", counted)
+        cert = certificate_evaluate(T4, block, trace, f_basis,
+                                    operator_norm_T=T.operator_norm,
+                                    bound_theoretical=(T.operator_norm + 1) / 4)
+        assert len(calls) == 3
+        assert cert.defect_max == 10.0 * fresh_eta()
+        # the last coordinate of H4 lies outside R's span: R extends, so
+        # e_U, e_W and e_WV are recomputed over its new rows
+        count = block.R.defined_count
+        block.apply(sp.basis_vector(sp.allocated - 1))
+        assert block.R.defined_count == count + 1
+        calls.clear()
+        eta = block.hypothesis_residual()
+        assert len(calls) == 6
+        assert eta == fresh_eta()
+        assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
 
     def test_certificate_reports_ten_and_five_eta(self):
         T = expansive_generator(8, "svd_random", seed=4)

@@ -1,10 +1,96 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isolab import (AllVectorsNegligible, NotHermitian, Vector, gram_matrix,
                     gram_schmidt, hermitian_eig)
+from isolab.linalg import orthonormal_rows
+from isolab.spaces import as_rows
 
 from conftest import make_space, vec
+
+
+def reference_orthonormal_rows(rows, rank_tol=1e-10):
+    """Classical Gram-Schmidt with one reorthogonalization (CGS2), row by
+    row: the loop `orthonormal_rows` falls back to when a row is dropped."""
+    scale = np.linalg.norm(rows, axis=1).max()
+    basis = np.zeros(rows.shape, dtype=np.complex128)
+    k = 0
+    for row in rows:
+        v = np.array(row, dtype=np.complex128)
+        for _ in range(2):
+            v -= np.conj(basis[:k] @ np.conj(v)) @ basis[:k]
+        r = np.linalg.norm(v)
+        if r > rank_tol * scale:
+            basis[k] = v / r
+            k += 1
+    return basis[:k]
+
+
+def subspace_rows(rng, n, dim, width):
+    """n random complex combinations of an orthonormal basis of a random
+    dim-dimensional subspace of C^width, aligned with no coordinate."""
+    a = rng.standard_normal((width, dim)) + 1j * rng.standard_normal((width, dim))
+    basis = np.linalg.qr(a)[0].T
+    c = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return c @ basis
+
+
+def assert_matches_reference(out, rows):
+    """Same count as CGS2 and orthonormal to 1e-13; if every row is kept,
+    the rows agree with CGS2's to 1e-12 cond(rows), else they are CGS2's."""
+    ref = reference_orthonormal_rows(rows)
+    assert out.shape == ref.shape and out.dtype == np.complex128
+    assert np.max(np.abs(np.conj(out) @ out.T - np.eye(len(out)))) <= 1e-13
+    if len(ref) < len(rows):  # a row is dropped: the loop ran
+        assert np.array_equal(out, ref)
+    else:
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.cond(rows)
+
+
+class TestHouseholderAgainstCGS2:
+    """`orthonormal_rows` is one Householder QR when no row is dropped and
+    the CGS2 loop otherwise; either way it gives CGS2's rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 12), dim_frac=st.floats(0.0, 1.0),
+           n=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_rows_of_a_subspace(self, width, dim_frac, n, seed):
+        # n <= dim: full rank, through QR (n = width when dim = width);
+        # n > dim, including n > width: dependent, through the loop
+        dim = 1 + int(dim_frac * (width - 1))
+        rows = subspace_rows(np.random.default_rng(seed), n, dim, width)
+        out = orthonormal_rows(rows)
+        assert len(out) == min(n, dim)
+        assert_matches_reference(out, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(2, 12), n=st.integers(2, 10),
+           planted=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_planted_dependent_combinations(self, width, n, planted, seed):
+        rng = np.random.default_rng(seed)
+        n = min(n, width)
+        rows = subspace_rows(rng, n, width, width)
+        for _ in range(planted):  # a combination of the rows before it
+            at = int(rng.integers(1, len(rows) + 1))
+            c = rng.standard_normal(at) + 1j * rng.standard_normal(at)
+            rows = np.insert(rows, at, c @ rows[:at], axis=0)
+        out = orthonormal_rows(rows)
+        assert len(out) == n
+        assert_matches_reference(out, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim_h=st.integers(1, 6), extra=st.integers(1, 6),
+           n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_rows_past_h1(self, dim_h, extra, n, seed):
+        sp = make_space(dim_h, capacity=4 * (dim_h + extra))
+        sp.allocate(extra)
+        width = dim_h + extra
+        rows = subspace_rows(np.random.default_rng(seed), n, width, width)
+        vectors = [sp.vector(r) for r in rows]
+        out = as_rows(gram_schmidt(vectors), sp)
+        assert out.shape[1] == width  # the outputs reach past H1 too
+        assert_matches_reference(out, as_rows(vectors, sp))
 
 
 class TestGramSchmidt:
