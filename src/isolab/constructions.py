@@ -79,6 +79,8 @@ class Certificate:
 
     @property
     def bound_holds(self) -> bool:
+        """Relative: no absolute floor for bound_measured's roundoff (about
+        u ||T||), so an epsilon near u ||T|| fails it on a correct block."""
         return self.bound_measured <= self.bound_theoretical * (1 + 1e-9)
 
     @property
@@ -100,9 +102,9 @@ def prepare_space(dim_h: int, capacity: int | None = None) -> AmbientSpace:
 
 def standard_f_basis(space: AmbientSpace, n: int):
     """First n coordinates of the H1 copy (nested chain F_2 < F_4 < ...)."""
-    h1 = space.labels["H1"]
+    h1 = space.labels.get("H1", ())
     if n > len(h1):
-        raise ValueError("dim(F) exceeds dim(H)")
+        raise ValueError(f"dim(F) = {n} exceeds dim(H) = {len(h1)} (label H1)")
     return [space.basis_vector(h1[i]) for i in range(n)]
 
 
@@ -196,7 +198,9 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
 
     # Step 2: split the y1 once more, across the second partner copy
     if not np.all(norms_Tx >= 1.0 - EXPANSIVITY_TOL):
-        raise NotExpansive(f"image norm below 1: ||Tx|| = {norms_Tx.min()}")
+        raise NotExpansive(f"image norm below 1: ||Tx|| = {norms_Tx.min()}; "
+                           "every expansive B has ||(B - T(4))x|| >= "
+                           f"{1.0 - norms_Tx.min()} at this x")
     inv = 1.0 / norms_Tx
     a = np.minimum(inv, 1.0)  # a norm just below 1 is roundoff: z1 = y1
     b = np.sqrt(1.0 - a * a)
@@ -255,8 +259,8 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     for name in ("H1", "H2", "H3", "H4"):  # only H1 must exist already
         if name != "H1" and name not in space.labels:
             space.allocate(d, label=name)
-        elif len(space.labels[name]) != d:
-            raise ValueError(f"label {name} has {len(space.labels[name])} "
+        elif len(have := space.labels.get(name, ())) != d:
+            raise ValueError(f"label {name} has {len(have)} "
                              f"coordinates, T acts on {d}")
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 

@@ -50,7 +50,7 @@ class DenseOperator:
         self.indices = None if indices is None else np.asarray(indices)
         if space is not None:
             idx = self.indices
-            if (idx is None or len(idx) != self.dim
+            if (idx is None or not len(idx) == len(set(idx.tolist())) == self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
             # one selector of the domain's columns: a slice for a contiguous
@@ -178,12 +178,8 @@ class LazyIsometry:
         self._m = m + 1
 
     def apply(self, x: Vector) -> Vector:
-        """Evaluate (extending first if x leaves the defined span)."""
-        if x.space is not self.space:
-            raise DomainMismatch("vector lives in a different space")
-        r = padded(x.prefix, self._uc)
-        image, r = self._project(np.zeros(self._wc, dtype=np.complex128), r)
-        return Vector(self._extended(image, r, x.norm()), self.space)
+        """Evaluate, extending R first off its span: the block with K = {0}."""
+        return BrownianBlock(self, (), ()).apply(x)
 
     def _project(self, image: np.ndarray, r: np.ndarray):
         """One projection pass, in place, over `r` (one vector or rows over

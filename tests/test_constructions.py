@@ -600,6 +600,18 @@ class TestTheorem2:
             with pytest.raises(ValueError, match=message):
                 theorem2_construct(T, standard_f_basis(sp, 2), sp)
 
+    def test_space_without_h1_label_named(self):
+        # coordinates allocated, but none of them under the label H1
+        T = expansive_generator(4, "svd_random", seed=3)
+        sp = AmbientSpace(64)
+        sp.allocate(4)
+        with pytest.raises(ValueError,
+                           match="label H1 has 0 coordinates, T acts on 4"):
+            theorem2_construct(T, [sp.basis_vector(0), sp.basis_vector(1)], sp)
+        assert sp.allocated == 4 and sp.labels == {}
+        with pytest.raises(ValueError, match="label H1"):
+            standard_f_basis(AmbientSpace(64), 2)
+
     def test_defect_with_forced_lazy_extension(self, rng):
         T = expansive_generator(4, "svd_random", seed=13)
         block, T4, trace, sp, _ = self.run(T, n=2)
@@ -1266,3 +1278,55 @@ class TestPointwiseIdentity:
             gap = (block.apply(x) - 2.0 * x).norm() - trace.epsilon * x.norm()
             assert abs(gap) <= 3e-12 * x.norm()
             assert abs(defect_form(block, x, 2)) <= 1e-8 * scale * x.norm() ** 2
+
+
+class TestCertifiedObstruction:
+    """The converse inclusion: an expansive B has ||Bx|| >= ||x||, so at a
+    unit x every expansive B, every 2-isometry among them, stays at least
+    1 - ||Tx|| away from T there.  `NotExpansive` states that bound at the
+    witness, the bottom eigenvector of the compression of T*T to F."""
+
+    def test_bound_stated_for_diagonal_contraction(self):
+        T = DenseOperator(np.diag([0.5, 2.0, 3.0]))
+        sp = prepare_space(3)
+        with pytest.raises(NotExpansive) as info:
+            theorem2_construct(T, standard_f_basis(sp, 2), sp)
+        assert str(info.value) == ("image norm below 1: ||Tx|| = 0.5; every "
+                                   "expansive B has ||(B - T(4))x|| >= 0.5 "
+                                   "at this x")
+        sp = prepare_space(3)  # F = span(e2, e3) misses the contraction
+        theorem2_construct(T, [sp.basis_vector(1), sp.basis_vector(2)], sp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 6), n_frac=st.floats(0.0, 1.0),
+           small=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_stated_bound_is_the_compressions_and_holds(self, dim, n_frac,
+                                                        small, seed):
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                               + 1j * rng.standard_normal((dim, dim)))
+        right, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                + 1j * rng.standard_normal((dim, dim)))
+        sigma = np.r_[small, 1.0 + 3.0 * rng.random(dim - 1)]
+        T = DenseOperator(left @ np.diag(sigma) @ np.conj(right.T))
+        sp = prepare_space(dim)
+        h1 = sp.labels["H1"]
+        # F: the contracted direction mixed with random others, not aligned
+        n = 2 + int(n_frac * (dim - 2))
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        coeffs[1] = right[:, 0]  # T right[:, 0] = small left[:, 0]
+        f_basis = gram_schmidt([sp.vector(c, h1) for c in coeffs])
+        with pytest.raises(NotExpansive) as info:
+            theorem2_construct(T, f_basis, sp)
+        stated = float(str(info.value).split(">= ")[1].split(" at")[0])
+
+        T1 = T.embedded(sp, h1)
+        images = np.array([T1.apply(f).coords for f in f_basis])
+        lam, ev = np.linalg.eigh(np.conj(images) @ images.T)
+        assert stated == pytest.approx(1.0 - np.sqrt(lam[0]), abs=1e-12)
+        assert stated == pytest.approx(1.0 - small, abs=1e-9)
+
+        block, _ = theorem1_construct(f_basis, sp)
+        x = sum((c * f for c, f in zip(ev[:, 0], f_basis)), sp.zero())
+        assert x.norm() == pytest.approx(1.0, abs=1e-12)
+        assert (block.apply(x) - T1.apply(x)).norm() >= stated - 1e-12

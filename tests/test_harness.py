@@ -1,8 +1,12 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,3 +561,24 @@ class TestMain:
         path = tmp_path / "op.json"
         write_operator(path, 3 * np.eye(2))
         assert main(["verify", "--input", str(path)]) == 0
+
+
+def test_module_entry_point_runs_main():
+    """`python -m isolab.harness` reaches `main` through the module's
+    `__main__` guard: its exit code and streams are main's."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                         / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "isolab.harness", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = run("theorem1", "--dim-f", "2", "--dim-h", "4")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == (
+        "n,epsilon,norm_T,bound_theoretical,bound_measured,defect_max,"
+        "expansivity_min,orthogonality_max,wall_ms")
+    done = run("sweep")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: --n is required for sweep\n"

@@ -125,11 +125,18 @@ class TestDenseOperator:
         with pytest.raises(DomainMismatch):
             T.apply(sp.basis_vector(2))
 
-    @pytest.mark.parametrize("indices", [None, [0], [0, -1], [0, 4]],
-                             ids=["none", "too-few", "negative", "past-capacity"])
+    @pytest.mark.parametrize("indices", [None, [0], [0, -1], [0, 4], [0, 0]],
+                             ids=["none", "too-few", "negative", "past-capacity",
+                                  "duplicate"])
     def test_attached_operator_needs_one_coordinate_per_column(self, indices):
-        with pytest.raises(ValueError):
-            DenseOperator(np.eye(2), make_space(2, capacity=4), indices)
+        # a repeated coordinate would let one column's image overwrite
+        # another's: diag(1, 5) on [0, 0] would map e_0 to 5 e_0
+        with pytest.raises(ValueError, match="one coordinate per column"):
+            DenseOperator(np.diag([1.0, 5.0]), make_space(2, capacity=4),
+                          indices)
+        with pytest.raises(ValueError, match="one coordinate per column"):
+            direct_sum_power(DenseOperator(np.eye(1)), 2,  # two copies of T
+                             make_space(2, capacity=4), indices)
 
     def test_operator_norm_is_largest_singular_value(self, rng):
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
