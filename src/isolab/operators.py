@@ -14,9 +14,9 @@ Lazy isometries and Brownian blocks store each system of directions (U,
 W, K, V) as rows over the leading coordinates that carry it (at most the
 allocated ones), at its own width, and `Vector`s hold only their leading
 prefixes, so memory and the cost of an application grow with the
-instantiated span, not with the capacity.  Every
-application projects through `LazyIsometry._project` and extends through
-`LazyIsometry._extended`; the constructors also take the rows themselves.
+instantiated span, not with the capacity.  R applies itself
+(`LazyIsometry._extended` projects through `_project` and extends), and a
+block adds only its corner split (`BrownianBlock._corner_split`) before it.
 """
 
 from __future__ import annotations
@@ -128,11 +128,12 @@ class LazyIsometry:
     earlier (models Im(R) perpendicular to Im(V)).
 
     The inputs U and the outputs W are each stored as rows over the
-    leading coordinates that carry them (at most the allocated ones), U
-    and W at their own widths, in buffers that double as rows and columns
-    are added, never past the space's capacity.  The seed `inputs` and
-    `outputs` are Vector lists or 2-d arrays of such rows, kept as given:
-    the first extension moves them into grown buffers.
+    leading coordinates that carry them (allocated ones: a seed row nonzero
+    past `space.allocated`, where extensions take fresh coordinates, is a
+    ValueError), U and W at their own widths, in buffers that double as
+    rows and columns are added, never past the space's capacity.  The seed
+    `inputs` and `outputs` are Vector lists or 2-d arrays of such rows,
+    kept as given: the first extension moves them into grown buffers.
     """
 
     #: a residual above this times ||x|| is a new direction, not roundoff
@@ -142,7 +143,7 @@ class LazyIsometry:
         if len(inputs) != len(outputs):
             raise ValueError("inputs and outputs must have equal length")
         self.space = space
-        self._U, self._W = as_rows(inputs, space), as_rows(outputs, space)
+        self._U, self._W = (_stored_rows(a, space) for a in (inputs, outputs))
         self._m = len(self._U)                                  # stored rows
         self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths
         # (defined_count, e_U, e_W) of the rows given, which
@@ -178,8 +179,9 @@ class LazyIsometry:
         self._m = m + 1
 
     def apply(self, x: Vector) -> Vector:
-        """Evaluate, extending R first off its span: the block with K = {0}."""
-        return BrownianBlock(self, (), ()).apply(x)
+        """Evaluate, extending R first off its span."""
+        return self._extended(np.zeros((1, self._wc), dtype=np.complex128),
+                              padded(x.prefix[None, :], self._uc), x)
 
     def _project(self, image: np.ndarray, r: np.ndarray):
         """One projection pass, in place, over `r` (one vector or rows over
@@ -191,24 +193,36 @@ class LazyIsometry:
         image[..., :self._wc] += p @ self.defined_outputs
         return image, r
 
-    def _extended(self, image: np.ndarray, r: np.ndarray, xnorm: float):
-        """`image` plus R of the residual `r` (one pass) of a vector of norm
-        `xnorm`: above extension_tol * xnorm, a second pass, then a fresh
+    def _extended(self, image: np.ndarray, r: np.ndarray, x: Vector) -> Vector:
+        """`image` plus R of `r` (one row, in place), the part of `x` left
+        for R: one pass; above extension_tol * ||x||, a second, then a fresh
         coordinate if still above (or CapacityExceeded, nothing stored)."""
-        tol = self.extension_tol * max(xnorm, 1e-300)
+        if x.space is not self.space:
+            raise DomainMismatch("vector lives in a different space")
+        tol = self.extension_tol * max(x.norm(), 1e-300)
+        image, r = (a[0] for a in self._project(image, r))
         rnorm = sqrt(np.vdot(r, r).real)
         if rnorm > tol:  # a residual R may store is reorthogonalized (CGS2)
             image, r = self._project(image, r)
             rnorm = sqrt(np.vdot(r, r).real)
         if rnorm <= tol:
-            return image
+            return Vector(image, self.space)
         new_index = int(self.space.allocate(1)[0])
         w_new = np.zeros(new_index + 1, dtype=np.complex128)
         w_new[new_index] = 1.0
         self._append(r / rnorm, w_new)
         image = padded(image, new_index + 1)
         image[new_index] += rnorm
-        return image
+        return Vector(image, self.space)
+
+
+def _stored_rows(items, space: AmbientSpace) -> np.ndarray:
+    """`as_rows(items, space)`, refused if nonzero past `space.allocated`,
+    where an extension would take a coordinate as fresh."""
+    rows = as_rows(items, space)
+    if rows.shape[1] > space.allocated and np.any(rows[:, space.allocated:]):
+        raise ValueError("stored rows reach past the allocated coordinates")
+    return rows
 
 
 def _grown(buf: np.ndarray, rows: int, cols: int, limit: int) -> np.ndarray:
@@ -231,8 +245,8 @@ class BrownianBlock:
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
     R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
     Im(V), this is a 2-isometry.  K and V, given as Vector lists or as
-    2-d arrays of rows, are each stored (as given) as rows over the leading
-    coordinates that carry them, K at its own width and V at its own.
+    2-d arrays of rows, are stored as given over the allocated leading
+    coordinates that carry them (else ValueError), each at its own width.
     """
 
     def __init__(self, R: LazyIsometry, K_basis, V_images):
@@ -240,7 +254,7 @@ class BrownianBlock:
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        self._K, self._V = (as_rows(a, self.space) for a in (K_basis, V_images))
+        self._K, self._V = (_stored_rows(a, R.space) for a in (K_basis, V_images))
         self._e_K = gram_residual(self._K)
         if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
@@ -262,7 +276,7 @@ class BrownianBlock:
         r being X_L off R's span after two passes, which R maps to fresh
         coordinates; rows over leading prefixes, E as wide as K, V and W,
         r as X, K and U."""
-        return self.R._project(*self._first_pass(X))
+        return self.R._project(*self.R._project(*self._corner_split(X)))
 
     def hypothesis_residual(self) -> float:
         """eta: the summed Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I
@@ -300,8 +314,9 @@ class BrownianBlock:
         return (e_U + e_W + self._e_K + gram_residual(U, K) + gram_residual(W, K)
                 + (e_WV + gram_residual(V, K)) / nu)
 
-    def _first_pass(self, X: np.ndarray):
-        """`_step` with one projection pass (`LazyIsometry._project`)."""
+    def _corner_split(self, X: np.ndarray):
+        """Corner split of the rows of X, B X = E + R X_L: (E, X_L), E = P_K X
+        + V P_K X as wide as K, V and W, X_L = X - P_K X as wide as K and U."""
         K, V = self._K, self._V
         k, v = K.shape[1], V.shape[1]
         XL = padded(X, max(k, self.R._uc))
@@ -311,13 +326,10 @@ class BrownianBlock:
         E = np.zeros((len(X), max(k, v, self.R._wc)), dtype=np.complex128)
         E[:, :k] = xK
         E[:, :v] += c @ V
-        return self.R._project(E, XL)
+        return E, XL
 
     def apply(self, x: Vector) -> Vector:
-        if x.space is not self.space:
-            raise DomainMismatch("vector lives in a different space")
-        E, r = self._first_pass(x.prefix[None, :])
-        return Vector(self.R._extended(E[0], r[0], x.norm()), self.space)
+        return self.R._extended(*self._corner_split(x.prefix[None, :]), x)
 
 
 class _DirectSumPower(DenseOperator):

@@ -67,7 +67,7 @@ class AmbientSpace:
                 raise ValueError("values placed on unallocated coordinates")
             return Vector(values, self)
         indices = np.asarray(indices)
-        if indices.shape != values.shape or len(np.unique(indices)) != len(indices):
+        if indices.shape != values.shape or len(set(indices.tolist())) != len(indices):
             raise ValueError("need one distinct index per value")
         if np.min(indices) < 0 or np.max(indices) >= self.allocated:
             raise ValueError("values placed on unallocated coordinates")

@@ -678,6 +678,33 @@ class TestCertificate:
                                  operator_norm_T=T.operator_norm,
                                  bound_theoretical=1.0)
 
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_roundoff_past_the_allocated_coordinates(self, theorem):
+        # G with 1e-12 on a coordinate not allocated yet: Q is wider than
+        # E (as wide as K, V and W), which is padded to target(Q)'s width,
+        # and the certificate is the one of the clean G
+        T, sp, f_basis, block, T4, trace = self.build()
+        target, norm, bound = T4, T.operator_norm, (T.operator_norm + 1) / 4
+        if theorem == 1:
+            sp = prepare_space(8)
+            f_basis = standard_f_basis(sp, 4)
+            block, trace = theorem1_construct(f_basis, sp)
+            target, norm, bound = ScalarOperator(2.0), 2.0, 1 / 4
+        smudged = []
+        for v in f_basis:
+            coords = padded(v.prefix, sp.allocated + 2)
+            coords[-1] = 1e-12
+            smudged.append(Vector(coords, sp))
+        clean, dirty = (certificate_evaluate(target, block, trace, g,
+                                             operator_norm_T=norm,
+                                             bound_theoretical=bound)
+                        for g in (f_basis, smudged))
+        for name in ("bound_measured", "bound_exact", "defect_max",
+                     "expansivity_min", "orthogonality_max"):
+            assert getattr(dirty, name) == getattr(clean, name), name
+        assert dirty.bound_measured == (0.24999999999999997 if theorem == 1
+                                        else 0.7757007605029316)
+
     def test_domain_mismatch(self):
         # a basis of another space, or a target attached to none
         T, sp, f_basis, block, T4, trace = self.build()

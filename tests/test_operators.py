@@ -277,6 +277,50 @@ class TestLazyIsometry:
             LazyIsometry(sp, inputs=[vec(sp, [1, 1])],
                          outputs=[sp.basis_vector(0)])
 
+    def test_applies_itself_without_a_block(self, monkeypatch):
+        # in span, off span below the extension threshold, and extending
+        built, init = [], BrownianBlock.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(BrownianBlock, "__init__", counted)
+        sp = make_space(2, capacity=8)
+        sp.allocate(2)
+        R = LazyIsometry(sp, [sp.basis_vector(0)], [sp.basis_vector(2)])
+        for coords, count in (([2j], 1), ([1, 0, 0, 1e-14], 1),
+                              ([1, 1j], 2), ([0, 1], 2)):
+            out = R.apply(on(sp, coords))
+            assert out.norm() == pytest.approx(np.linalg.norm(coords))
+            assert R.defined_count == count
+        assert built == []
+
+    def test_matches_the_block_with_an_empty_corner_bit_for_bit(self, rng):
+        # R applies itself exactly as (R, V; 0, id_K) with K = {0} does
+        twins = []
+        for _ in range(2):
+            sp = make_space(4, capacity=40)
+            twins.append((sp, LazyIsometry(sp, [sp.basis_vector(1)],
+                                           [sp.basis_vector(3)])))
+        (sp, R), (sp2, R2) = twins
+        for k in range(40):
+            m = sp.allocated
+            if k % 4 == 0:  # the newest coordinate: R extends
+                coords = np.zeros(m, dtype=np.complex128)
+                coords[-1] = 1.0
+            elif k % 4 == 1:  # in R's defined span
+                c = rng.standard_normal(R.defined_count) * (1 + 1j)
+                coords = c @ R.defined_inputs
+            else:
+                coords = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            image = R.apply(on(sp, coords))
+            want = BrownianBlock(R2, (), ()).apply(on(sp2, coords))
+            np.testing.assert_array_equal(image.prefix, want.prefix)
+            assert (R.defined_count, sp.allocated) == (R2.defined_count,
+                                                       sp2.allocated)
+        assert R.defined_count > 10
+
 
 class TestBrownianBlock:
     def test_identity_block(self):
@@ -645,6 +689,29 @@ def test_malformed_arguments_rejected(build, message):
         build(make_space(2, capacity=8))
 
 
+@pytest.mark.parametrize("form", ["array", "vectors"])
+@pytest.mark.parametrize("which", ["U", "W", "K", "V"])
+def test_stored_rows_on_unallocated_coordinates_rejected(which, form):
+    # U = e0 -> W = e1 and K = e0 -> V = e1 over 2 allocated coordinates;
+    # a row of the named system moved to coordinate 2 is refused (were W =
+    # e2 kept, the next extension would take coordinate 2 as fresh: R e0
+    # and R e1 would both be e2), and a row only zero-padded past it is kept
+    def build(rows):
+        sp = AmbientSpace(8)
+        sp.allocate(2)
+        rows = {name: ([Vector(np.array(r, complex), sp) for r in rs]
+                       if form == "vectors" else np.array(rs, complex))
+                for name, rs in rows.items()}
+        if which in "UW":
+            return LazyIsometry(sp, rows["U"], rows["W"])
+        return BrownianBlock(LazyIsometry(sp), rows["K"], rows["V"])
+
+    good = {"U": [[1, 0]], "W": [[0, 1]], "K": [[1, 0]], "V": [[0, 1]]}
+    build(dict(good, **{which: [good[which][0] + [0, 0]]}))
+    with pytest.raises(ValueError, match="past the allocated coordinates"):
+        build(dict(good, **{which: [[0, 0, 1]]}))
+
+
 @pytest.mark.parametrize("build", [
     lambda sp: DenseOperator(np.eye(2), sp, sp.labels["H1"]),
     lambda sp: LazyIsometry(sp),
@@ -652,9 +719,15 @@ def test_malformed_arguments_rejected(build, message):
                              [sp.zero()]),
 ], ids=["dense", "lazy", "block"])
 def test_vector_of_another_space_rejected(build):
-    op = build(make_space(2, capacity=8))
-    with pytest.raises(DomainMismatch):
-        op.apply(make_space(2, capacity=8).basis_vector(0))
+    # e1 would extend the lazy isometry of "lazy" and "block": nothing is
+    # stored or allocated when the vector is refused
+    sp = make_space(2, capacity=8)
+    op = build(sp)
+    for index in (0, 1):
+        with pytest.raises(DomainMismatch):
+            op.apply(make_space(2, capacity=8).basis_vector(index))
+    assert sp.allocated == 2
+    assert getattr(getattr(op, "R", op), "defined_count", 0) == 0
 
 
 def test_cached_norms_are_fresh_norms(rng):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +124,27 @@ class TestAmbientSpace:
         space.allocate(3)
         with pytest.raises(ValueError):
             space.vector(values, indices)
+
+    def test_vector_checks_distinct_indices_without_numpy_ma(self):
+        # np.unique's first call imports numpy.ma (about 1.3 MB of peak RSS);
+        # a set of the indices finds duplicates without it
+        code = ("import sys\nfrom isolab import AmbientSpace\n"
+                "space = AmbientSpace(8)\nspace.allocate(3)\n"
+                "v = space.vector([1, 2], [0, 1])\n"
+                "print(v.prefix.tolist(), 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[(1+0j), (2+0j)] False\n"
+        space = AmbientSpace(8)
+        space.allocate(3)
+        for indices in ([0, 0], [2, 0, 2]):
+            with pytest.raises(ValueError,
+                               match="need one distinct index per value"):
+                space.vector([1.0] * len(indices), indices)
 
     def test_vector_without_indices_copies_its_values(self):
         space = AmbientSpace(8)
