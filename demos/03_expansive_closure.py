@@ -23,7 +23,7 @@ from isolab import (certificate_evaluate, expansive_generator, prepare_space,
 
 T = expansive_generator(16, "svd_random", seed=42)
 print(f"T: random expansive, dim 16, ||T|| = {T.operator_norm:.4f}, "
-      f"sigma_min = {np.linalg.svd(T.matrix, compute_uv=False).min():.4f}\n")
+      f"sigma_min = {T.singular_values.min():.4f}\n")
 
 print(f"{'n':>3} {'(||T||+1)/n':>12} {'measured':>12} {'defect_max':>12} "
       f"{'expansivity':>12}")

@@ -37,7 +37,7 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
 
     The result is certified internally: raises InvalidFamilyParameter if any
     prescribed singular value is not finite and >= 1, NotExpansive if the
-    built matrix has sigma_min < 1 - EXPANSIVITY_TOL.
+    result's cached `singular_values` have sigma_min < 1 - EXPANSIVITY_TOL.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -67,7 +67,8 @@ def expansive_generator(dim: int, family: str, *, scale: float = 2.0,
         M = np.eye(dim, dtype=np.complex128) + psd
     else:
         raise InvalidFamilyParameter(f"unknown family {family!r}")
-    smin = np.linalg.svd(M, compute_uv=False).min()
+    T = DenseOperator(M)
+    smin = T.singular_values.min()
     if not smin >= 1.0 - EXPANSIVITY_TOL:
         raise NotExpansive(f"generator produced sigma_min={smin}")
-    return DenseOperator(M)
+    return T

@@ -35,22 +35,25 @@ from .spaces import AmbientSpace, Vector, as_rows, padded
 class DenseOperator:
     """Explicit square complex matrix, optionally attached to ambient coordinates.
 
-    When attached, the operator acts on ``indices`` of the ambient space and
-    annihilates nothing silently: a significant component outside its domain
-    raises DomainMismatch.
+    `singular_values`, from one SVD made when first read, give `operator_norm`
+    and sigma_min.  When attached, the operator acts on integer ``indices``
+    of the ambient space, one per column, and annihilates nothing silently:
+    a significant component outside its domain raises DomainMismatch.
     """
 
     def __init__(self, matrix, space: AmbientSpace | None = None, indices=None):
-        self._matrix = np.asarray(matrix, dtype=np.complex128)
-        if self._matrix.ndim != 2:
-            raise ValueError("matrix must be 2-d")
-        if not np.all(np.isfinite(self._matrix.view(np.float64))):
+        M = self._matrix = np.asarray(matrix, dtype=np.complex128)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("matrix must be 2-d and square, got "
+                             + "x".join(map(str, M.shape)))
+        if not np.all(np.isfinite(M.view(np.float64))):
             raise ValueError("non-finite matrix entries")
         self.space = space
         self.indices = None if indices is None else np.asarray(indices)
         if space is not None:
             idx = self.indices
-            if (idx is None or not len(idx) == len(set(idx.tolist())) == self.dim
+            if (idx is None or idx.dtype.kind not in "iu"
+                    or not len(idx) == len(set(idx.tolist())) == self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
             # one selector of the domain's columns: a slice for a contiguous
@@ -61,14 +64,15 @@ class DenseOperator:
             self._end = int(idx.max(initial=-1)) + 1
 
     matrix = property(lambda self: self._matrix)
+    operator_norm = property(lambda self: float(self.singular_values.max(initial=0)))
 
     @property
     def dim(self) -> int:
         return self._matrix.shape[1]
 
     @cached_property
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self._matrix, 2))
+    def singular_values(self) -> np.ndarray:
+        return np.linalg.svd(self._matrix, compute_uv=False)
 
     def embedded(self, space: AmbientSpace, indices) -> "DenseOperator":
         return DenseOperator(self.matrix, space, indices)
@@ -351,14 +355,12 @@ def direct_sum_power(T: DenseOperator, k: int,
                      space: AmbientSpace | None = None,
                      indices=None) -> DenseOperator:
     """Block-diagonal operator with k copies of T (k in {2, 4}), applied
-    copy by copy; its norm is ||T||, and the dense `matrix` is built when
-    read.  If `space` and `indices` (the concatenated coordinate sets of the
-    k copies) are given, the result is attached to the ambient space.
+    copy by copy, its dense `matrix` built when read.  Its `singular_values`
+    are T's: exact for its sigma_max (||T||) and sigma_min.  It is attached
+    to `space` at `indices` (the k copies' coordinates, concatenated) if given.
     """
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")
-    if T.matrix.shape[0] != T.matrix.shape[1]:
-        raise ValueError("T must be square")
     return _DirectSumPower(T, k, space, indices)
 
 

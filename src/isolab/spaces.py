@@ -67,6 +67,8 @@ class AmbientSpace:
                 raise ValueError("values placed on unallocated coordinates")
             return Vector(values, self)
         indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"indices {indices.tolist()} are not integers")
         if indices.shape != values.shape or len(set(indices.tolist())) != len(indices):
             raise ValueError("need one distinct index per value")
         if np.min(indices) < 0 or np.max(indices) >= self.allocated:

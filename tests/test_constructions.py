@@ -632,6 +632,37 @@ class TestTheorem2:
             assert w.min() >= 1.0 - 1e-9
 
 
+THEOREM2_ORDER3_OPERATORS = {
+    "svd_random": lambda: expansive_generator(16, "svd_random", seed=1),
+    "id_plus_psd": lambda: expansive_generator(16, "id_plus_psd", seed=2),
+    "diag": lambda: expansive_generator(16, "diagonal",
+                                        diag=np.tile([1.5, 2.0, 3.0, 4.0], 4)),
+}
+
+
+@pytest.mark.parametrize("case", [
+    *[("theorem1", n) for n in (1, 2, 4, 8, 16, 32)],
+    *[(name, n) for name in THEOREM2_ORDER3_OPERATORS for n in (2, 4, 8, 16)]],
+    ids=lambda case: f"{case[0]}-n{case[1]}")
+def test_order3_defect_vanishes_on_constructed_blocks(case, rng):
+    # a 2-isometry is a 3-isometry: beta_3 = B* beta_2 B - beta_2 = 0; every
+    # 50th x is the newest coordinate, so B^3 x forces lazy extensions
+    name, n = case
+    dim = n if name == "theorem1" else 16
+    sp = prepare_space(dim, 64 * dim + 3 * 200)  # room for 3 extensions per x
+    f_basis = standard_f_basis(sp, n)
+    if name == "theorem1":
+        block, _ = theorem1_construct(f_basis, sp)
+    else:
+        block, _, _ = theorem2_construct(THEOREM2_ORDER3_OPERATORS[name](),
+                                         f_basis, sp)
+    scale = max(1.0, block.operator_norm ** 2) ** 3
+    for i in range(200):
+        x = (sp.basis_vector(sp.allocated - 1) if i % 50 == 49
+             else random_instantiated(sp, rng))
+        assert abs(defect_form(block, x, 3)) <= 1e-8 * scale * x.norm() ** 2
+
+
 class TestBruteForceOracle:
     def test_gram_quadratic_form_matches(self, rng):
         T = expansive_generator(4, "svd_random", seed=21)

@@ -359,6 +359,47 @@ class TestVerifyExact:
         assert len(reports) == 1
 
 
+class TestOneSVD:
+    """T's singular values come from one SVD per run, cached on T."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls, svd = [], np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+        # np.linalg.norm(M, 2) calls the svd of numpy's private module,
+        # which patching np.linalg alone would not count
+        for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+            monkeypatch.setattr(module, "svd", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, dim_h", [
+        (["sweep", "--family", "svd-random", "--n", "2,4,8", "--seed", "3"], 8),
+        (["sweep", "--family", "diag:1.5,2", "--n", "2,4"], 4),
+        (["theorem2", "--family", "id-plus-psd", "--dim-f", "4",
+          "--dim-h", "8"], 8),
+    ], ids=["sweep", "sweep-diag", "theorem2"])
+    def test_construction_run_makes_one_svd(self, argv, dim_h, svd_calls,
+                                            capsys):
+        assert main(argv) == 0, capsys.readouterr().err
+        assert svd_calls == [(dim_h, dim_h)]
+
+    def test_theorem1_makes_none(self, svd_calls, capsys):
+        assert main(["theorem1", "--dim-f", "4"]) == 0
+        assert svd_calls == []
+
+    def test_verify_makes_one_svd(self, tmp_path, svd_calls):
+        path = tmp_path / "op.json"
+        write_operator(path, expansive_generator(6, "svd_random", seed=2).matrix)
+        svd_calls.clear()
+        out = io.StringIO()
+        assert run_verify(RunConfig(command="verify", input_path=str(path)),
+                          out) == 0
+        assert svd_calls == [(6, 6)]
+
+
 HALF = '{"rows": 1, "cols": 1, "entries": [[0.5, 0]]}'
 
 

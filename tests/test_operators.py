@@ -143,6 +143,58 @@ class TestDenseOperator:
         assert DenseOperator(M).operator_norm == pytest.approx(
             np.linalg.svd(M, compute_uv=False).max())
 
+    @pytest.mark.parametrize("family, kwargs", [
+        ("scalar", {"scale": 2.5}), ("diagonal", {"diag": [1.5, 2, 3, 4, 1]}),
+        ("svd_random", {"seed": 1}), ("id_plus_psd", {"seed": 2})],
+        ids=["scalar", "diagonal", "svd_random", "id_plus_psd"])
+    def test_operator_norm_is_the_two_norm_bit_for_bit(self, family, kwargs):
+        T = expansive_generator(5, family, **kwargs)
+        norm2 = float(np.linalg.norm(T.matrix, 2))
+        assert T.operator_norm == norm2
+        assert T.singular_values.min() >= 1.0
+        for k in (2, 4):
+            power = direct_sum_power(T, k)
+            assert power.operator_norm == norm2
+            # T's singular values, each k times: its sigma_max and
+            # sigma_min are T's
+            dense = np.linalg.svd(power.matrix, compute_uv=False)
+            assert power.singular_values.max() == pytest.approx(
+                dense.max(), rel=1e-13)
+            assert power.singular_values.min() == pytest.approx(
+                dense.min(), rel=1e-13)
+
+    def test_empty_matrix_norm_is_zero(self):
+        # as np.linalg.norm(M, 2) gives for a 0x0 M
+        assert DenseOperator(np.zeros((0, 0))).operator_norm == 0.0
+
+    @pytest.mark.parametrize("indices", [[0.5, 1.5], [0.0, 1.0],
+                                         np.array([0.0, 1.0]), [True, False],
+                                         np.array([False, True])],
+                             ids=["float", "integral-float",
+                                  "integral-float-array", "boolean",
+                                  "boolean-array"])
+    def test_attached_operator_needs_integer_indices(self, indices):
+        # a float index would fail inside numpy on the first application,
+        # and booleans would be read as a mask of the coordinates
+        for build in (
+                lambda sp: DenseOperator(np.diag([1.0, 5.0]), sp, indices),
+                lambda sp: direct_sum_power(DenseOperator(np.eye(1)), 2,
+                                            sp, indices)):
+            with pytest.raises(ValueError,
+                               match="indices must give one coordinate per "
+                                     "column"):
+                build(make_space(2, capacity=4))
+
+    @pytest.mark.parametrize("matrix, shape", [
+        (np.ones((2, 3)), "2x3"), (np.ones((3, 1)), "3x1"),
+        (np.ones(4), "got 4$"), (np.ones((2, 2, 2)), "2x2x2")],
+        ids=["2x3", "3x1", "1-d", "3-d"])
+    def test_non_square_matrix_named_by_its_shape(self, matrix, shape):
+        with pytest.raises(ValueError, match=shape):
+            DenseOperator(matrix)
+        with pytest.raises(ValueError, match=shape):
+            direct_sum_power(DenseOperator(matrix), 2)
+
 
 class TestLazyIsometry:
     def test_defined_span_is_linear(self):

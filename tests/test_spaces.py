@@ -146,6 +146,22 @@ class TestAmbientSpace:
                                match="need one distinct index per value"):
                 space.vector([1.0] * len(indices), indices)
 
+    @pytest.mark.parametrize("indices, named", [
+        ([0.5, 1.5], r"\[0.5, 1.5\]"), (np.array([1.0, 2.0]), r"\[1.0, 2.0\]"),
+        ([True, False], r"\[True, False\]")],
+        ids=["float", "integral-float", "boolean"])
+    def test_vector_needs_integer_indices(self, indices, named):
+        # numpy would refuse float indices with an IndexError and read
+        # boolean ones as a mask
+        space = AmbientSpace(8)
+        space.allocate(3)
+        with pytest.raises(ValueError, match=f"indices {named} are not integers"):
+            space.vector([1.0, 2.0], indices)
+        with pytest.raises(ValueError, match="values placed on unallocated"):
+            space.vector([1.0, 2.0], [1, 3])
+        np.testing.assert_array_equal(space.vector([1.0, 2.0], [2, 0]).prefix,
+                                      [2, 0, 1])
+
     def test_vector_without_indices_copies_its_values(self):
         space = AmbientSpace(8)
         space.allocate(3)
