@@ -283,6 +283,7 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
     beta_{m-1}, as d_m at the eigenvector attaining it.  --samples and
     --seed are accepted but not read.  Exit status 0 iff the operator is
     certified expansive at tol_verify; m-isometry verdicts are informational.
+    Otherwise a last line bounds the distance to every expansive operator.
     """
     try:
         op = DenseOperator(read_operator(cfg.input_path))
@@ -306,6 +307,10 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
     expansive = smin >= 1.0 - cfg.tol_verify
     stream.write(f"sigma_min: {_fmt(smin)} "
                  f"(expansive: {'yes' if expansive else 'no'})\n")
+    if not expansive:  # ||Bx|| >= 1 and ||Tx|| = sigma_min at that x
+        stream.write("closure: every expansive B (so every 2-isometry) has "
+                     f"||(B - T)x|| >= 1 - sigma_min = {_fmt(1.0 - smin)} "
+                     "at the unit right singular vector x of sigma_min\n")
     return 0 if expansive else 1
 
 

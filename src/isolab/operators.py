@@ -414,16 +414,23 @@ def three_isometry_from_nilpotent(A: DenseOperator) -> DenseOperator:
 
 
 def write_operator(path, matrix) -> None:
-    """Store a matrix as a structured text document (rows, cols, entries)."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    doc = {
-        "rows": matrix.shape[0],
-        "cols": matrix.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in matrix.ravel()],
-    }
+    """Store a matrix as one line of JSON (rows, cols, entries).
+
+    Row-major [re, im] pairs, each float as its repr, so read_operator gives
+    back the same bits; older indented files read the same.  A matrix that
+    read_operator would refuse (not 2-d, or a side < 1) raises ValueError
+    before path is opened.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128, order="C")
+    if matrix.ndim != 2 or min(matrix.shape) < 1:
+        raise ValueError("matrix must be 2-d with both sides >= 1, "
+                         f"got shape {matrix.shape}")
+    rows, cols = matrix.shape
+    # one C-encoded dumps: indent= or json.dump fall back to pure Python
+    doc = {"rows": rows, "cols": cols,
+           "entries": matrix.view(np.float64).reshape(-1, 2).tolist()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def read_operator(path) -> np.ndarray:

@@ -14,7 +14,8 @@ import pytest
 from isolab import (DenseOperator, UsageError, certificate_evaluate,
                     defect_form, expansive_generator, prepare_space,
                     random_2nilpotent, random_unitary, standard_f_basis,
-                    theorem2_construct, write_operator)
+                    theorem2_construct, three_isometry_from_nilpotent,
+                    write_operator)
 from isolab import harness
 from isolab.constructions import (DEFECT_THRESHOLD, EXPANSIVITY_THRESHOLD,
                                   Certificate)
@@ -293,6 +294,37 @@ class TestVerify:
         assert "(1-isometry: no)" in lines[0]
         assert "(2-isometry: no)" in lines[1]
         assert "(3-isometry: yes)" in lines[2]
+
+    CLOSURE = re.compile(r"closure: every expansive B \(so every 2-isometry\) "
+                         r"has \|\|\(B - T\)x\|\| >= 1 - sigma_min = (\S+) at "
+                         r"the unit right singular vector x of sigma_min")
+
+    @pytest.mark.parametrize("name", ["half", "shift", "id+A"])
+    def test_non_expansive_states_closure_obstruction(self, tmp_path, name):
+        M = {"half": 0.5 * np.eye(3),
+             "shift": np.array([[1.0, 1.0], [0.0, 1.0]]),
+             "id+A": three_isometry_from_nilpotent(
+                 random_2nilpotent(16, seed=3)).matrix}[name]
+        code, text = self.run_verify_on(tmp_path, M)
+        assert code == 1
+        lines = text.splitlines()
+        assert len(lines) == 5 and lines[3].startswith("sigma_min: ")
+        bound = float(self.CLOSURE.fullmatch(lines[4]).group(1))
+        _, s, vh = np.linalg.svd(M)
+        smin, x = s[-1], vh[-1].conj()  # x: the right singular vector of smin
+        assert bound == pytest.approx(1.0 - smin, rel=1e-12)
+        # ||Bx|| >= 1 > sigma_min = ||Tx||
+        assert np.linalg.norm(M @ x) == pytest.approx(smin, rel=1e-9)
+        B = np.eye(len(M))  # an isometry, so expansive
+        assert np.linalg.norm((B - M) @ x) >= bound * (1 - 1e-12)
+        expected = {"half": 0.5, "shift": (3 - 5 ** 0.5) / 2,
+                    "id+A": 1 - 0.1308273737}
+        assert bound == pytest.approx(expected[name], abs=1e-10)
+
+    def test_expansive_report_has_no_closure_line(self, tmp_path):
+        code, text = self.run_verify_on(tmp_path, 2 * np.eye(3))
+        assert code == 0
+        assert len(text.splitlines()) == 4 and "closure" not in text
 
 
 class TestVerifyExact:

@@ -1,3 +1,5 @@
+import json
+import re
 from math import comb
 
 import numpy as np
@@ -861,3 +863,57 @@ class TestOperatorFile:
         path.write_text('{"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]}')
         with pytest.raises(ValueError):
             read_operator(path)
+
+    EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 1 / 3])
+
+    @classmethod
+    def bit_exact_inputs(cls):
+        """Real dtype, a transposed view, reversed strides, and rectangles."""
+        Z = np.empty((4, 5), dtype=np.complex128)
+        Z.real = np.resize(cls.EXTREMES, 20).reshape(4, 5)
+        Z.imag = np.resize(cls.EXTREMES[::-1], 20).reshape(4, 5)
+        return {"real": np.resize(cls.EXTREMES, 15).reshape(3, 5),
+                "rect": Z, "transposed": Z.T, "reversed": Z[::-1, ::-1],
+                "strided": Z[:, ::2], "row": Z[:1], "column": Z[:, 1:2]}
+
+    @pytest.mark.parametrize("name", ["real", "rect", "transposed", "reversed",
+                                      "strided", "row", "column"])
+    def test_round_trip_is_bit_exact(self, tmp_path, name):
+        M = self.bit_exact_inputs()[name]
+        path = tmp_path / "op.json"
+        write_operator(path, M)
+        back = read_operator(path)
+        want = np.ascontiguousarray(M, dtype=np.complex128)
+        np.testing.assert_array_equal(back.view(np.uint64), want.view(np.uint64))
+
+    def test_file_is_one_line_of_row_major_pairs(self, tmp_path):
+        path = tmp_path / "op.json"
+        write_operator(path, np.array([[1 + 2j], [3 - 4j], [0.5j]]))
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        assert doc == {"rows": 3, "cols": 1,
+                       "entries": [[1.0, 2.0], [3.0, -4.0], [0.0, 0.5]]}
+
+    def test_old_indented_layout_reads_the_same(self, tmp_path):
+        M = self.bit_exact_inputs()["rect"]
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        doc = {"rows": M.shape[0], "cols": M.shape[1],
+               "entries": [[float(z.real), float(z.imag)] for z in M.ravel()]}
+        with open(old, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        write_operator(new, M)
+        assert old.read_text() != new.read_text()
+        assert json.loads(old.read_text()) == json.loads(new.read_text())
+        np.testing.assert_array_equal(read_operator(old).view(np.uint64),
+                                      read_operator(new).view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (4,), (), (2, 2, 2)],
+                             ids=["0x0", "0x3", "3x0", "1-d", "0-d", "3-d"])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, shape):
+        path = tmp_path / "op.json"
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            write_operator(path, np.zeros(shape))
+        assert not path.exists()
