@@ -150,10 +150,8 @@ class LazyIsometry:
         self._U, self._W = (_stored_rows(a, space) for a in (inputs, outputs))
         self._m = len(self._U)                                  # stored rows
         self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths
-        # (defined_count, e_U, e_W) of the rows given, which
-        # `BrownianBlock.hypothesis_residual` reads until R extends
-        self._residuals = (self._m, gram_residual(self._U), gram_residual(self._W))
-        for e, which in zip(self._residuals[1:], ("inputs", "outputs")):
+        self._e_U, self.e_W = None, gram_residual(self._W)
+        for e, which in ((self.e_U, "inputs"), (self.e_W, "outputs")):
             if e > 1e-10:
                 raise ValueError(f"defined {which} are not orthonormal to 1e-10")
 
@@ -171,6 +169,14 @@ class LazyIsometry:
         """View of the stored output rows (defined_count x W's columns)."""
         return self._W[:self._m, :self._wc]
 
+    @property
+    def e_U(self) -> float:
+        """||UU* - I||_F of the stored inputs, kept until `_append` (a plain
+        attribute: popping a cached_property slows R's attribute reads)."""
+        if self._e_U is None:
+            self._e_U = gram_residual(self.defined_inputs)
+        return self._e_U
+
     def _append(self, u: np.ndarray, w: np.ndarray):
         """Store one more input/output pair, each given over leading
         coordinates; U and W each grow only to their own widths."""
@@ -180,7 +186,7 @@ class LazyIsometry:
         self._W = _grown(self._W, m + 1, self._wc, cap)
         self._U[m, :len(u)] = u
         self._W[m, :len(w)] = w
-        self._m = m + 1
+        self._m, self._e_U = m + 1, None  # e_U is stale
 
     def apply(self, x: Vector) -> Vector:
         """Evaluate, extending R first off its span."""
@@ -263,10 +269,9 @@ class BrownianBlock:
         if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
         self._vnorm = spectral_norm(self._V) if len(self._K) else 0.0
-        # Im(R) perpendicular to Im(V) on everything instantiated so far;
-        # (R's row count, e_WV) kept for `hypothesis_residual`
-        self._e_WV = (R.defined_count, gram_residual(R.defined_outputs, self._V))
-        if self._e_WV[1] > 1e-10 * self._vnorm:
+        # Im(R) perpendicular to Im(V) on everything instantiated so far
+        self._e_WV = gram_residual(R.defined_outputs, self._V)
+        if self._e_WV > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
     @property
@@ -304,19 +309,12 @@ class BrownianBlock:
         stay within 10 eta and 5 eta for eta <= 1/50, past which the row fails
         anyway.  e_UK enters neither, but y1 is orthogonal to y2 so that
         B y1 = R y1.
-        e_K, and e_U, e_W and e_WV while R holds the rows it held when they
-        were computed, are those the constructors checked (the same floats);
-        once R has extended, these three are computed afresh from its rows.
-        e_UK, e_WK and e_VK are computed here."""
+        e_W, e_K, e_WV are computed once: an extension adds to W a unit row
+        on a fresh coordinate, where stored W, K, V rows vanish; R renews e_U."""
         U, W = self.R.defined_inputs, self.R.defined_outputs
         K, V, nu = self._K, self._V, max(self._vnorm, 1e-300)
-        (m, e_U, e_W), (m_WV, e_WV) = self.R._residuals, self._e_WV
-        if m != self.R.defined_count:  # R has extended since
-            e_U, e_W = gram_residual(U), gram_residual(W)
-        if m_WV != self.R.defined_count:
-            e_WV = gram_residual(W, V)
-        return (e_U + e_W + self._e_K + gram_residual(U, K) + gram_residual(W, K)
-                + (e_WV + gram_residual(V, K)) / nu)
+        return (self.R.e_U + self.R.e_W + self._e_K + gram_residual(U, K)
+                + gram_residual(W, K) + (self._e_WV + gram_residual(V, K)) / nu)
 
     def _corner_split(self, X: np.ndarray):
         """Corner split of the rows of X, B X = E + R X_L: (E, X_L), E = P_K X
@@ -418,13 +416,15 @@ def write_operator(path, matrix) -> None:
 
     Row-major [re, im] pairs, each float as its repr, so read_operator gives
     back the same bits; older indented files read the same.  A matrix that
-    read_operator would refuse (not 2-d, or a side < 1) raises ValueError
-    before path is opened.
+    read_operator would refuse (not 2-d, a side < 1) or JSON cannot hold (a
+    NaN or infinite entry) raises ValueError before path is opened.
     """
     matrix = np.asarray(matrix, dtype=np.complex128, order="C")
     if matrix.ndim != 2 or min(matrix.shape) < 1:
         raise ValueError("matrix must be 2-d with both sides >= 1, "
                          f"got shape {matrix.shape}")
+    if bad := np.argwhere(~np.isfinite(matrix)).tolist():
+        raise ValueError(f"non-finite entries at (row, col) {bad}")
     rows, cols = matrix.shape
     # one C-encoded dumps: indent= or json.dump fall back to pure Python
     doc = {"rows": rows, "cols": cols,

@@ -1,8 +1,10 @@
+import io
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
                     CapacityExceeded, ConstructionTrace, DenseOperator,
@@ -11,11 +13,13 @@ from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
                     certificate_evaluate, compressed_gram, defect_form,
                     diagonalizing_basis, direct_sum_power, expansive_generator,
                     gram_matrix, gram_schmidt, hermitian_eig,
-                    prepare_space, split_pair, standard_f_basis,
-                    theorem1_construct, theorem2_construct, translate)
+                    prepare_space, random_2nilpotent, split_pair,
+                    standard_f_basis, theorem1_construct, theorem2_construct,
+                    three_isometry_from_nilpotent, translate, write_operator)
 
 from isolab import operators
 from isolab.constructions import DEFECT_THRESHOLD
+from isolab.harness import RunConfig, run_verify
 from isolab.spaces import padded
 
 from conftest import make_space, second_split, theorem2_partner2, vec
@@ -985,14 +989,49 @@ class TestRecordedQuantities:
         assert len(calls) == 3
         assert cert.defect_max == 10.0 * fresh_eta()
         # the last coordinate of H4 lies outside R's span: R extends, so
-        # e_U, e_W and e_WV are recomputed over its new rows
+        # only e_U is recomputed over its new rows, once
         count = block.R.defined_count
         block.apply(sp.basis_vector(sp.allocated - 1))
         assert block.R.defined_count == count + 1
-        calls.clear()
+        for expected in (4, 3):
+            calls.clear()
+            eta = block.hypothesis_residual()
+            assert len(calls) == expected
+            assert eta == pytest.approx(fresh_eta(), rel=1e-12)
+            assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_only_e_u_moves_under_forty_extensions(self, theorem):
+        # an extension adds to W a unit row on a fresh coordinate, where
+        # every stored W, K and V row vanishes: e_W, e_WV and e_WK hold
+        # to the rounding of a fresh Gram, 8 m u
+        dim, n = 12, 6
+        sp = prepare_space(dim, capacity=8 * dim)
+        f_basis = standard_f_basis(sp, n)
+        if theorem == 1:
+            block, _ = theorem1_construct(f_basis, sp)
+        else:
+            T = expansive_generator(dim, "svd_random", seed=5)
+            block, _, _ = theorem2_construct(T, f_basis, sp)
+        R, residual = block.R, operators.gram_residual
+
+        def fixed():
+            W = R.defined_outputs
+            return np.array([residual(W), residual(W, block._V),
+                             residual(W, block._K)])
+
+        at_construction = fixed()
+        assert (R.e_W, block._e_WV) == tuple(at_construction[:2])
+        rng = np.random.default_rng(7)
+        count = R.defined_count
+        for _ in range(40):  # each random vector of the allocated span is new
+            block.apply(random_instantiated(sp, rng))
+        assert R.defined_count >= count + 40
+        m = R.defined_count
+        assert np.all(np.abs(fixed() - at_construction)
+                      <= 8 * m * np.finfo(float).eps)
         eta = block.hypothesis_residual()
-        assert len(calls) == 6
-        assert eta == fresh_eta()
+        assert R.e_U == residual(R.defined_inputs)
         assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
 
     def test_certificate_reports_ten_and_five_eta(self):
@@ -1337,6 +1376,38 @@ class TestPointwiseIdentity:
             assert abs(gap) <= 3e-12 * x.norm()
             assert abs(defect_form(block, x, 2)) <= 1e-8 * scale * x.norm() ** 2
 
+    @pytest.mark.parametrize("theorem,dim,n", [(2, 6, 3), (2, 1, 1), (2, 4, 4),
+                                               (1, 6, 3), (1, 1, 1), (1, 4, 4)])
+    def test_capacity_at_the_edge(self, theorem, dim, n):
+        # H2-H4 for Theorem 2, the two partner copies of F for Theorem 1:
+        # the construction takes every coordinate of the budget
+        capacity = 4 * dim if theorem == 2 else dim + 2 * n
+        sp = prepare_space(dim, capacity=capacity)
+        rng = np.random.default_rng(dim + n)
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        f_basis = [sp.vector(c, sp.labels["H1"]) for c in coeffs]
+        if theorem == 2:
+            T = expansive_generator(dim, "svd_random", seed=dim)
+            block, target, trace = theorem2_construct(T, f_basis, sp)
+            norm_T, T1 = T.operator_norm, T.embedded(sp, sp.labels["H1"])
+        else:
+            block, trace = theorem1_construct(f_basis, sp)
+            target, norm_T, T1 = ScalarOperator(2.0), 2.0, ScalarOperator(2.0)
+        assert sp.allocated == sp.capacity == capacity
+        for _ in range(3):
+            x = random_combination(f_basis, rng)
+            gap = ((block.apply(x) - target.apply(x)).norm()
+                   - trace.epsilon * (T1.apply(x) - x).norm())
+            assert abs(gap) <= 1e-12 * (norm_T + 1) * x.norm()
+        cert = certificate_evaluate(target, block, trace, f_basis,
+                                    operator_norm_T=norm_T,
+                                    bound_theoretical=trace.epsilon * (norm_T + 1))
+        assert cert.ok
+        state = block_state(block)
+        with pytest.raises(CapacityExceeded):  # U and K span 2n < capacity
+            block.apply(random_instantiated(sp, rng))
+        assert_same_state(state, block)
+
 
 class TestCertifiedObstruction:
     """The converse inclusion: an expansive B has ||Bx|| >= ||x||, so at a
@@ -1388,3 +1459,86 @@ class TestCertifiedObstruction:
         x = sum((c * f for c, f in zip(ev[:, 0], f_basis)), sp.zero())
         assert x.norm() == pytest.approx(1.0, abs=1e-12)
         assert (block.apply(x) - T1.apply(x)).norm() >= stated - 1e-12
+
+    CLOSURE = re.compile(r"closure: .* >= 1 - sigma_min = (\S+) at the unit "
+                         r"right singular vector x of sigma_min")
+
+    @settings(max_examples=25, deadline=None)
+    @given(half=st.integers(1, 12), n_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(half=8, n_frac=0.5, seed=3)
+    def test_three_isometries_lie_outside_the_closure(self, tmp_path_factory,
+                                                      half, n_frac, seed):
+        # id + A, A 2-nilpotent, is a 3-isometry with sigma_min < 1: every
+        # expansive B, every 2-isometry, stays 1 - sigma_min away at x
+        dim = 2 * half
+        T = three_isometry_from_nilpotent(random_2nilpotent(dim, seed=seed))
+        _, sv, vh = np.linalg.svd(T.matrix)
+        smin = sv[-1]
+        assert smin < 1.0
+        if (dim, seed) == (16, 3):
+            assert smin == pytest.approx(0.1308273737, abs=1e-10)
+
+        path = tmp_path_factory.mktemp("op") / "op.json"
+        write_operator(path, T.matrix)
+        out = io.StringIO()
+        code = run_verify(RunConfig(command="verify", input_path=str(path)), out)
+        lines = out.getvalue().splitlines()
+        assert code == 1
+        assert "(3-isometry: yes)" in lines[2] and "expansive: no" in lines[3]
+        bound = float(self.CLOSURE.fullmatch(lines[4]).group(1))
+        assert bound == pytest.approx(1.0 - smin, rel=1e-12)
+
+        rng = np.random.default_rng(seed)
+        sp = prepare_space(dim)
+        h1 = sp.labels["H1"]
+        n = 1 + int(n_frac * (dim - 1))
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        block, _ = theorem1_construct([sp.vector(c, h1) for c in coeffs], sp)
+        x = sp.vector(vh[-1].conj(), h1)  # T x = sigma_min (unit vector)
+        T1 = T.embedded(sp, h1)
+        assert (block.apply(x) - T1.apply(x)).norm() >= 1.0 - smin - 1e-12
+
+
+class TestNormLowerBound:
+    """A 2-isometry close to T at x and at Tx must have a large norm.  With
+    e1 = ||(B - T)x||, e2 = ||(B - T)Tx||, t1 = ||Tx||, t2 = ||T^2 x|| and
+    D = |d2(T)(x)| - |d2(B)(x)| - 2 e1 (2 t1 + e1), D > 0 gives
+    ||B|| >= (sqrt(t2^2 + D) - t2 - e2) / e1, since B^2 x - T^2 x =
+    (B - T)Tx + B(B - T)x.  Here T stands for T^(4), F = H1."""
+
+    @staticmethod
+    def bound_terms(T, dim, seed):
+        sp = prepare_space(dim)
+        h1 = sp.labels["H1"]
+        block, T4, _ = theorem2_construct(T, standard_f_basis(sp, dim), sp)
+        T1 = T.embedded(sp, h1)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x = sp.vector(c / np.linalg.norm(c), h1)
+        Tx = T1.apply(x)
+        e1 = (block.apply(x) - T4.apply(x)).norm()
+        e2 = (block.apply(Tx) - T4.apply(Tx)).norm()
+        t1, t2 = Tx.norm(), T1.apply(Tx).norm()
+        D = (abs(defect_form(T1, x, 2)) - abs(defect_form(block, x, 2))
+             - 2 * e1 * (2 * t1 + e1))
+        return block.operator_norm, e1, e2, t2, D
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(["scalar", "svd_random", "id_plus_psd"]),
+           dim=st.integers(4, 32), seed=st.integers(0, 2**32 - 1))
+    def test_block_norm_is_at_least_the_bound(self, family, dim, seed):
+        T = expansive_generator(dim, family, seed=seed)
+        norm, e1, e2, t2, D = self.bound_terms(T, dim, seed)
+        if family == "scalar":  # d2(2 id) = 9, e1 = eps = 1/dim
+            assert D > 0
+        if D > 0:
+            assert norm * e1 >= np.sqrt(t2 ** 2 + D) - t2 - e2
+
+    @pytest.mark.parametrize("dim,ratio", [(4, 6.0), (16, 2.1), (32, 1.9)])
+    def test_bound_is_tight_for_twice_identity(self, dim, ratio):
+        # ||B|| -> sqrt(3) n while the bound grows like n - 2
+        norm, e1, e2, t2, D = self.bound_terms(
+            expansive_generator(dim, "scalar"), dim, seed=dim)
+        assert norm / ((np.sqrt(t2 ** 2 + D) - t2 - e2) / e1) == pytest.approx(
+            ratio, abs=0.01)

@@ -1,5 +1,6 @@
 """Every narrative script in demos/, every Python block of README.md and
-every `isolab` command line of README.md runs to completion."""
+every `isolab` command line of README.md runs to completion, and README's
+flags table lists the flags each subcommand takes."""
 
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from isolab import write_operator
-from isolab.harness import main
+from isolab.harness import _COMMAND_FLAGS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -48,3 +49,13 @@ def test_readme_cli_line_exits_zero(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_operator("operator.json", 2 * np.eye(3))
     assert main(shlex.split(line)) == 0, capsys.readouterr().err
+
+
+def test_readme_flags_table_lists_each_subcommands_flags():
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    assert sorted(cmd for cmd, _ in rows) == sorted(_COMMAND_FLAGS)
+    for cmd, cell in rows:
+        flags = re.findall(r"`(--[a-z-]+)`", cell)
+        assert len(flags) == len(set(flags)), cmd
+        assert set(flags) == {*_COMMAND_FLAGS[cmd], "--config"}, cmd

@@ -917,3 +917,11 @@ class TestOperatorFile:
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
             write_operator(path, np.zeros(shape))
         assert not path.exists()
+
+    def test_writer_refuses_non_finite_entries(self, tmp_path):
+        path = tmp_path / "op.json"
+        M = np.array([[np.nan, np.inf], [1.0, complex(0.0, -np.inf)]])
+        with pytest.raises(ValueError, match=re.escape(
+                "non-finite entries at (row, col) [[0, 0], [0, 1], [1, 1]]")):
+            write_operator(path, M)
+        assert not path.exists()
