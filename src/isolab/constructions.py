@@ -110,7 +110,14 @@ def standard_f_basis(space: AmbientSpace, n: int):
 
 def translate(v: Vector, from_indices, to_indices) -> Vector:
     """Move a vector's support from one labeled copy onto a disjoint one."""
-    return Vector(_moved(v.prefix, from_indices, to_indices), v.space)
+    src, dst = np.asarray(from_indices), np.asarray(to_indices)
+    both = np.concatenate((src, dst), axis=None)
+    if (src.ndim != 1 or src.shape != dst.shape or not src.size
+            or not {src.dtype.kind, dst.dtype.kind} <= set("iu")
+            or len(set(both.tolist())) != len(both)
+            or both.min() < 0 or both.max() >= v.space.capacity):
+        raise ValueError(f"cannot move {src.tolist()} onto {dst.tolist()}")
+    return Vector(_moved(v.prefix, src, dst), v.space)
 
 
 def _moved(coords: np.ndarray, from_indices, to_indices) -> np.ndarray:
@@ -127,7 +134,7 @@ def diagonalizing_basis(T: DenseOperator, F_basis):
     """Orthonormal basis x_1..x_n of span(F_basis) whose T-images are
     pairwise orthogonal: the orthonormal eigenbasis of the compression
     P_F T*T|_F.  T must be attached to the space of F_basis."""
-    space = F_basis[0].space
+    space = F_basis[0].space if F_basis else None
     x, _ = _diagonalizing_rows(T, as_rows(F_basis, space))
     return row_vectors(x, space)
 

@@ -150,12 +150,15 @@ def parse_config(argv) -> RunConfig:
             raise UsageError("--input is required for verify")
         return cfg
 
+    flag = "--n" if cfg.command == "sweep" else "--dim-f"
     if cfg.dim_h is None:
         cfg.dim_h = max(cfg.n_list)
     if max(cfg.n_list) > cfg.dim_h:
-        flag = "--n" if cfg.command == "sweep" else "--dim-f"
         raise UsageError(f"{flag}: dim(F)={max(cfg.n_list)} exceeds "
                          f"--dim-h={cfg.dim_h}")
+    if cfg.dim_h > np.iinfo(np.intp).max // 16:  # longest complex ndarray
+        flag = "--dim-h" if "dim_h" in merged else flag
+        raise UsageError(f"{flag}: dim(H)={cfg.dim_h} is too large for numpy")
     if cfg.capacity is not None and cfg.capacity < 1:
         raise UsageError("--capacity must be positive")
     return cfg
@@ -165,22 +168,26 @@ def _family_operator(cfg: RunConfig) -> DenseOperator:
     spec = cfg.family
     try:
         if spec.startswith("scalar:"):
-            return expansive_generator(cfg.dim_h, "scalar",
-                                       scale=float(spec[7:]))
-        if spec.startswith("diag:"):
+            T = expansive_generator(cfg.dim_h, "scalar", scale=float(spec[7:]))
+        elif spec.startswith("diag:"):
             entries = [float(v) for v in spec[5:].split(",") if v]
             if not entries:
                 raise UsageError("--family diag: needs entries")
             # tile prescribed entries cyclically to fill dim(H)
-            tiled = [entries[i % len(entries)] for i in range(cfg.dim_h)]
-            return expansive_generator(cfg.dim_h, "diagonal", diag=tiled)
+            T = expansive_generator(cfg.dim_h, "diagonal",
+                                    diag=np.resize(entries, cfg.dim_h))
+        elif spec in ("svd-random", "id-plus-psd"):
+            T = expansive_generator(cfg.dim_h, spec.replace("-", "_"),
+                                    seed=cfg.seed)
+        else:
+            raise UsageError(f"--family: unknown spec {spec!r}")
     except (ValueError, InvalidFamilyParameter) as exc:
         raise UsageError(f"--family {spec}: {exc}") from exc
-    if spec == "svd-random":
-        return expansive_generator(cfg.dim_h, "svd_random", seed=cfg.seed)
-    if spec == "id-plus-psd":
-        return expansive_generator(cfg.dim_h, "id_plus_psd", seed=cfg.seed)
-    raise UsageError(f"--family: unknown spec {spec!r}")
+    scale = max(cfg.n_list) * T.operator_norm
+    if not scale <= CONSTRUCTION_NORM_LIMIT:
+        raise UsageError(f"--family {spec}: dim(F) ||T|| = "
+                         f"{scale!r} exceeds {CONSTRUCTION_NORM_LIMIT:g}")
+    return T
 
 
 def run_construction(cfg: RunConfig, n: int,
@@ -207,14 +214,9 @@ def run_construction(cfg: RunConfig, n: int,
 def run_sweep(cfg: RunConfig):
     """One Certificate per n, increasing; failed rows carry an error marker.
 
-    T is built and checked against CONSTRUCTION_NORM_LIMIT once, before
-    any row, so a bad --family ends the run instead of failing every row."""
+    `_family_operator` builds and checks T once, before any row, so a bad
+    --family ends the run instead of failing every row."""
     T = None if cfg.command == "theorem1" else _family_operator(cfg)
-    if T is not None:
-        scale = max(cfg.n_list) * T.operator_norm
-        if not scale <= CONSTRUCTION_NORM_LIMIT:
-            raise UsageError(f"--family {cfg.family}: dim(F) ||T|| = "
-                             f"{scale!r} exceeds {CONSTRUCTION_NORM_LIMIT:g}")
     rows = []
     for n in sorted(cfg.n_list):
         try:
@@ -266,11 +268,13 @@ def _write_out(path: str, text: str, mode: str) -> None:
 def read_sweep_csv(text: str):
     """Parse a CSV report back into Certificates (round-trip fidelity)."""
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected header {header}")
     rows = []
     for record in reader:
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(f"line {reader.line_num}: malformed record")
         values = [int(record[0])] + [float(v) for v in record[1:]]
         rows.append(Certificate(*values))
     return rows

@@ -23,9 +23,7 @@ def gram_schmidt(vectors, rank_tol: float = 1e-10):
 
     Raises AllVectorsNegligible if nothing survives.
     """
-    if not vectors:
-        raise AllVectorsNegligible("no input vectors")
-    space = vectors[0].space
+    space = vectors[0].space if vectors else None
     return row_vectors(orthonormal_rows(as_rows(vectors, space), rank_tol), space)
 
 

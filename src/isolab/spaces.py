@@ -51,6 +51,8 @@ class AmbientSpace:
         return indices
 
     def basis_vector(self, index: int) -> "Vector":
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"coordinate {index!r} is not an integer")
         if not 0 <= index < self.allocated:
             raise ValueError(f"coordinate {index} not allocated")
         coords = np.zeros(index + 1, dtype=np.complex128)

@@ -225,6 +225,48 @@ class TestDiagonalizingBasis:
         np.testing.assert_allclose(
             norms_sq, [(9 - np.sqrt(17)) / 2, (9 + np.sqrt(17)) / 2], atol=1e-12)
 
+    def test_empty_f_rejected(self):
+        # orthonormal_rows refuses the empty system, as for gram_schmidt
+        T = DenseOperator(np.eye(2), make_space(2), [0, 1])
+        with pytest.raises(AllVectorsNegligible, match="no input vectors"):
+            diagonalizing_basis(T, [])
+
+
+class TestTranslate:
+    @staticmethod
+    def space():
+        sp = AmbientSpace(8)
+        sp.allocate(4, label="H1")
+        sp.allocate(4, label="H2")
+        return sp
+
+    def test_moves_between_labels_bit_identical(self, rng):
+        sp = self.space()
+        values = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v = sp.vector(values, sp.labels["H1"])
+        moved = translate(v, sp.labels["H1"], sp.labels["H2"])
+        assert np.array_equal(moved.prefix, np.r_[np.zeros(4), values])
+        back = translate(moved, sp.labels["H2"], sp.labels["H1"])
+        assert np.array_equal(back.prefix, v.prefix)
+        # a permutation onto the other copy, from plain lists
+        swapped = translate(v, [0, 1, 2, 3], [7, 6, 5, 4])
+        assert np.array_equal(swapped.prefix, np.r_[np.zeros(4), values[::-1]])
+
+    @pytest.mark.parametrize("src, dst", [
+        ([0, 0], [4, 5]), ([0, 1], [4, 4]), ([0, 1], [1, 4]), ([-1], [5]),
+        ([0], [8]), ([0.0], [4]), ([True], [4]), ([0, 1], [4]),
+        ([[0]], [[4]]), ([], []), (np.array([], int), np.array([], int))],
+        ids=["repeated-from", "repeated-to", "overlapping", "negative",
+             "past-capacity", "float", "boolean", "unequal-lengths", "2-d",
+             "empty", "empty-integer"])
+    def test_rejects_indices_that_are_not_a_disjoint_move(self, src, dst):
+        # numpy would copy, drop or wrap entries, or fail with its own error
+        sp = self.space()
+        v = sp.vector([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot move {list(src)} onto {list(dst)}")):
+            translate(v, src, dst)
+
 
 class TestSplitPair:
     def partner(self, sp):

@@ -176,6 +176,18 @@ class TestEmitReport:
         with pytest.raises(ValueError, match="unexpected header"):
             read_sweep_csv("n,epsilon\n2,0.5\n")
 
+    @pytest.mark.parametrize("body, reason", [
+        (None, "unexpected header ()"), ("2,0.5\n", "line 2: malformed"),
+        ("2" + ",1" * 9 + "\n", "line 2: malformed"),
+        ("2" + ",1" * 8 + "\n\n", "line 3: malformed")],
+        ids=["empty-text", "two-fields", "ten-fields", "blank-line"])
+    def test_read_rejects_malformed_text(self, body, reason):
+        # a tenth field would be read into bound_exact, two would be a
+        # TypeError and empty text a bare StopIteration
+        text = "" if body is None else ",".join(CSV_HEADER) + "\n" + body
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            read_sweep_csv(text)
+
     def test_writes_file(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_report([], "csv", str(path))
@@ -546,6 +558,20 @@ class TestMain:
         (["sweep", "--n", "2", "--family", "nope"], None, "unknown spec"),
         (["theorem1", "--dim-f", "2", "--config", "/nonexistent/cfg.json"],
          None, "--config: "),
+        # a dim(H) numpy cannot size names the flag it came from; those it
+        # can size but not hold fail at the d x d matrix, before allocating
+        (["theorem1", "--dim-f", "2", "--dim-h", str(10**30)], None,
+         "--dim-h: "),
+        (["theorem1", "--dim-f", str(10**30)], None, "--dim-f: "),
+        (["sweep", "--n", "2", "--family", "diag:2", "--dim-h", str(10**30)],
+         None, "--dim-h: "),
+        (["sweep", "--n", f"2,{10**30}"], None, "--n: "),
+        (["theorem1", "--dim-f", "2", "--config", "PATH"],
+         '{"dim_h": ' + str(10**30) + '}', "--dim-h: "),
+        (["sweep", "--n", "2", "--family", "id-plus-psd", "--dim-h",
+          "4000000000"], None, "--family id-plus-psd: array is too big"),
+        (["sweep", "--n", "2", "--family", "svd-random", "--dim-h",
+          "4000000000"], None, "--family svd-random: array is too big"),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "huge-int-entry",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
@@ -560,7 +586,9 @@ class TestMain:
             "zero-shape", "string-rows", "tol-verify-inf", "tol-verify-1.5",
             "tol-verify-nan", "config-tol-verify-inf", "n-not-integer",
             "n-zero", "diag-no-entries", "unknown-family",
-            "unreadable-config"])
+            "unreadable-config", "dim-h-1e30", "dim-f-1e30",
+            "sweep-dim-h-1e30", "n-1e30", "config-dim-h-1e30",
+            "id-plus-psd-4e9", "svd-random-4e9"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if content is not None:

@@ -120,7 +120,7 @@ class TestGramSchmidt:
             gram_schmidt([vec(sp, [0, 0]), vec(sp, [0, 0])])
 
     def test_empty_raises(self):
-        with pytest.raises(AllVectorsNegligible):
+        with pytest.raises(AllVectorsNegligible, match="no input vectors"):
             gram_schmidt([])
 
     def test_negative_rank_tol_rejected(self):

@@ -103,6 +103,18 @@ class TestAmbientSpace:
             space.basis_vector(2)
         assert space.allocated == 2
 
+    @pytest.mark.parametrize("index", [True, False, 1.0, np.True_, "1"],
+                             ids=["true", "false", "float", "numpy-bool",
+                                  "string"])
+    def test_basis_vector_needs_an_integer_index(self, index):
+        # True would give prefix [1, 1] and False the zero vector
+        space = AmbientSpace(4)
+        space.allocate(2)
+        with pytest.raises(ValueError, match="is not an integer"):
+            space.basis_vector(index)
+        for i in (1, np.int64(1), np.uint8(1)):
+            np.testing.assert_array_equal(space.basis_vector(i).prefix, [0, 1])
+
     def test_vector_rejects_negative_indices(self):
         space = AmbientSpace(8)
         space.allocate(2)
