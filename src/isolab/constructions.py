@@ -20,8 +20,8 @@ from .generators import EXPANSIVITY_TOL
 from .linalg import (gram_residual, hermitian_eig, orthonormal_rows,
                      spectral_norm)
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
-                        ScalarOperator, direct_sum_power)
-from .spaces import AmbientSpace, Vector, as_rows, padded, row_vectors
+                        direct_sum_power)
+from .spaces import AmbientSpace, Vector, as_rows, columns, padded, row_vectors
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
@@ -117,17 +117,9 @@ def translate(v: Vector, from_indices, to_indices) -> Vector:
             or len(set(both.tolist())) != len(both)
             or both.min() < 0 or both.max() >= v.space.capacity):
         raise ValueError(f"cannot move {src.tolist()} onto {dst.tolist()}")
-    return Vector(_moved(v.prefix, src, dst), v.space)
-
-
-def _moved(coords: np.ndarray, from_indices, to_indices) -> np.ndarray:
-    """`coords` (one vector or rows) with the entries on `from_indices`
-    moved onto `to_indices`, over the prefix that ends at the last of these."""
-    out = np.zeros(coords.shape[:-1] + (1 + int(np.max(to_indices)),),
-                   dtype=np.complex128)
-    out[..., to_indices] = padded(coords, 1 + int(np.max(from_indices))
-                                  )[..., from_indices]
-    return out
+    out = np.zeros(1 + int(dst.max()), dtype=np.complex128)
+    out[dst] = padded(v.prefix, 1 + int(src.max()))[src]
+    return Vector(out, v.space)
 
 
 def diagonalizing_basis(T: DenseOperator, F_basis):
@@ -164,61 +156,81 @@ def split_pair(xs, c: float, partner):
     if not 0.0 <= c <= 1.0:
         raise ValueError("c must lie in [0, 1]")
     space = xs[0].space if xs else None  # no Vectors, no rows
-    y1, y2 = _split(as_rows(xs, space), as_rows([partner(x) for x in xs], space),
-                    np.sqrt(1.0 - c * c), c)
-    return row_vectors(y1, space), row_vectors(y2, space)
+    x, p = as_rows(xs, space), as_rows([partner(x) for x in xs], space)
+    p, s = (slice(0, p.shape[1]), p), np.sqrt(1.0 - c * c)
+    return (row_vectors(_combined(x, p, s, c), space),
+            row_vectors(_combined(x, p, c, -s), space))
 
 
-def _split(x, p, s, c):
-    """(s x + c p, c x - s p): the splitting of `split_pair` on rows, with
-    s and c scalars or columns; the narrower rows are padded."""
-    w = max(x.shape[1], p.shape[1])
-    x, p = (a if a.shape[1] == w else padded(a, w) for a in (x, p))
-    return s * x + c * p, c * x - s * p
+def _combined(x, p, s, c):
+    """s x + c p for rows x and partner rows p = (columns, values), s and c
+    scalars or columns: s x placed, then c p added on p's columns, where x's
+    rows vanish (disjoint copies), so each entry is the zero-padded sum's."""
+    cols, vals = p
+    end = cols.stop if isinstance(cols, slice) else 1 + cols.max()
+    out = np.zeros((len(x), max(x.shape[1], end)), dtype=np.complex128)
+    np.multiply(x, s, out=out[:, :x.shape[1]])
+    out[:, cols] += c * vals
+    return out
 
 
-def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
+def _placement(from_indices, to_indices):
+    """The partner map moving the entries on `from_indices` onto `to_indices`:
+    rows -> (columns, values) for `_combined`, the values a view when the
+    rows reach the copy's end and the indices are one run."""
+    src, dst, end = (columns(from_indices), columns(to_indices),
+                     1 + from_indices.max())
+    return lambda rows: (dst, (rows if rows.shape[1] >= end
+                               else padded(rows, end))[:, src])
+
+
+def _assemble(space, x, tx, partner1, partner2, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
-    `x` holds an ONB of F as rows over F's leading coordinates; their
-    `target`-images are pairwise orthogonal with norms `norms_Tx` (an array,
-    all >= 1 - EXPANSIVITY_TOL).  `partner1` maps the x_i, and `partner2` the
-    y1_i, isometrically onto rows that end at a copy orthogonal to
-    everything built so far; the operator `target` commutes with both and
-    keeps rows at least as wide.  So y1, y2 lie over x's and the first
-    copy's coordinates, z1, z2 and their images over every copy's.  The
-    block is (R, V; 0, id_K), K spanned by the first splitting's complements
-    y2, R lazily extended from y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) =
-    sigma_i target(z2_i), sigma_i = sqrt((1-eps^2)(1 - a_i^2))/eps, where
-    a_i = min(1/||Tx_i||, 1) is the weight of y1_i in z1_i.
+    `x` holds an ONB of F as rows over F's leading coordinates and `tx` their
+    target-images, pairwise orthogonal with norms ||Tx_i|| >= 1 -
+    EXPANSIVITY_TOL.  `partner1` maps the x_i, and `partner2` the y1_i,
+    isometrically onto a copy orthogonal to everything built so far, as
+    linear maps rows -> (columns, values) that commute with the target.  So
+    target(y1) = s tx + eps partner1(tx), whose second splitting gives
+    target(z1) and target(z2): no target product is made, no z1, z2 formed.
+    The block is (R, V; 0, id_K), K spanned by y2, R lazily extended from
+    y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
+    sigma_i = sqrt((1-eps^2)(1 - a_i^2))/eps, a_i = min(1/||Tx_i||, 1) the
+    weight of y1_i in z1_i.
     """
     eps = 1.0 / len(x) if epsilon is None else float(epsilon)
     if not 0.0 < eps <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
+    norms_Tx = np.linalg.norm(tx, axis=1)
     # V's rows are orthogonal with norms sigma_i ||Tx_i|| <= ||Tx_i||/eps
     if norms_Tx.max() > eps * CONSTRUCTION_NORM_LIMIT:
         raise ValueError(f"epsilon = {eps!r} too small: ||Tx||/epsilon exceeds "
                          f"{CONSTRUCTION_NORM_LIMIT:g}")
-
-    # Step 1: split across the first partner copy
-    y1, y2 = _split(x, partner1(x), np.sqrt(1.0 - eps * eps), eps)
-
-    # Step 2: split the y1 once more, across the second partner copy
     if not np.all(norms_Tx >= 1.0 - EXPANSIVITY_TOL):
         raise NotExpansive(f"image norm below 1: ||Tx|| = {norms_Tx.min()}; "
                            "every expansive B has ||(B - T(4))x|| >= "
                            f"{1.0 - norms_Tx.min()} at this x")
+
+    # Step 1: split across the first partner copy, and the images alike
+    s = np.sqrt(1.0 - eps * eps)
+    p = partner1(x)
+    y1, y2 = _combined(x, p, s, eps), _combined(x, p, eps, -s)
+    ty1 = _combined(tx, partner1(tx), s, eps)
+
+    # Step 2: split the y1 once more, across the second partner copy
     inv = 1.0 / norms_Tx
     a = np.minimum(inv, 1.0)  # a norm just below 1 is roundoff: z1 = y1
     b = np.sqrt(1.0 - a * a)
-    z1, z2 = _split(y1, partner2(y1), a[:, None], b[:, None])
+    q, a, b = partner2(ty1), a[:, None], b[:, None]
+    tz1, tz2 = _combined(ty1, q, a, b), _combined(ty1, q, b, -a)
+    del ty1, q  # not held through the checks below
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
-    sigmas = np.sqrt(1.0 - eps * eps) * b / eps
-    tz1, tz2 = target._apply_rows(z1), target._apply_rows(z2)
+    sigmas = s * b[:, 0] / eps
     ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
-    tz1 *= inv[:, None]     # W and V, scaled in place: `_apply_rows`
-    tz2 *= sigmas[:, None]  # always returns a new array
+    tz1 *= inv[:, None]     # W and V, scaled in place
+    tz2 *= sigmas[:, None]
     R = LazyIsometry(space, inputs=y1, outputs=tz1)
     block = BrownianBlock(R, K_basis=y2, V_images=tz2)
 
@@ -232,22 +244,21 @@ def _assemble(space, x, norms_Tx, target, partner1, partner2, epsilon):
 def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     """2-isometric Brownian block within 1/dim(F) of 2*id on F.
 
-    The Theorem-2 assembly with T = 2*id: any ONB of F diagonalizes it and
-    every ||Tx_i|| is 2.  Because 2*id commutes with every isometry, both
-    partner copies are fresh coordinates (2 dim(F) of them) instead of
-    copies of H, and F may be any subspace of `space`.  On F the block
+    The Theorem-2 assembly with T = 2*id and Tx = 2x for any ONB x of F.
+    As 2*id commutes with every linear map, the partner copies are 2 dim(F)
+    fresh coordinates f, g, allocated once, not copies of H, and F may be any
+    subspace of `space`: x_i -> f_i (rows -> their coefficients along x) and
+    y1_i = s x_i + eps f_i -> g_i (rows -> their f-coordinates / eps).  Both
+    map 2x and 2 y1 to twice the images of x and y1.  On F the block
     satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
     """
     x = orthonormal_rows(as_rows(F_basis, space))
     n = len(x)
-
-    def fresh(rows):
-        # called once per system being split, so the system goes
-        # isometrically onto as many fresh coordinates
-        return _moved(np.eye(n), np.arange(n), space.allocate(n))
-
-    return _assemble(space, x, np.full(n, 2.0),
-                     ScalarOperator(2.0), fresh, fresh, epsilon)
+    eps = 1.0 / n if epsilon is None else epsilon
+    f, g = (columns(space.allocate(n)) for _ in range(2))
+    return _assemble(space, x, 2.0 * x,
+                     lambda rows: (f, rows @ np.conj(x).T),
+                     lambda rows: (g, rows[:, f] / eps), eps)
 
 
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
@@ -271,15 +282,10 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
                              f"coordinates, T acts on {d}")
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
-    T1 = T.embedded(space, h1)
-    x, tx = _diagonalizing_rows(T1, as_rows(F_basis, space))
-    norms_Tx = np.linalg.norm(tx, axis=1)  # _assemble checks >= 1
-
-    T4 = direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4])
-    block, trace = _assemble(
-        space, x, norms_Tx, T4, lambda rows: _moved(rows, h1, h2),
-        lambda rows: _moved(rows, np.r_[h1, h2], np.r_[h3, h4]), epsilon)
-    return block, T4, trace
+    x, tx = _diagonalizing_rows(T.embedded(space, h1), as_rows(F_basis, space))
+    block, trace = _assemble(space, x, tx, _placement(h1, h2),
+                             _placement(np.r_[h1, h2], np.r_[h3, h4]), epsilon)
+    return block, direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4]), trace
 
 
 def certificate_evaluate(target, block, trace, G_basis, *,

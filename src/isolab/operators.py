@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
 from .linalg import gram_matrix, gram_residual, spectral_norm
-from .spaces import AmbientSpace, Vector, as_rows, padded
+from .spaces import AmbientSpace, Vector, as_rows, columns, padded
 
 
 class DenseOperator:
@@ -56,11 +56,7 @@ class DenseOperator:
                     or not len(idx) == len(set(idx.tolist())) == self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
-            # one selector of the domain's columns: a slice for a contiguous
-            # ascending run (views, no gather), else the index array
-            lo = int(idx[0]) if len(idx) else 0
-            run = np.array_equal(idx, np.arange(lo, lo + len(idx)))
-            self._sel = slice(lo, lo + len(idx)) if run else idx
+            self._sel = columns(idx)  # one selector of the domain's columns
             self._end = int(idx.max(initial=-1)) + 1
 
     matrix = property(lambda self: self._matrix)

@@ -512,14 +512,16 @@ class TestTheorem2:
     def test_each_construction_array_held_once_at_dim_128(self):
         # the block holds W and V, the trace no z1, z2 and the certificate
         # no stacked copy: measured 3.43e6 B retained and an 8.94e6 B peak
-        # (5.53e6 and 12.35e6 with the z rows kept and [E | r] stacked)
+        # (5.53e6 and 12.35e6 with the z rows kept and [E | r] stacked); the
+        # construction alone peaks at 4.99e6 B with W and V assembled from
+        # the rows Tx (7.10e6 B with z1, z2 formed and T^(4) applied to them)
         T = expansive_generator(128, "svd_random", seed=1)
         sp = prepare_space(128)
         f_basis = standard_f_basis(sp, 128)
         tracemalloc.start()
         try:
             block, T4, trace = theorem2_construct(T, f_basis, sp)
-            retained = tracemalloc.get_traced_memory()[0]
+            retained, built = tracemalloc.get_traced_memory()
             certificate_evaluate(T4, block, trace, f_basis,
                                  operator_norm_T=T.operator_norm,
                                  bound_theoretical=(T.operator_norm + 1) / 128)
@@ -527,6 +529,7 @@ class TestTheorem2:
         finally:
             tracemalloc.stop()
         assert retained < 4.5e6
+        assert built < 5.85e6
         assert peak < 10.5e6
 
     def test_construction_and_certificate_peak_memory_at_dim_128(self):
@@ -678,6 +681,120 @@ class TestTheorem2:
             assert w.min() >= 1.0 - 1e-9
 
 
+def gapped_space(dim):
+    """Space with H1, H2, H3, H4 of `dim` coordinates each and unlabeled
+    coordinates after H1 and after H2, so that neither H1 + H2 nor H2
+    directly follows the copy before it."""
+    sp = make_space(dim, capacity=64 * dim)
+    for label, gap in (("H2", 3), ("H3", 2), ("H4", 0)):
+        sp.allocate(gap)
+        sp.allocate(dim, label=label)
+    return sp
+
+
+def random_subspace(space, label, n, rng):
+    """ONB of a random n-dimensional subspace of the copy `label`, not
+    aligned with its coordinates."""
+    idx = space.labels[label]
+    return gram_schmidt([space.vector(rng.standard_normal(len(idx))
+                                      + 1j * rng.standard_normal(len(idx)), idx)
+                         for _ in range(n)])
+
+
+class TestAssemblyFromImages:
+    """The constructions take the target's images of the split systems
+    from the rows Tx (Theorem 2) or 2x (Theorem 1) through the same two
+    splittings, placed on the partner copies: no target product and no z
+    rows during construction."""
+
+    def test_construction_makes_no_target_product(self, monkeypatch, rng):
+        calls = []
+
+        def counted(cls, name):
+            method = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls.append(cls.__name__)
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(operators._DirectSumPower, "_product")
+        counted(ScalarOperator, "apply")
+        counted(ScalarOperator, "_apply_rows")
+        T = expansive_generator(6, "svd_random", seed=5)
+        sp = gapped_space(6)
+        f2 = random_subspace(sp, "H1", 4, rng)
+        block2, T4, trace2 = theorem2_construct(T, f2, sp)
+        sp1 = prepare_space(6)
+        f1 = random_subspace(sp1, "H1", 4, rng)
+        block1, trace1 = theorem1_construct(f1, sp1)
+        assert calls == []
+        for target, block, trace, f_basis, norm in (
+                (T4, block2, trace2, f2, T.operator_norm),
+                (ScalarOperator(2.0), block1, trace1, f1, 2.0)):
+            cert = certificate_evaluate(target, block, trace, f_basis,
+                                        operator_norm_T=norm,
+                                        bound_theoretical=(norm + 1) / 4)
+            assert cert.ok
+        # the certificate's one independent application of each target
+        assert calls == ["_DirectSumPower", "ScalarOperator"]
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_block_holds_z_images_off_aligned_layouts(self, theorem, rng):
+        # F not coordinate-aligned; for Theorem 2, unlabeled coordinates
+        # between the copies make both partner maps gather and scatter
+        if theorem == 1:
+            sp = prepare_space(6)
+            f_basis = random_subspace(sp, "H1", 4, rng)
+            block, trace = theorem1_construct(f_basis, sp)
+            target = ScalarOperator(2.0)
+            fresh = iter(range(sp.allocated - 4, sp.allocated))
+
+            def partner2(v):
+                return sp.basis_vector(next(fresh))
+        else:
+            T = expansive_generator(6, "svd_random", seed=8)
+            sp = gapped_space(6)
+            f_basis = random_subspace(sp, "H1", 4, rng)
+            block, target, trace = theorem2_construct(T, f_basis, sp)
+            partner2 = theorem2_partner2(sp)
+        z1, z2 = second_split(trace.y1, trace.norms_Tx, partner2)
+        assert_block_holds_z_images(block, trace, target, z1, z2)
+
+    @pytest.mark.parametrize("theorem, aligned", [
+        (1, True), (1, False), (2, True), (2, False)])
+    def test_splitting_is_the_padded_sum(self, theorem, aligned, rng):
+        # y1 = s x + eps P1(x) and y2 = eps x - s P1(x) on zero-padded rows,
+        # entry for entry: P1 moves H1 onto H2 (Theorem 2) or maps x_i to
+        # the i-th of the dim(F) first fresh coordinates (Theorem 1)
+        n = 4
+        sp = prepare_space(6) if theorem == 1 else gapped_space(6)
+        before = sp.allocated
+        f_basis = (standard_f_basis(sp, n) if aligned
+                   else random_subspace(sp, "H1", n, rng))
+        if theorem == 1:
+            _, trace = theorem1_construct(f_basis, sp)
+            assert sp.allocated == before + 2 * n  # 2 dim(F) fresh, no more
+            x = trace.x_rows
+            coeffs = np.eye(n) if aligned else x @ np.conj(x).T
+            to = np.arange(before, before + n)
+        else:
+            T = expansive_generator(6, "svd_random", seed=3)
+            _, _, trace = theorem2_construct(T, f_basis, sp)
+            assert sp.allocated == before
+            x, h1 = trace.x_rows, sp.labels["H1"]
+            coeffs, to = padded(x, 1 + h1.max())[:, h1], sp.labels["H2"]
+        width = trace.y1_rows.shape[1]
+        p = np.zeros((n, width), dtype=np.complex128)
+        p[:, to] = coeffs
+        if theorem == 1 and aligned:
+            np.testing.assert_array_equal(np.abs(x), np.eye(n, x.shape[1]))
+        eps, x = trace.epsilon, padded(x, width)
+        s = np.sqrt(1.0 - eps * eps)
+        np.testing.assert_array_equal(trace.y1_rows, s * x + eps * p)
+        np.testing.assert_array_equal(trace.y2_rows, eps * x - s * p)
+
+
 THEOREM2_ORDER3_OPERATORS = {
     "svd_random": lambda: expansive_generator(16, "svd_random", seed=1),
     "id_plus_psd": lambda: expansive_generator(16, "id_plus_psd", seed=2),
@@ -780,7 +897,7 @@ class TestCertificate:
                      "expansivity_min", "orthogonality_max"):
             assert getattr(dirty, name) == getattr(clean, name), name
         assert dirty.bound_measured == (0.24999999999999997 if theorem == 1
-                                        else 0.7757007605029316)
+                                        else 0.7757007605029318)
 
     def test_domain_mismatch(self):
         # a basis of another space, or a target attached to none
