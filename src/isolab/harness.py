@@ -5,6 +5,7 @@ reports."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -83,14 +84,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _input(what: str):
+    """A failed read of outside input is UsageError('what: Type: message')."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError, KeyError, OverflowError,
+            RecursionError, InvalidFamilyParameter) as exc:
+        raise UsageError(f"{what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _read_config(path: str, command: str) -> dict:
     """Values of a JSON config file: its keys are `command`'s flags with `_`
     for `-`, each value of its flag's type (an integer stands for a float)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            filecfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"--config: {exc}") from exc
+    with _input("--config"), open(path, encoding="utf-8") as fh:
+        filecfg = json.load(fh)
     if not isinstance(filecfg, dict):
         raise UsageError("--config: the file must hold one JSON object")
     specs = {flag[2:].replace("-", "_"): (kind, _CHOICES.get(flag))
@@ -127,10 +135,8 @@ def parse_config(argv) -> RunConfig:
     cfg = RunConfig(command=command, **merged)
 
     if n_spec is not None:
-        try:
+        with _input("--n"):
             cfg.n_list = [int(v) for v in n_spec.split(",") if v]
-        except ValueError as exc:
-            raise UsageError(f"--n: {exc}") from exc
         if any(v < 1 for v in cfg.n_list):
             raise UsageError("--n: entries must be positive")
     if cfg.command in ("theorem1", "theorem2"):
@@ -166,7 +172,7 @@ def parse_config(argv) -> RunConfig:
 
 def _family_operator(cfg: RunConfig) -> DenseOperator:
     spec = cfg.family
-    try:
+    with _input(f"--family {spec}"):
         if spec.startswith("scalar:"):
             T = expansive_generator(cfg.dim_h, "scalar", scale=float(spec[7:]))
         elif spec.startswith("diag:"):
@@ -181,8 +187,6 @@ def _family_operator(cfg: RunConfig) -> DenseOperator:
                                     seed=cfg.seed)
         else:
             raise UsageError(f"--family: unknown spec {spec!r}")
-    except (ValueError, InvalidFamilyParameter) as exc:
-        raise UsageError(f"--family {spec}: {exc}") from exc
     scale = max(cfg.n_list) * T.operator_norm
     if not scale <= CONSTRUCTION_NORM_LIMIT:
         raise UsageError(f"--family {spec}: dim(F) ||T|| = "
@@ -258,11 +262,8 @@ def emit_report(rows, fmt: str, path: str | None) -> str:
 
 def _write_out(path: str, text: str, mode: str) -> None:
     """Write `text` to the --out file `path`, UsageError if that fails."""
-    try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"--out {path}: {exc}") from exc
+    with _input(f"--out {path}"), open(path, mode, encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_sweep_csv(text: str):
@@ -280,20 +281,17 @@ def read_sweep_csv(text: str):
     return rows
 
 
-def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
+def run_verify(cfg: RunConfig, stream=None) -> int:
     """Defect (orders 1-3) and expansivity suites on a stored operator.
 
     Reports max |d_m| = ||beta_m||_2, beta_0 = I, beta_m = B* beta_{m-1} B -
-    beta_{m-1}, as d_m at the eigenvector attaining it.  --samples and
-    --seed are accepted but not read.  Exit status 0 iff the operator is
+    beta_{m-1}, as d_m at the eigenvector attaining it, on `stream` (None:
+    sys.stdout as it is when called).  Exit status 0 iff the operator is
     certified expansive at tol_verify; m-isometry verdicts are informational.
     Otherwise a last line bounds the distance to every expansive operator.
     """
-    try:
+    with _input(f"--input {cfg.input_path}"):
         op = DenseOperator(read_operator(cfg.input_path))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"--input {cfg.input_path}: "
-                         f"{type(exc).__name__}: {exc}") from exc
     if not op.operator_norm <= VERIFY_NORM_LIMIT:
         raise UsageError(f"--input {cfg.input_path}: sigma_max = "
                          f"{op.operator_norm!r} exceeds {VERIFY_NORM_LIMIT:g}")
@@ -305,16 +303,16 @@ def run_verify(cfg: RunConfig, stream=sys.stdout) -> int:
         w, vecs = np.linalg.eigh(beta)
         worst = abs(defect_form(op, vecs[:, np.abs(w).argmax()], m))
         verdict = "yes" if worst <= cfg.tol_verify * scale ** m else "no"
-        stream.write(f"defect order {m}: max |d_{m}| = {_fmt(worst)} "
-                     f"({m}-isometry: {verdict})\n")
+        print(f"defect order {m}: max |d_{m}| = {_fmt(worst)} "
+              f"({m}-isometry: {verdict})", file=stream)
     smin = float(op.singular_values.min())
     expansive = smin >= 1.0 - cfg.tol_verify
-    stream.write(f"sigma_min: {_fmt(smin)} "
-                 f"(expansive: {'yes' if expansive else 'no'})\n")
+    print(f"sigma_min: {_fmt(smin)} "
+          f"(expansive: {'yes' if expansive else 'no'})", file=stream)
     if not expansive:  # ||Bx|| >= 1 and ||Tx|| = sigma_min at that x
-        stream.write("closure: every expansive B (so every 2-isometry) has "
-                     f"||(B - T)x|| >= 1 - sigma_min = {_fmt(1.0 - smin)} "
-                     "at the unit right singular vector x of sigma_min\n")
+        print("closure: every expansive B (so every 2-isometry) has "
+              f"||(B - T)x|| >= 1 - sigma_min = {_fmt(1.0 - smin)} "
+              "at the unit right singular vector x of sigma_min", file=stream)
     return 0 if expansive else 1
 
 
@@ -335,7 +333,8 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0 if all(row.ok for row in rows) else 1
     except (IsolabError, MemoryError) as exc:  # e.g. a huge --dim-h
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        message = str(exc) or type(exc).__name__
+        print("error:", *message.splitlines(), file=sys.stderr)  # one line
         return 2
 
 

@@ -430,7 +430,8 @@ def write_operator(path, matrix) -> None:
 
 
 def read_operator(path) -> np.ndarray:
-    """Read a matrix stored by write_operator."""
+    """Read a matrix stored by write_operator; a bad file raises OSError,
+    ValueError, KeyError, TypeError, OverflowError or RecursionError."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     rows, cols = doc["rows"], doc["cols"]

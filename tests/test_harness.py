@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -10,18 +11,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isolab import (DenseOperator, UsageError, certificate_evaluate,
-                    defect_form, expansive_generator, prepare_space,
-                    random_2nilpotent, random_unitary, standard_f_basis,
-                    theorem2_construct, three_isometry_from_nilpotent,
-                    write_operator)
+from isolab import (DenseOperator, InvalidFamilyParameter, UsageError,
+                    certificate_evaluate, defect_form, expansive_generator,
+                    prepare_space, random_2nilpotent, random_unitary,
+                    standard_f_basis, theorem2_construct,
+                    three_isometry_from_nilpotent, write_operator)
 from isolab import harness
 from isolab.constructions import (DEFECT_THRESHOLD, EXPANSIVITY_THRESHOLD,
                                   Certificate)
-from isolab.harness import (CSV_HEADER, RunConfig, emit_report, main,
-                            parse_config, read_sweep_csv, run_construction,
-                            run_sweep, run_verify)
+from isolab.harness import (_COMMAND_FLAGS, CSV_HEADER, RunConfig,
+                            emit_report, main, parse_config, read_sweep_csv,
+                            run_construction, run_sweep, run_verify)
 
 
 class TestParseConfig:
@@ -552,7 +554,7 @@ class TestMain:
         (["verify", "--config", "PATH"], '{"tol_verify": Infinity}',
          "--tol-verify"),
         # malformed sweep lists and family specs, an unreadable config
-        (["sweep", "--n", "2,x"], None, "--n: invalid literal"),
+        (["sweep", "--n", "2,x"], None, "--n: ValueError: invalid literal"),
         (["sweep", "--n", "0"], None, "--n: entries must be positive"),
         (["sweep", "--n", "2", "--family", "diag:"], None, "needs entries"),
         (["sweep", "--n", "2", "--family", "nope"], None, "unknown spec"),
@@ -569,9 +571,24 @@ class TestMain:
         (["theorem1", "--dim-f", "2", "--config", "PATH"],
          '{"dim_h": ' + str(10**30) + '}', "--dim-h: "),
         (["sweep", "--n", "2", "--family", "id-plus-psd", "--dim-h",
-          "4000000000"], None, "--family id-plus-psd: array is too big"),
+          "4000000000"], None,
+         "--family id-plus-psd: ValueError: array is too big"),
         (["sweep", "--n", "2", "--family", "svd-random", "--dim-h",
-          "4000000000"], None, "--family svd-random: array is too big"),
+          "4000000000"], None,
+         "--family svd-random: ValueError: array is too big"),
+        # input that fails to read with an exception of its own kind
+        (["theorem1", "--dim-f", "2", "--config", "PATH"],
+         b'{"dim_h": "\xff"}', "--config: UnicodeDecodeError: "),
+        (["theorem1", "--dim-f", "2", "--config", "PATH"],
+         '{"a": ' * 50000 + '1' + '}' * 50000, "--config: RecursionError: "),
+        (["verify"], "[" * 100000 + "]" * 100000, ": RecursionError: "),
+        (["theorem1", "--dim-f", "2", "--config", "PATH"],
+         '{"out": "a\\u0000b.csv"}', ": ValueError: embedded null byte"),
+        # a message that quotes input with a line break is still one line
+        (["theorem1", "--dim-f", "2", "--bogus", "a\nb"], None,
+         "unrecognized arguments: --bogus a b"),
+        (["sweep", "--n", "2", "--family", "diag:\n"], None,
+         "--family diag: : ValueError: "),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "huge-int-entry",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
@@ -588,10 +605,15 @@ class TestMain:
             "n-zero", "diag-no-entries", "unknown-family",
             "unreadable-config", "dim-h-1e30", "dim-f-1e30",
             "sweep-dim-h-1e30", "n-1e30", "config-dim-h-1e30",
-            "id-plus-psd-4e9", "svd-random-4e9"])
+            "id-plus-psd-4e9", "svd-random-4e9", "config-not-utf-8",
+            "config-nested-50000", "operator-nested-100000",
+            "config-out-null-byte", "argument-line-break",
+            "family-line-break"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
             path.write_text(content)
         argv = [str(path) if a == "PATH" else a for a in argv]
         if argv[0] == "verify":
@@ -662,6 +684,161 @@ class TestMain:
         path = tmp_path / "op.json"
         write_operator(path, 3 * np.eye(2))
         assert main(["verify", "--input", str(path)]) == 0
+
+    @pytest.mark.parametrize("argv", [["verify"],
+                                      ["theorem1", "--dim-f", "2"]])
+    def test_every_command_writes_to_the_current_stdout(self, tmp_path, capsys,
+                                                        argv):
+        path = tmp_path / "op.json"
+        write_operator(path, 3 * np.eye(2))
+        if argv == ["verify"]:
+            argv = argv + ["--input", str(path)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == ""
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == (4 if argv[0] == "verify" else 2)
+
+
+class TestInputRule:
+    """`harness._input`: one rule for a failed read of outside input."""
+
+    @pytest.mark.parametrize("kind", [
+        OSError, FileNotFoundError, ValueError, UnicodeDecodeError, TypeError,
+        KeyError, OverflowError, RecursionError, InvalidFamilyParameter])
+    def test_listed_exception_becomes_usage_error(self, kind):
+        exc = (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+               if kind is UnicodeDecodeError else kind("the message"))
+        with pytest.raises(UsageError) as info:
+            with harness._input("--what x"):
+                raise exc
+        assert str(info.value) == f"--what x: {kind.__name__}: {exc}"
+        assert info.value.__cause__ is exc
+
+    def test_usage_error_passes_untouched(self):
+        exc = UsageError("--family: unknown spec 'nope'")
+        with pytest.raises(UsageError) as info:
+            with harness._input("--family nope"):
+                raise exc
+        assert info.value is exc and info.value.__cause__ is None
+
+    @pytest.mark.parametrize("kind", [ZeroDivisionError, AssertionError,
+                                      MemoryError, IndexError])
+    def test_unlisted_exception_propagates_unchanged(self, kind):
+        exc = kind("internal fault")
+        with pytest.raises(kind) as info:
+            with harness._input("--input x"):
+                raise exc
+        assert info.value is exc
+
+
+def _mostly(usual, other):
+    """`usual` seven times in eight, else `other`."""
+    return st.integers(0, 7).flatmap(lambda i: usual if i else other)
+
+
+#: past np.iinfo(np.intp).max // 16, a dimension parse_config refuses
+_PAST_NUMPY = np.iinfo(np.intp).max // 16 + 1
+_INTS = _mostly(st.integers(1, 8),
+                st.sampled_from([0, -1, 64, 2**63, -2**63, _PAST_NUMPY]))
+_FLOATS = st.sampled_from([0.0, -1.0, 0.5, 1e-300, 1e308, -1e308, float("nan"),
+                           float("inf"), float("-inf")]) | st.floats()
+# no decimal digits: int() reads every Unicode digit, so free text could
+# spell a dimension far past 64
+_TEXT = st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+_JSON = st.recursive(st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=4)
+# paths relative to the test's working directory: the two input files, a
+# file to write, a missing directory, a directory, a NUL byte, nothing
+_PATHS = st.sampled_from(["op.json", "cfg.json", "out.txt", "no\ndir/x", ".",
+                          "a\0b", ""])
+#: a flag's value as the command line spells it, by flag (else an int flag)
+_ARGUMENTS = {
+    "--input": _PATHS, "--config": _PATHS, "--out": _PATHS,
+    "--family": st.sampled_from([
+        "scalar:2", "scalar:1", "scalar:0.5", "scalar:1e308", "scalar:inf",
+        "scalar:nan", "diag:1,2", "diag:", "diag:1e200", "diag:x",
+        "svd-random", "id-plus-psd", "nope"]) | _TEXT,
+    "--format": st.sampled_from(["csv", "report", "xml", ""]),
+    "--n": st.lists(_INTS, max_size=4).map(lambda ns: ",".join(map(str, ns)))
+    | _TEXT,
+    "--tol-verify": (_FLOATS | _INTS).map(str) | _TEXT,
+}
+_INT_ARGUMENT = _mostly(_INTS.map(str),
+                        _TEXT | st.sampled_from(["1e308", "2.5"]))
+#: a config value by key, of the flag's type (else an int) or any JSON value
+_CONFIG_VALUES = {"input": _PATHS, "config": _PATHS, "out": _PATHS,
+                  "family": _ARGUMENTS["--family"], "n": _ARGUMENTS["--n"],
+                  "format": _ARGUMENTS["--format"], "tol_verify": _FLOATS}
+
+
+@st.composite
+def _document(draw, value):
+    """JSON text of `value`, maybe nested deep, cut short or not UTF-8."""
+    text = json.dumps(value).encode()
+    fault = draw(st.sampled_from([None, None, None, "nest", "cut", "byte"]))
+    if fault == "nest":
+        depth = draw(st.sampled_from([3, 5000, 100000]))
+        text = b"[" * depth + text + b"]" * depth
+    at = draw(st.integers(0, len(text)))
+    if fault == "cut":
+        text = text[:at]
+    if fault == "byte":
+        byte = draw(st.sampled_from([b"\xff", b"\xc3", b"\0"]))
+        text = text[:at] + byte + text[at:]
+    return text
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(argv, config file, operator file) for one call of `main`."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = [*_COMMAND_FLAGS[command], "--config", "--bogus"]
+    # the flag the command requires, mostly given
+    required = {"sweep": ["--n"], "verify": ["--input"]}.get(command,
+                                                             ["--dim-f"])
+    chosen = draw(_mostly(st.just(required), st.just([])))
+    argv = [command]
+    for flag in chosen + draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv += [flag, draw(_ARGUMENTS.get(flag, _INT_ARGUMENT))]
+    keys = draw(st.lists(st.sampled_from([f[2:].replace("-", "_")
+                                          for f in flags]), max_size=4))
+    config = {k: draw(_mostly(_CONFIG_VALUES.get(k, _INTS), _JSON))
+              for k in keys}
+    config = draw(_mostly(st.just(config), _JSON))
+    k = draw(st.integers(1, 6))
+    operator = {"rows": k, "cols": k, "entries": draw(st.lists(
+        st.lists(_INTS | _FLOATS, min_size=2, max_size=2),
+        min_size=k * k, max_size=k * k))}
+    key = draw(_mostly(st.none(), st.sampled_from(sorted(operator))))
+    if key is not None:
+        operator[key] = draw(_INTS | _JSON)
+    return argv, draw(_document(config)), draw(_document(operator))
+
+
+class TestInputFuzz:
+    """Every input ends in a run (exit 0 or 1) or in exactly one `error: `
+    line on stderr with exit 2 and nothing on stdout; no exception escapes
+    `main`."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(inputs=_cli_inputs())
+    def test_main_exits_cleanly(self, tmp_path, monkeypatch, inputs):
+        argv, config, operator = inputs
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_bytes(config)
+        Path("op.json").write_bytes(operator)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_module_entry_point_runs_main():
