@@ -136,7 +136,7 @@ def parse_config(argv) -> RunConfig:
 
     if n_spec is not None:
         with _input("--n"):
-            cfg.n_list = [int(v) for v in n_spec.split(",") if v]
+            cfg.n_list = [int(v) for v in n_spec.split(",")]
         if any(v < 1 for v in cfg.n_list):
             raise UsageError("--n: entries must be positive")
     if cfg.command in ("theorem1", "theorem2"):
@@ -176,9 +176,7 @@ def _family_operator(cfg: RunConfig) -> DenseOperator:
         if spec.startswith("scalar:"):
             T = expansive_generator(cfg.dim_h, "scalar", scale=float(spec[7:]))
         elif spec.startswith("diag:"):
-            entries = [float(v) for v in spec[5:].split(",") if v]
-            if not entries:
-                raise UsageError("--family diag: needs entries")
+            entries = [float(v) for v in spec[5:].split(",")]
             # tile prescribed entries cyclically to fill dim(H)
             T = expansive_generator(cfg.dim_h, "diagonal",
                                     diag=np.resize(entries, cfg.dim_h))
@@ -333,8 +331,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0 if all(row.ok for row in rows) else 1
     except (IsolabError, MemoryError) as exc:  # e.g. a huge --dim-h
-        message = str(exc) or type(exc).__name__
-        print("error:", *message.splitlines(), file=sys.stderr)  # one line
+        message = "".join(c if c.isprintable() else repr(c)[1:-1]
+                          for c in str(exc) or type(exc).__name__)
+        print("error:", message, file=sys.stderr)  # escaped: one line
         return 2
 
 

@@ -13,59 +13,50 @@ from .errors import AllVectorsNegligible, NotHermitian
 from .spaces import as_rows, row_vectors
 
 
-def gram_schmidt(vectors, rank_tol: float = 1e-10):
+#: drop tolerance of `orthonormal_rows`, relative to the largest row norm
+RANK_TOL = 1e-10
+
+
+def gram_schmidt(vectors):
     """Orthonormalize `vectors`, dropping numerically dependent ones.
 
     Works on the leading coordinates that carry the inputs (see
-    `orthonormal_rows`: one Householder QR, or the Gram-Schmidt loop when
-    a vector is dropped).  A vector whose residual after projection onto
-    the ones before it is at most ``rank_tol * max input norm`` is dropped.
+    `orthonormal_rows`).  A vector whose residual after projection onto
+    the ones kept before it is at most ``RANK_TOL * max input norm`` is
+    dropped.
 
-    Raises AllVectorsNegligible if nothing survives.
+    Raises AllVectorsNegligible if there are none or all are zero.
     """
     space = vectors[0].space if vectors else None
-    return row_vectors(orthonormal_rows(as_rows(vectors, space), rank_tol), space)
+    return row_vectors(orthonormal_rows(as_rows(vectors, space)), space)
 
 
-def orthonormal_rows(rows: np.ndarray, rank_tol: float = 1e-10):
+def orthonormal_rows(rows: np.ndarray):
     """Orthonormal rows spanning the rows of `rows`, taken in order.
 
     One reduced Householder QR of the rows as columns, rows = (QR)^T.  The
     k-th residual after projection onto the rows before it is R_kk q_k,
     so the rows (Q diag(R_kk/|R_kk|))^T are those of Gram-Schmidt up to
-    rounding: same order, nested spans and phases.  When some |R_kk| is
-    at most ``rank_tol * max row norm`` (the drop rule of `gram_schmidt`),
-    or there are more rows than columns, classical Gram-Schmidt with one
-    reorthogonalization (CGS2) runs instead, row by row, and drops those
-    rows: so which rows are dropped follows from the input's rank alone.
+    rounding: same order, nested spans and phases.  While some |R_kk| is
+    at most ``RANK_TOL * max row norm``, the first such row is deleted and
+    the rest factored again: so the rows dropped are Gram-Schmidt's, and
+    a rank-deficient input costs one QR per dropped row.  Rows past the
+    width drop out once the first `width` rows are kept.
     """
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     if len(rows) == 0:
         raise AllVectorsNegligible("no input vectors")
     scale = np.linalg.norm(rows, axis=1).max()
     if scale == 0.0:
         raise AllVectorsNegligible("all inputs are zero")
-    if len(rows) <= rows.shape[1]:
-        q, r = np.linalg.qr(rows.T)
+    while True:
+        q, r = np.linalg.qr(rows[:rows.shape[1]].T)
         d = np.diagonal(r)
         ad = np.abs(d)
-        if np.all(ad > rank_tol * scale):
+        low = np.flatnonzero(ad <= RANK_TOL * scale)
+        if len(low) == 0:
             return np.multiply(q.T, (d / ad)[:, None], order="C",
                                dtype=np.complex128)
-    basis = np.zeros(rows.shape, dtype=np.complex128)
-    k = 0
-    for row in rows:
-        v = np.array(row, dtype=np.complex128)
-        for _ in range(2):  # reorthogonalize once for stability
-            v -= np.conj(basis[:k] @ np.conj(v)) @ basis[:k]
-        r = np.linalg.norm(v)
-        if r > rank_tol * scale:
-            basis[k] = v / r
-            k += 1
-    if k == 0:
-        raise AllVectorsNegligible("every vector dropped as dependent")
-    return basis[:k]
+        rows = np.delete(rows, low[0], axis=0)
 
 
 def gram_matrix(vectors) -> np.ndarray:

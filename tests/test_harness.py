@@ -556,7 +556,13 @@ class TestMain:
         # malformed sweep lists and family specs, an unreadable config
         (["sweep", "--n", "2,x"], None, "--n: ValueError: invalid literal"),
         (["sweep", "--n", "0"], None, "--n: entries must be positive"),
-        (["sweep", "--n", "2", "--family", "diag:"], None, "needs entries"),
+        (["sweep", "--n", "2", "--family", "diag:"], None,
+         "--family diag:: ValueError: could not convert string to float"),
+        # an empty list entry is refused, not skipped
+        (["sweep", "--n", "2,,3"], None,
+         "--n: ValueError: invalid literal for int() with base 10: ''"),
+        (["sweep", "--n", "2", "--family", "diag:1,,2"], None,
+         "--family diag:1,,2: ValueError: could not convert string to float"),
         (["sweep", "--n", "2", "--family", "nope"], None, "unknown spec"),
         (["theorem1", "--dim-f", "2", "--config", "/nonexistent/cfg.json"],
          None, "--config: "),
@@ -583,12 +589,16 @@ class TestMain:
          '{"a": ' * 50000 + '1' + '}' * 50000, "--config: RecursionError: "),
         (["verify"], "[" * 100000 + "]" * 100000, ": RecursionError: "),
         (["theorem1", "--dim-f", "2", "--config", "PATH"],
-         '{"out": "a\\u0000b.csv"}', ": ValueError: embedded null byte"),
-        # a message that quotes input with a line break is still one line
+         '{"out": "a\\u0000b.csv"}',
+         "--out a\\x00b.csv: ValueError: embedded null byte"),
+        # control characters in a message print as their escapes, so it
+        # is one line and sends nothing to the terminal raw
         (["theorem1", "--dim-f", "2", "--bogus", "a\nb"], None,
-         "unrecognized arguments: --bogus a b"),
+         "unrecognized arguments: --bogus a\\nb"),
         (["sweep", "--n", "2", "--family", "diag:\n"], None,
-         "--family diag: : ValueError: "),
+         "--family diag:\\n: ValueError: "),
+        (["theorem1", "--dim-f", "2", "--out", "/nonexistent/\x1b[2J/x.csv"],
+         None, "--out /nonexistent/\\x1b[2J/x.csv: FileNotFoundError: "),
     ], ids=["non-square", "nan-entry", "missing-file", "malformed-json",
             "huge-int-entry",
             "bad-family", "negative-seed", "zero-capacity", "zero-dim-f",
@@ -602,13 +612,14 @@ class TestMain:
             "verify-above-limit", "verify-1e60", "float-rows", "bool-shape",
             "zero-shape", "string-rows", "tol-verify-inf", "tol-verify-1.5",
             "tol-verify-nan", "config-tol-verify-inf", "n-not-integer",
-            "n-zero", "diag-no-entries", "unknown-family",
+            "n-zero", "diag-no-entries", "n-empty-entry", "diag-empty-entry",
+            "unknown-family",
             "unreadable-config", "dim-h-1e30", "dim-f-1e30",
             "sweep-dim-h-1e30", "n-1e30", "config-dim-h-1e30",
             "id-plus-psd-4e9", "svd-random-4e9", "config-not-utf-8",
             "config-nested-50000", "operator-nested-100000",
             "config-out-null-byte", "argument-line-break",
-            "family-line-break"])
+            "family-line-break", "out-escape-sequence"])
     def test_bad_input_exit_two(self, tmp_path, capsys, argv, content, reason):
         path = tmp_path / "op.json"
         if isinstance(content, bytes):
@@ -622,6 +633,7 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err[:-1].isprintable()  # no control character but the end
         assert reason in err
 
     def test_norms_at_their_limits_still_certify(self, tmp_path, capsys):
@@ -860,3 +872,31 @@ def test_module_entry_point_runs_main():
     done = run("sweep")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == "error: --n is required for sweep\n"
+
+
+def test_benchmark_entry_paths_never_import_numpy_ma(tmp_path):
+    """A sweep, theorem1, a theorem2 report and verify of id + A, run in
+    one interpreter, leave numpy.ma unimported: np.unique, for one,
+    imports it on its first call, about 1.3 MB of peak RSS."""
+    code = f"""if True:
+        import contextlib, io, sys
+        import numpy as np
+        from isolab import random_2nilpotent, write_operator
+        from isolab.harness import main
+        path = {str(tmp_path / "op.json")!r}
+        write_operator(path, np.eye(6) + random_2nilpotent(6, 1).matrix)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in (
+                ["sweep", "--family", "svd-random", "--n", "2,4", "--seed", "3"],
+                ["theorem1", "--dim-f", "4", "--dim-h", "8"],
+                ["theorem2", "--dim-f", "4", "--family", "id-plus-psd",
+                 "--format", "report"],
+                ["verify", "--input", path])]
+        print(codes, "numpy.ma" in sys.modules)"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0, 0, 1] False\n"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from isolab import (AllVectorsNegligible, NotHermitian, Vector, gram_matrix,
                     gram_schmidt, hermitian_eig)
-from isolab.linalg import orthonormal_rows
+from isolab.linalg import RANK_TOL, orthonormal_rows
 from isolab.spaces import as_rows
 
 from conftest import make_space, vec
@@ -12,19 +12,20 @@ from conftest import make_space, vec
 
 def reference_orthonormal_rows(rows, rank_tol=1e-10):
     """Classical Gram-Schmidt with one reorthogonalization (CGS2), row by
-    row: the loop `orthonormal_rows` falls back to when a row is dropped."""
+    row: (the orthonormal rows, the indices of the input rows kept)."""
     scale = np.linalg.norm(rows, axis=1).max()
     basis = np.zeros(rows.shape, dtype=np.complex128)
-    k = 0
-    for row in rows:
+    kept = []
+    for i, row in enumerate(rows):
         v = np.array(row, dtype=np.complex128)
+        k = len(kept)
         for _ in range(2):
             v -= np.conj(basis[:k] @ np.conj(v)) @ basis[:k]
         r = np.linalg.norm(v)
         if r > rank_tol * scale:
             basis[k] = v / r
-            k += 1
-    return basis[:k]
+            kept.append(i)
+    return basis[:len(kept)], kept
 
 
 def subspace_rows(rng, n, dim, width):
@@ -37,27 +38,27 @@ def subspace_rows(rng, n, dim, width):
 
 
 def assert_matches_reference(out, rows):
-    """Same count as CGS2 and orthonormal to 1e-13; if every row is kept,
-    the rows agree with CGS2's to 1e-12 cond(rows), else they are CGS2's."""
-    ref = reference_orthonormal_rows(rows)
+    """Same count as CGS2 and orthonormal to 1e-13; the rows are those of
+    the rows CGS2 keeps, factored alone, and agree with CGS2's within
+    1e-12 cond(kept rows): the condition of the rank-deficient input is
+    infinite, so it would bound nothing."""
+    ref, kept = reference_orthonormal_rows(rows)
     assert out.shape == ref.shape and out.dtype == np.complex128
     assert np.max(np.abs(np.conj(out) @ out.T - np.eye(len(out)))) <= 1e-13
-    if len(ref) < len(rows):  # a row is dropped: the loop ran
-        assert np.array_equal(out, ref)
-    else:
-        assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.cond(rows)
+    assert np.array_equal(out, orthonormal_rows(rows[kept]))
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.cond(rows[kept])
 
 
 class TestHouseholderAgainstCGS2:
-    """`orthonormal_rows` is one Householder QR when no row is dropped and
-    the CGS2 loop otherwise; either way it gives CGS2's rows."""
+    """`orthonormal_rows` is one Householder QR of the rows it keeps, and
+    it keeps CGS2's rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(width=st.integers(1, 12), dim_frac=st.floats(0.0, 1.0),
            n=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
     def test_rows_of_a_subspace(self, width, dim_frac, n, seed):
-        # n <= dim: full rank, through QR (n = width when dim = width);
-        # n > dim, including n > width: dependent, through the loop
+        # n <= dim: full rank, one QR (n = width when dim = width);
+        # n > dim, including n > width: dependent rows are dropped
         dim = 1 + int(dim_frac * (width - 1))
         rows = subspace_rows(np.random.default_rng(seed), n, dim, width)
         out = orthonormal_rows(rows)
@@ -109,7 +110,7 @@ class TestGramSchmidt:
     def test_hand_computed_basis(self):
         # Gram-Schmidt of (1,1), (1,0) by hand
         sp = make_space(2)
-        out = gram_schmidt([vec(sp, [1, 1]), vec(sp, [1, 0])], rank_tol=0.0)
+        out = gram_schmidt([vec(sp, [1, 1]), vec(sp, [1, 0])])
         r = 1 / np.sqrt(2)
         np.testing.assert_allclose(out[0].coords[:2], [r, r], atol=1e-15)
         np.testing.assert_allclose(out[1].coords[:2], [r, -r], atol=1e-14)
@@ -123,26 +124,24 @@ class TestGramSchmidt:
         with pytest.raises(AllVectorsNegligible, match="no input vectors"):
             gram_schmidt([])
 
-    def test_negative_rank_tol_rejected(self):
-        sp = make_space(2)
-        with pytest.raises(ValueError, match="rank_tol"):
-            gram_schmidt([vec(sp, [1, 0])], rank_tol=-1e-10)
-
-    def test_every_vector_dropped_raises(self):
-        # no residual exceeds the largest input norm, so rank_tol 1.5 drops all
-        sp = make_space(2)
-        with pytest.raises(AllVectorsNegligible, match="every vector dropped"):
-            gram_schmidt([vec(sp, [1, 0]), vec(sp, [1, 1])], rank_tol=1.5)
-
-    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL])
     @pytest.mark.parametrize("factor, kept", [(1.01, 2), (0.99, 1)])
     def test_dependent_at_the_rank_tol_edge(self, rank_tol, factor, kept):
         # (1, d) leaves residual d exactly; the largest input norm is
         # sqrt(1 + d^2), so the vector is kept iff d > rank_tol sqrt(1 + d^2)
         sp = make_space(2)
         d = factor * rank_tol
-        out = gram_schmidt([vec(sp, [1, 0]), vec(sp, [1, d])], rank_tol=rank_tol)
+        out = gram_schmidt([vec(sp, [1, 0]), vec(sp, [1, d])])
         assert len(out) == kept
+
+    def test_only_the_first_low_row_is_dropped_per_factorization(self):
+        # the QR of e1, e1, e2 reads |R_kk| = 1, 0, 0; dropping every low
+        # row at once would lose e2, which is independent of the e1 kept
+        rows = np.eye(3, dtype=complex)[[0, 0, 1]]
+        assert np.abs(np.diagonal(np.linalg.qr(rows.T)[1])).tolist() == [1, 0, 0]
+        out = orthonormal_rows(rows)
+        np.testing.assert_array_equal(np.abs(out), np.eye(3)[:2])
+        assert_matches_reference(out, rows)
 
     def test_support_past_the_allocated_coordinates(self):
         sp = make_space(2, capacity=16)
