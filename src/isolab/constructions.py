@@ -6,7 +6,7 @@ their certificates.
 The public functions take and return `Vector` lists.  Inside, the
 constructions work on each system as the rows of one array over the
 leading coordinates that carry it, and the `ConstructionTrace` keeps its
-systems as such rows; its Vector lists are built on demand.
+systems as such rows.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NotExpansive, SubspaceNotContained
 from .generators import EXPANSIVITY_TOL
-from .linalg import (gram_residual, hermitian_eig, orthonormal_rows,
-                     spectral_norm)
+from .linalg import (CoefficientRows, gram_residual, hermitian_eig,
+                     orthonormal_rows, spectral_norm)
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         direct_sum_power)
 from .spaces import AmbientSpace, Vector, as_rows, columns, padded, row_vectors
@@ -37,7 +37,7 @@ CONSTRUCTION_NORM_LIMIT = 1e76
 class ConstructionTrace:
     """The systems x, y1, y2 of a construction run as rows over the leading
     coordinates they need (see `_assemble`; the block holds z1's and z2's
-    images as W and V), built as Vector lists on demand by `x`, `y1`, `y2`."""
+    images as W and V); `spaces.row_vectors` makes Vectors of them."""
     space: AmbientSpace
     epsilon: float               # the first splitting's c, 1/dim(F) by default
     x_rows: np.ndarray           # diagonalizing ONB of F
@@ -46,10 +46,6 @@ class ConstructionTrace:
     sigmas: list
     norms_Tx: list
     orthogonality_max: float     # max_k ||<target(z_i^(k)), y2_j>||_F
-
-    x = property(lambda self: row_vectors(self.x_rows, self.space))
-    y1 = property(lambda self: row_vectors(self.y1_rows, self.space))
-    y2 = property(lambda self: row_vectors(self.y2_rows, self.space))
 
 
 #: threshold on the normalized order-2 defect for a row to count as passed
@@ -76,6 +72,13 @@ class Certificate:
     wall_ms: float = np.nan
     bound_exact: float = np.nan  # eps ||(target - I)|_G||
     error: str | None = None
+
+    @property
+    def defect3_max(self) -> float:
+        """Order-3 defect bound, normalized by max(1, ||B||^2)^3: beta_3 =
+        B* beta_2 B - beta_2 gives ||beta_3|| <= (||B||^2 + 1) ||beta_2||,
+        so 20 eta, twice defect_max (the order-2 gate covers it)."""
+        return 2.0 * self.defect_max
 
     @property
     def bound_holds(self) -> bool:
@@ -184,16 +187,20 @@ def _placement(from_indices, to_indices):
                                else padded(rows, end))[:, src])
 
 
-def _assemble(space, x, tx, partner1, partner2, epsilon):
+def _assemble(space, x, tx, partner1, images, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
     `x` holds an ONB of F as rows over F's leading coordinates and `tx` their
     target-images, pairwise orthogonal with norms ||Tx_i|| >= 1 -
-    EXPANSIVITY_TOL.  `partner1` maps the x_i, and `partner2` the y1_i,
-    isometrically onto a copy orthogonal to everything built so far, as
-    linear maps rows -> (columns, values) that commute with the target.  So
-    target(y1) = s tx + eps partner1(tx), whose second splitting gives
-    target(z1) and target(z2): no target product is made, no z1, z2 formed.
+    EXPANSIVITY_TOL.  `partner1` maps the x_i, and a second partner map the
+    y1_i, isometrically onto a copy orthogonal to everything built so far;
+    `partner1` is a linear map rows -> (columns, values).  Both commute with
+    the target, so target(y1) = s Tx + eps P1(Tx) and its second partner
+    copy are the rows Tx (or their partner values) placed: `images(s, eps)`
+    lists them as (base rows, their copies' spans, weights in target(y1),
+    weights in its partner copy), and target(z1), target(z2) are per-copy
+    coefficients on those bases (CoefficientRows), with no target product,
+    no z1 or z2 and no dense row of W or V formed.
     The block is (R, V; 0, id_K), K spanned by y2, R lazily extended from
     y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
     sigma_i = sqrt((1-eps^2)(1 - a_i^2))/eps, a_i = min(1/||Tx_i||, 1) the
@@ -212,27 +219,29 @@ def _assemble(space, x, tx, partner1, partner2, epsilon):
                            "every expansive B has ||(B - T(4))x|| >= "
                            f"{1.0 - norms_Tx.min()} at this x")
 
-    # Step 1: split across the first partner copy, and the images alike
+    # Step 1: split across the first partner copy
     s = np.sqrt(1.0 - eps * eps)
     p = partner1(x)
     y1, y2 = _combined(x, p, s, eps), _combined(x, p, eps, -s)
-    ty1 = _combined(tx, partner1(tx), s, eps)
 
-    # Step 2: split the y1 once more, across the second partner copy
+    # Step 2: split target(y1) once more, across the second partner copy
     inv = 1.0 / norms_Tx
     a = np.minimum(inv, 1.0)  # a norm just below 1 is roundoff: z1 = y1
     b = np.sqrt(1.0 - a * a)
-    q, a, b = partner2(ty1), a[:, None], b[:, None]
-    tz1, tz2 = _combined(ty1, q, a, b), _combined(ty1, q, b, -a)
-    del ty1, q  # not held through the checks below
+    layout = [(B, spans, np.array(w1)[:, None], np.array(w2)[:, None])
+              for B, spans, w1, w2 in images(s, eps)]
+
+    def target_z(u, v):  # u target(y1) + v P2(target(y1)), u, v per row
+        return CoefficientRows([(B, w1 * u + w2 * v, spans)
+                                for B, spans, w1, w2 in layout])
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
-    sigmas = s * b[:, 0] / eps
-    ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
-    tz1 *= inv[:, None]     # W and V, scaled in place
-    tz2 *= sigmas[:, None]
-    R = LazyIsometry(space, inputs=y1, outputs=tz1)
-    block = BrownianBlock(R, K_basis=y2, V_images=tz2)
+    sigmas = s * b / eps
+    cache = {}  # target(z1) and target(z2) share the products with y2
+    ortho = max(gram_residual(target_z(a, b), y2, cache),
+                gram_residual(target_z(b, -a), y2, cache))
+    R = LazyIsometry(space, inputs=y1, outputs=target_z(a * inv, b * inv))
+    block = BrownianBlock(R, K_basis=y2, V_images=target_z(sigmas * b, -sigmas * a))
 
     trace = ConstructionTrace(space=space, epsilon=eps, x_rows=x, y1_rows=y1,
                               y2_rows=y2, sigmas=sigmas.tolist(),
@@ -248,17 +257,20 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     As 2*id commutes with every linear map, the partner copies are 2 dim(F)
     fresh coordinates f, g, allocated once, not copies of H, and F may be any
     subspace of `space`: x_i -> f_i (rows -> their coefficients along x) and
-    y1_i = s x_i + eps f_i -> g_i (rows -> their f-coordinates / eps).  Both
-    map 2x and 2 y1 to twice the images of x and y1.  On F the block
-    satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
+    y1_i = s x_i + eps f_i -> g_i (the f-coordinates / eps).  Both map 2x
+    and 2 y1 to twice the images of x and y1: target(y1) is s 2x on F and
+    eps P on f, P the coefficients of 2x along x, and its partner copy P on
+    g.  On F the block satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
     """
     x = orthonormal_rows(as_rows(F_basis, space))
     n = len(x)
-    eps = 1.0 / n if epsilon is None else epsilon
     f, g = (columns(space.allocate(n)) for _ in range(2))
-    return _assemble(space, x, 2.0 * x,
-                     lambda rows: (f, rows @ np.conj(x).T),
-                     lambda rows: (g, rows[:, f] / eps), eps)
+    tx = 2.0 * x
+    P = tx @ np.conj(x).T
+    spans = ((f.start, f.stop), (g.start, g.stop))
+    return _assemble(space, x, tx, lambda rows: (f, rows @ np.conj(x).T),
+                     lambda s, eps: [(tx, ((0, tx.shape[1]),), (s,), (0,)),
+                                     (P, spans, (eps, 0), (0, 1))], epsilon)
 
 
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
@@ -283,8 +295,11 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
     x, tx = _diagonalizing_rows(T.embedded(space, h1), as_rows(F_basis, space))
-    block, trace = _assemble(space, x, tx, _placement(h1, h2),
-                             _placement(np.r_[h1, h2], np.r_[h3, h4]), epsilon)
+    spans = tuple((int(h[0]), int(h[-1]) + 1) for h in (h1, h2, h3, h4))  # runs
+    t1 = tx[:, slice(*spans[0])]  # Tx lies in H1: the one base of W and V
+    block, trace = _assemble(
+        space, x, tx, _placement(h1, h2),
+        lambda s, eps: [(t1, spans, (s, eps, 0, 0), (0, 0, s, eps))], epsilon)
     return block, direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4]), trace
 
 

@@ -250,6 +250,8 @@ def emit_report(rows, fmt: str, path: str | None) -> str:
             buf.write(f"run n={row.n}\n")
             for key in CSV_HEADER[1:]:
                 buf.write(f"  {key}: {_fmt(getattr(row, key))}\n")
+                if key == "defect_max":  # a report line, not a CSV column
+                    buf.write(f"  defect3_max: {_fmt(row.defect3_max)}\n")
             if row.error is not None:
                 buf.write(f"  error: {row.error}\n")
     text = buf.getvalue()

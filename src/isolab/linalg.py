@@ -1,11 +1,14 @@
-"""Dense complex linear algebra: orthonormalization, Gram matrices and their
-residuals, and Hermitian eigendecomposition.
+"""Dense complex linear algebra: orthonormalization, row systems in
+coefficient form, Gram matrices and their residuals, and Hermitian
+eigendecomposition.
 
 All routines are deterministic.  Vectors carry their ambient space;
 matrices are plain complex ndarrays.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -68,20 +71,113 @@ def gram_matrix(vectors) -> np.ndarray:
     return 0.5 * (G + np.conj(G.T))  # symmetrize roundoff
 
 
-def gram_residual(rows: np.ndarray, other: np.ndarray | None = None) -> float:
+class CoefficientRows:
+    """Rows in coefficient form, as groups (base, C, spans): row i is the
+    sum over each group's copies j of C[j, i] base[i] on the columns lo:hi
+    = spans[j], every copy on columns of its own, C real.  A 2-d array of
+    rows is the one-copy case, given as such; `dense` builds the rows."""
+
+    def __init__(self, groups):
+        if isinstance(groups, np.ndarray):  # one copy of the rows, weight 1
+            groups = [(groups, np.ones((1, len(groups))), ((0, groups.shape[1]),))]
+        self.n = len(groups[0][0])
+        self.groups = groups if self.n else []
+        self.end = max((hi for *_, sp in self.groups for _, hi in sp), default=0)
+        self.layout = [(id(base), sp) for base, _, sp in self.groups]
+        self._sel = [slice(sp[0][0], sp[-1][1])  # a group's copies' columns
+                     if all(h == lo for (_, h), (lo, _) in zip(sp, sp[1:]))
+                     else np.concatenate([np.arange(*c) for c in sp])
+                     for *_, sp in self.groups]
+
+    def __len__(self):
+        return self.n
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.end), dtype=np.complex128)
+        return add_images(out, (np.eye(self.n), self))
+
+
+def add_images(out: np.ndarray, *terms) -> np.ndarray:
+    """out += the sum of p @ rows over the terms (p, rows) in place, p a
+    coefficient vector or rows of them: terms on one layout (bases and
+    copies) sum their weighted coefficients, so each base takes one product
+    for all copies and terms."""
+    (p, rows), rest = terms[0], terms[1:]
+    if any(other.layout != rows.layout for _, other in rest):
+        for term in terms:
+            add_images(out, term)
+        return out
+    lead = p.shape[:-1]
+    for g, (base, C, _) in enumerate(rows.groups):
+        pc = (p[..., None, :] if lead else p) * C
+        for q, other in rest:
+            pc += (q[..., None, :] if lead else q) * other.groups[g][1]
+        out[..., rows._sel[g]] += (pc.reshape(-1, rows.n) @ base).reshape(
+            lead + (-1,))
+    return out
+
+
+def _copies(rows) -> list:
+    return [(lo, hi, B, C[j:j + 1]) for B, C, sp in rows.groups
+            for j, (lo, hi) in enumerate(sp)]
+
+
+def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b* over equal widths, b conjugated in column blocks of at most
+    1 MiB: no operand is copied whole."""
+    step = max(1, (1 << 16) // max(len(b), 1))
+    if a.shape[1] <= step:
+        return a @ np.conj(b).T
+    out = a[:, :step] @ np.conj(b[:, :step]).T
+    for i in range(step, a.shape[1], step):
+        out += a[:, i:i + step] @ np.conj(b[:, i:i + step]).T
+    return out
+
+
+def products(a, b, cache: dict | None = None) -> np.ndarray:
+    """a @ b* of row systems, arrays or CoefficientRows (a is one if b
+    is), over the columns both carry: from the products of their bases
+    where copies meet, each made once per pair of bases and overlap and
+    kept in `cache`, across calls if one is given."""
+    if isinstance(a, np.ndarray):
+        k = min(a.shape[1], b.shape[1])
+        return _block_products(a[:, :k], b[:, :k])
+    cache = {} if cache is None else cache
+    if isinstance(b, np.ndarray):
+        pairs = product(_copies(a), [(0, b.shape[1], b, None)])
+    elif a.layout == b.layout:  # a copy meets its twin only: one product per base
+        pairs = [((0, B.shape[1], B, Ca), (0, B.shape[1], B, Cb))
+                 for (B, Ca, _), (_, Cb, _) in zip(a.groups, b.groups)]
+    else:
+        pairs = product(_copies(a), _copies(b))
+    out = np.zeros((len(a), len(b)), dtype=np.complex128)
+    for (la, ha, ba, ca), (lb, hb, bb, cb) in pairs:
+        lo, hi = max(la, lb), min(ha, hb)
+        if lo < hi:
+            key = (id(ba), id(bb), lo - la, lo - lb, hi - lo)
+            if key not in cache:
+                cache[key] = _block_products(ba[:, lo - la:hi - la],
+                                             bb[:, lo - lb:hi - lb])
+            out += (ca.T if cb is None else ca.T @ cb) * cache[key]
+    return out
+
+
+def gram_residual(rows, other=None, cache: dict | None = None) -> float:
     """Frobenius norm (a bound on the spectral one) of the rows' Gram matrix
     minus I, or of their inner products with the rows of `other` over the
-    columns both carry: how far they are from orthonormal, or from `other`."""
+    columns both carry: how far they are from orthonormal, or from `other`.
+    Rows are arrays or CoefficientRows; see `products` for `cache`."""
+    G = products(rows, rows if other is None else other, cache)
     if other is None:
-        return float(np.linalg.norm(np.conj(rows) @ rows.T - np.eye(len(rows))))
-    k = min(rows.shape[1], other.shape[1])
-    return float(np.linalg.norm(np.conj(rows[:, :k]) @ other[:, :k].T))
+        G.flat[::len(G) + 1] -= 1.0  # G - I, in place
+    return float(np.linalg.norm(G))
 
 
-def spectral_norm(*blocks: np.ndarray) -> float:
-    """||[blocks]||_2 of row blocks side by side, from the sum of their Gram
-    matrices: for a few wide rows, cheaper than an SVD, and nothing stacked."""
-    gram = sum(b @ np.conj(b).T for b in blocks)
+def spectral_norm(*blocks, cache: dict | None = None) -> float:
+    """||[blocks]||_2 of row blocks side by side (arrays or CoefficientRows),
+    from the sum of their Gram matrices: for a few wide rows, cheaper than
+    an SVD, and nothing stacked."""
+    gram = sum(products(b, b, cache) for b in blocks)
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 

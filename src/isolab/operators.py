@@ -10,9 +10,10 @@ images off the stored rows under that rule (`BrownianBlock._step`), or
 bound them by residuals of the stored rows, which keeps them faithful to
 the infinite-dimensional operator modeled.
 
-Lazy isometries and Brownian blocks store each system of directions (U,
-W, K, V) as rows over the leading coordinates that carry it (at most the
-allocated ones), at its own width, and `Vector`s hold only their leading
+Lazy isometries and Brownian blocks store the inputs U and the corner K
+as rows over the leading coordinates that carry them (at most the
+allocated ones), each at its own width, the outputs W and V as
+`linalg.CoefficientRows`, and `Vector`s hold only their leading
 prefixes, so memory and the cost of an application grow with the
 instantiated span, not with the capacity.  R applies itself
 (`LazyIsometry._extended` projects through `_project` and extends), and a
@@ -28,7 +29,8 @@ from math import comb, sqrt
 import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
-from .linalg import gram_matrix, gram_residual, spectral_norm
+from .linalg import (CoefficientRows, add_images, gram_matrix, gram_residual,
+                     spectral_norm)
 from .spaces import AmbientSpace, Vector, as_rows, columns, padded
 
 
@@ -127,13 +129,13 @@ class LazyIsometry:
     image stays orthogonal to any constraint subspace that was instantiated
     earlier (models Im(R) perpendicular to Im(V)).
 
-    The inputs U and the outputs W are each stored as rows over the
-    leading coordinates that carry them (allocated ones: a seed row nonzero
-    past `space.allocated`, where extensions take fresh coordinates, is a
-    ValueError), U and W at their own widths, in buffers that double as
-    rows and columns are added, never past the space's capacity.  The seed
-    `inputs` and `outputs` are Vector lists or 2-d arrays of such rows,
-    kept as given: the first extension moves them into grown buffers.
+    The inputs U are stored as rows over the leading coordinates that
+    carry them (allocated ones: a seed row nonzero past `space.allocated`,
+    where extensions take fresh coordinates, is a ValueError), in a buffer
+    that doubles as rows and columns are added, never past the space's
+    capacity; an extension's output is kept as its fresh coordinate.  The
+    seed `inputs` and `outputs` are Vector lists or 2-d arrays of such
+    rows, the outputs also CoefficientRows, kept as given.
     """
 
     #: a residual above this times ||x|| is a new direction, not roundoff
@@ -143,9 +145,10 @@ class LazyIsometry:
         if len(inputs) != len(outputs):
             raise ValueError("inputs and outputs must have equal length")
         self.space = space
-        self._U, self._W = (_stored_rows(a, space) for a in (inputs, outputs))
+        self._U, self._W = _stored_rows(inputs, space), _stored_form(outputs, space)
         self._m = len(self._U)                                  # stored rows
-        self._uc, self._wc = self._U.shape[1], self._W.shape[1]  # their widths
+        self._uc, self._wc = self._U.shape[1], self._W.end      # their widths
+        self._fresh, self._fresh_cols = np.zeros(0, dtype=np.intp), slice(0, 0)
         self._e_U, self.e_W = None, gram_residual(self._W)
         for e, which in ((self.e_U, "inputs"), (self.e_W, "outputs")):
             if e > 1e-10:
@@ -162,8 +165,18 @@ class LazyIsometry:
 
     @property
     def defined_outputs(self) -> np.ndarray:
-        """View of the stored output rows (defined_count x W's columns)."""
-        return self._W[:self._m, :self._wc]
+        """The output rows (defined_count x W's columns), built when read."""
+        out = np.zeros((self._m, self._wc), dtype=np.complex128)
+        out[:self._W.n, :self._W.end] = self._W.dense()
+        out[np.arange(self._W.n, self._m), self._fresh] = 1.0
+        return out
+
+    def _extensions(self) -> CoefficientRows:
+        """The extensions' outputs: unit rows, one copy per run of them."""
+        f, m = self._fresh, len(self._fresh)
+        runs = np.split(np.arange(m), np.flatnonzero(np.diff(f) != 1) + 1)
+        return CoefficientRows([(np.eye(m)[:, r], np.ones((1, m)),
+                                 ((int(f[r[0]]), int(f[r[-1]]) + 1),)) for r in runs])
 
     @property
     def e_U(self) -> float:
@@ -173,40 +186,44 @@ class LazyIsometry:
             self._e_U = gram_residual(self.defined_inputs)
         return self._e_U
 
-    def _append(self, u: np.ndarray, w: np.ndarray):
-        """Store one more input/output pair, each given over leading
-        coordinates; U and W each grow only to their own widths."""
+    def _append(self, u: np.ndarray, index: int):
+        """Store one more input, given over leading coordinates (U grows only
+        to its own width), its output the fresh coordinate `index`."""
         m, cap = self._m, self.space.capacity
-        self._uc, self._wc = max(self._uc, len(u)), max(self._wc, len(w))
+        self._uc, self._wc = max(self._uc, len(u)), max(self._wc, index + 1)
         self._U = _grown(self._U, m + 1, self._uc, cap)
-        self._W = _grown(self._W, m + 1, self._wc, cap)
         self._U[m, :len(u)] = u
-        self._W[m, :len(w)] = w
+        self._fresh = np.append(self._fresh, index)
+        self._fresh_cols = columns(self._fresh)
         self._m, self._e_U = m + 1, None  # e_U is stale
 
     def apply(self, x: Vector) -> Vector:
         """Evaluate, extending R first off its span."""
-        return self._extended(np.zeros((1, self._wc), dtype=np.complex128),
-                              padded(x.prefix[None, :], self._uc), x)
+        return self._extended(np.zeros(self._wc, dtype=np.complex128),
+                              padded(x.prefix, self._uc), x)
 
-    def _project(self, image: np.ndarray, r: np.ndarray):
+    def _project(self, image: np.ndarray, r: np.ndarray, terms=()):
         """One projection pass, in place, over `r` (one vector or rows over
         U's columns or more): its part in the defined span is taken off and
-        mapped through R onto `image` (over W's columns or more)."""
-        U, uc = self.defined_inputs, self._uc
+        mapped through R onto `image` (over W's columns or more), with the
+        images of `terms` in the same contraction (`linalg.add_images`)."""
+        U, uc, n = self.defined_inputs, self._uc, self._W.n
         p = np.conj(np.conj(r[..., :uc]) @ U.T)
         r[..., :uc] -= p @ U
-        image[..., :self._wc] += p @ self.defined_outputs
+        add_images(image, (p[..., :n], self._W), *terms)
+        if n < self._m:
+            image[..., self._fresh_cols] += p[..., n:]
         return image, r
 
-    def _extended(self, image: np.ndarray, r: np.ndarray, x: Vector) -> Vector:
-        """`image` plus R of `r` (one row, in place), the part of `x` left
-        for R: one pass; above extension_tol * ||x||, a second, then a fresh
-        coordinate if still above (or CapacityExceeded, nothing stored)."""
+    def _extended(self, image, r, x: Vector, terms=()) -> Vector:
+        """`image` plus R of `r` (one vector, in place), the part of `x` left
+        for R, plus the images of `terms`: one pass; above extension_tol *
+        ||x||, a second, then a fresh coordinate if still above (or
+        CapacityExceeded, nothing stored)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
         tol = self.extension_tol * max(x.norm(), 1e-300)
-        image, r = (a[0] for a in self._project(image, r))
+        image, r = self._project(image, r, terms)
         rnorm = sqrt(np.vdot(r, r).real)
         if rnorm > tol:  # a residual R may store is reorthogonalized (CGS2)
             image, r = self._project(image, r)
@@ -214,9 +231,7 @@ class LazyIsometry:
         if rnorm <= tol:
             return Vector(image, self.space)
         new_index = int(self.space.allocate(1)[0])
-        w_new = np.zeros(new_index + 1, dtype=np.complex128)
-        w_new[new_index] = 1.0
-        self._append(r / rnorm, w_new)
+        self._append(r / rnorm, new_index)
         image = padded(image, new_index + 1)
         image[new_index] += rnorm
         return Vector(image, self.space)
@@ -229,6 +244,12 @@ def _stored_rows(items, space: AmbientSpace) -> np.ndarray:
     if rows.shape[1] > space.allocated and np.any(rows[:, space.allocated:]):
         raise ValueError("stored rows reach past the allocated coordinates")
     return rows
+
+
+def _stored_form(items, space: AmbientSpace) -> CoefficientRows:
+    """CoefficientRows as given, else `_stored_rows` as the one-copy case."""
+    return (items if isinstance(items, CoefficientRows)
+            else CoefficientRows(_stored_rows(items, space)))
 
 
 def _grown(buf: np.ndarray, rows: int, cols: int, limit: int) -> np.ndarray:
@@ -251,8 +272,9 @@ class BrownianBlock:
     ``V_images`` are the images V(k_i) in L.  The action on x = x_L + x_K is
     R(x_L) + V(x_K) + x_K.  With R isometric and Im(R) orthogonal to
     Im(V), this is a 2-isometry.  K and V, given as Vector lists or as
-    2-d arrays of rows, are stored as given over the allocated leading
-    coordinates that carry them (else ValueError), each at its own width.
+    2-d arrays of rows (V also as CoefficientRows), are stored as given
+    over the allocated leading coordinates that carry them (else
+    ValueError), each at its own width.
     """
 
     def __init__(self, R: LazyIsometry, K_basis, V_images):
@@ -260,15 +282,25 @@ class BrownianBlock:
             raise ValueError("K basis and V images must have equal length")
         self.R = R
         self.space = R.space
-        self._K, self._V = (_stored_rows(a, R.space) for a in (K_basis, V_images))
+        self._K = _stored_rows(K_basis, R.space)
+        self._Vc = _stored_form(V_images, R.space)
         self._e_K = gram_residual(self._K)
         if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        self._vnorm = spectral_norm(self._V) if len(self._K) else 0.0
+        cache = {}  # V V* and W V* share their bases' products
+        self._vnorm = spectral_norm(self._Vc, cache=cache) if len(self._K) else 0.0
         # Im(R) perpendicular to Im(V) on everything instantiated so far
-        self._e_WV = gram_residual(R.defined_outputs, self._V)
+        self._e_WV = self._outputs_residual(self._Vc, cache)
         if self._e_WV > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
+
+    _V = property(lambda self: self._Vc.dense())
+
+    def _outputs_residual(self, rows, cache: dict) -> float:
+        """||W rows*||_F over R's outputs W, extension rows included."""
+        R, e = self.R, gram_residual(self.R._W, rows, cache)
+        return float(np.hypot(e, gram_residual(R._extensions(), rows))
+                     if len(R._fresh) else e)
 
     @property
     def operator_norm(self) -> float:
@@ -287,7 +319,8 @@ class BrownianBlock:
         """eta: the summed Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I
         (U, W: R's stored inputs and outputs, extension rows included) and
         e_UK, e_WK, e_WV, e_VK of UK*, WK*, WV*/nu, VK*/nu (nu = ||V||), of
-        the rows as stored; nothing is extended or allocated.  With
+        the rows as stored (W and V share their bases' products with K);
+        nothing is extended or allocated.  With
         s = 1 + nu^2 = max(1, ||B||^2), B as its rows define it satisfies
         ||B*^2 B^2 - 2B*B + I|| <= 10 eta s^2 and B*B >= 1 - 5 eta s.
         Why: `_step` maps a row x to [xM | xN], xN on fresh coordinates, with
@@ -307,27 +340,30 @@ class BrownianBlock:
         B y1 = R y1.
         e_W, e_K, e_WV are computed once: an extension adds to W a unit row
         on a fresh coordinate, where stored W, K, V rows vanish; R renews e_U."""
-        U, W = self.R.defined_inputs, self.R.defined_outputs
-        K, V, nu = self._K, self._V, max(self._vnorm, 1e-300)
-        return (self.R.e_U + self.R.e_W + self._e_K + gram_residual(U, K)
-                + gram_residual(W, K) + (self._e_WV + gram_residual(V, K)) / nu)
+        K, V, nu, cache = self._K, self._Vc, max(self._vnorm, 1e-300), {}
+        return (self.R.e_U + self.R.e_W + self._e_K
+                + gram_residual(self.R.defined_inputs, K)
+                + self._outputs_residual(K, cache)
+                + (self._e_WV + gram_residual(V, K, cache)) / nu)
 
     def _corner_split(self, X: np.ndarray):
-        """Corner split of the rows of X, B X = E + R X_L: (E, X_L), E = P_K X
-        + V P_K X as wide as K, V and W, X_L = X - P_K X as wide as K and U."""
-        K, V = self._K, self._V
-        k, v = K.shape[1], V.shape[1]
+        """Corner split of the rows of X, B X = E + V c + R X_L: (E, X_L,
+        ((c, V),)), E = P_K X as wide as K, V and W, c = X's coefficients
+        along K (R's first pass adds V c with its own image), and X_L = X -
+        P_K X as wide as K and U."""
+        K, k = self._K, self._K.shape[1]
         XL = padded(X, max(k, self.R._uc))
-        c = np.conj(np.conj(XL[:, :k]) @ K.T)
+        c = np.conj(np.conj(XL[..., :k]) @ K.T)
         xK = c @ K
-        XL[:, :k] -= xK
-        E = np.zeros((len(X), max(k, v, self.R._wc)), dtype=np.complex128)
-        E[:, :k] = xK
-        E[:, :v] += c @ V
-        return E, XL
+        XL[..., :k] -= xK
+        E = np.zeros(X.shape[:-1] + (max(k, self._Vc.end, self.R._wc),),
+                     dtype=np.complex128)
+        E[..., :k] = xK
+        return E, XL, ((c, self._Vc),)
 
     def apply(self, x: Vector) -> Vector:
-        return self.R._extended(*self._corner_split(x.prefix[None, :]), x)
+        E, XL, terms = self._corner_split(x.prefix)
+        return self.R._extended(E, XL, x, terms)
 
 
 class _DirectSumPower(DenseOperator):
@@ -341,8 +377,18 @@ class _DirectSumPower(DenseOperator):
     matrix = property(lambda self: np.kron(np.eye(self.k), self._matrix))
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
-        d = self._matrix.shape[1]  # each row as k rows of T's width
-        return (rows.reshape(-1, d) @ self._matrix.T).reshape(rows.shape)
+        """Each row as k rows of T's width, multiplied only on the copies
+        some row reaches; a lone row is multiplied on all, as a 1-row
+        product rounds differently (the output stays bit for bit the same)."""
+        d = self._matrix.shape[1]
+        copies = rows.reshape(-1, self.k, d)
+        live = np.flatnonzero(copies.any(axis=(0, 2)))
+        if len(copies) * len(live) < 2:
+            live = np.arange(self.k)
+        out = np.zeros(copies.shape, dtype=np.complex128)
+        out[:, live] = (copies[:, live].reshape(-1, d) @ self._matrix.T).reshape(
+            len(copies), len(live), d)
+        return out.reshape(rows.shape)
 
 
 def direct_sum_power(T: DenseOperator, k: int,

@@ -79,9 +79,6 @@ class AmbientSpace:
         coords[indices] = values
         return Vector(coords, self)
 
-    def zero(self) -> "Vector":
-        return Vector(np.zeros(0, dtype=np.complex128), self)
-
 
 class Vector:
     """Immutable-by-convention coordinate vector tied to one AmbientSpace,

@@ -20,7 +20,7 @@ from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
 from isolab import operators
 from isolab.constructions import DEFECT_THRESHOLD
 from isolab.harness import RunConfig, run_verify
-from isolab.spaces import padded
+from isolab.spaces import padded, row_vectors
 
 from conftest import make_space, second_split, theorem2_partner2, vec
 
@@ -62,7 +62,7 @@ def reference_construct(T, F_basis, space):
         h = [space.labels[k] for k in ("H1", "H2", "H3", "H4")]
         T1 = T.embedded(space, h[0])
         _, ev = hermitian_eig(compressed_gram(T1, x))
-        x = [sum((ev[j, k] * x[j] for j in range(n)), space.zero())
+        x = [sum((ev[j, k] * x[j] for j in range(n)), Vector(np.zeros(0), space))
              for k in range(n)]
         norms = [T1.apply(v).norm() for v in x]
         if min(norms) < 1.0 - 1e-10:
@@ -97,6 +97,12 @@ def assert_block_holds_z_images(block, trace, target, z1, z2):
         v = Vector(block._V[i], trace.space)
         assert (w - (1.0 / trace.norms_Tx[i]) * target.apply(z1[i])).norm() <= tol
         assert (v - trace.sigmas[i] * target.apply(z2[i])).norm() <= tol
+
+
+def systems(trace):
+    """The trace's x, y1 and y2 as Vector lists."""
+    return (row_vectors(rows, trace.space)
+            for rows in (trace.x_rows, trace.y1_rows, trace.y2_rows))
 
 
 def copy_to(block, space):
@@ -148,30 +154,38 @@ def reference_certificate(target, block, trace, G_basis):
 
 
 def exact_certificate(block, m):
-    """The order-2 defect and the expansivity of `block` over its m
-    instantiated coordinates, computed exactly from m x m Gram matrices, as
-    (defect_max, expansivity_min): with (E1, r1) = _step(I_m) and
-    (E2, r2) = _step(E1), B e_j is [E1 | r1] and B^2 e_j is [E2 | r2 | r1]
+    """The order-2 defect, the expansivity and the order-3 defect of `block`
+    over its m instantiated coordinates, computed exactly from m x m Gram
+    matrices, as (defect_max, expansivity_min, defect3_max): with (E1, r1) =
+    _step(I_m), (E2, r2) = _step(E1) and (E3, r3) = _step(E2), B e_j is
+    [E1 | r1], B^2 e_j is [E2 | r2 | r1] and B^3 e_j is [E3 | r3 | r2 | r1]
     up to isometries of the fresh coordinates.  defect_max is
-    ||Gram(B^2 e_j) - 2 Gram(B e_j) + I||_2 / max(1, ||B||^2)^2 and
-    expansivity_min the smallest eigenvalue of Gram(B e_j)."""
+    ||Gram(B^2 e_j) - 2 Gram(B e_j) + I||_2 / max(1, ||B||^2)^2,
+    expansivity_min the smallest eigenvalue of Gram(B e_j) and defect3_max
+    ||Gram(B^3 e_j) - 3 Gram(B^2 e_j) + 3 Gram(B e_j) - I||_2 / max(1,
+    ||B||^2)^3."""
     b1 = np.hstack(block._step(np.eye(m, dtype=np.complex128)))
     b2 = np.hstack(block._step(b1[:, :m]) + (b1[:, m:],))
-    gram1 = b1 @ np.conj(b1).T
-    defect = b2 @ np.conj(b2).T - 2 * gram1 + np.eye(m)
+    b3 = np.hstack(block._step(b2[:, :m]) + (b2[:, m:],))
+    gram1, gram2 = (b @ np.conj(b).T for b in (b1, b2))
+    defect = gram2 - 2 * gram1 + np.eye(m)
+    defect3 = b3 @ np.conj(b3).T - 3 * gram2 + 3 * gram1 - np.eye(m)
     scale = max(1.0, block.operator_norm ** 2)
     return (float(np.abs(np.linalg.eigvalsh(defect)).max()) / scale ** 2,
-            float(np.linalg.eigvalsh(gram1)[0]))
+            float(np.linalg.eigvalsh(gram1)[0]),
+            float(np.abs(np.linalg.eigvalsh(defect3)).max()) / scale ** 3)
 
 
 def assert_exact_within_structural(cert, block, m):
-    """The exact defect and normalized expansivity deficit of `block` are at
-    most the structural ones of its certificate, up to the reference's own
-    rounding, 8 m u: where all seven residuals vanish (dim F = 1, eps = 1),
-    the structural values are 0 and the m x m sums read a few u."""
-    defect, expansivity = exact_certificate(block, m)
+    """The exact order-2 and order-3 defects and normalized expansivity
+    deficit of `block` are at most the structural ones of its certificate,
+    up to the reference's own rounding, 8 m u: where all seven residuals
+    vanish (dim F = 1, eps = 1), the structural values are 0 and the m x m
+    sums read a few u."""
+    defect, expansivity, defect3 = exact_certificate(block, m)
     rounding = 8 * m * np.finfo(float).eps
     assert defect <= cert.defect_max + rounding
+    assert defect3 <= cert.defect3_max + rounding
     assert ((1.0 - expansivity) / max(1.0, block.operator_norm ** 2)
             <= 1.0 - cert.expansivity_min + rounding)
 
@@ -381,17 +395,18 @@ class TestTheorem1:
         sp = prepare_space(4)
         block, trace = theorem1_construct(standard_f_basis(sp, 3), sp)
         fresh = iter(range(sp.allocated - 3, sp.allocated))  # second partner
-        z1, z2 = second_split(trace.y1, trace.norms_Tx,
+        x, y1, y2 = systems(trace)
+        z1, z2 = second_split(y1, trace.norms_Tx,
                               lambda v: sp.basis_vector(next(fresh)))
         eps = 1.0 / 3.0
         s = np.sqrt(1 - eps ** 2)
         for i in range(3):
-            recon = s * trace.y1[i] + eps * trace.y2[i]
-            assert (trace.x[i] - recon).norm() <= 1e-12
+            recon = s * y1[i] + eps * y2[i]
+            assert (x[i] - recon).norm() <= 1e-12
             recon2 = 0.5 * z1[i] + (np.sqrt(3) / 2) * z2[i]
-            assert (trace.y1[i] - recon2).norm() <= 1e-12
+            assert (y1[i] - recon2).norm() <= 1e-12
         assert_block_holds_z_images(block, trace, ScalarOperator(2.0), z1, z2)
-        G = gram_matrix(trace.y1 + trace.y2)
+        G = gram_matrix(y1 + y2)
         assert np.max(np.abs(G - np.eye(6))) <= 1e-10
 
     def test_defect_vanishes_on_random_vectors(self, rng):
@@ -448,9 +463,10 @@ class TestTheorem2:
         T = expansive_generator(6, "svd_random", seed=2)
         block, T4, trace, sp, _ = self.run(T, n=3)
         eps = 1.0 / 3.0
+        x, _, y2 = systems(trace)
         for i in range(3):
-            lhs = T4.apply(trace.x[i]) - block.apply(trace.x[i])
-            rhs = eps * (T4.apply(trace.y2[i]) - trace.y2[i])
+            lhs = T4.apply(x[i]) - block.apply(x[i])
+            rhs = eps * (T4.apply(y2[i]) - y2[i])
             assert (lhs - rhs).norm() <= 1e-9 * (T.operator_norm + 1)
 
     def test_step3_orthogonality(self):
@@ -458,8 +474,9 @@ class TestTheorem2:
         _, T4, trace, sp, _ = self.run(T, n=4)
         assert trace.orthogonality_max <= 1e-10 * T.operator_norm
         # the larger Frobenius norm of the overlaps of z1's and z2's images
-        zs = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
-        overlaps = [np.linalg.norm([[T4.apply(u).inner(w) for w in trace.y2]
+        _, y1, y2 = systems(trace)
+        zs = second_split(y1, trace.norms_Tx, theorem2_partner2(sp))
+        overlaps = [np.linalg.norm([[T4.apply(u).inner(w) for w in y2]
                                     for u in z]) for z in zs]
         assert trace.orthogonality_max == pytest.approx(
             max(overlaps), rel=0, abs=1e-15 * T.operator_norm)
@@ -601,12 +618,13 @@ class TestTheorem2:
     def test_step2_reconstruction_and_norms(self):
         T = expansive_generator(4, "id_plus_psd", seed=1)
         block, T4, trace, sp, _ = self.run(T, n=2)
-        z1, z2 = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
+        _, y1, _ = systems(trace)
+        z1, z2 = second_split(y1, trace.norms_Tx, theorem2_partner2(sp))
         for i in range(2):
             a = 1.0 / trace.norms_Tx[i]
             b = np.sqrt(1 - a ** 2)
             recon = a * z1[i] + b * z2[i]
-            assert (trace.y1[i] - recon).norm() <= 1e-12
+            assert (y1[i] - recon).norm() <= 1e-12
             assert T4.apply(z1[i]).norm() == pytest.approx(
                 trace.norms_Tx[i], abs=1e-10)
             assert trace.norms_Tx[i] >= 1.0 - 1e-10
@@ -629,8 +647,9 @@ class TestTheorem2:
         assert trace.norms_Tx[i] < 1.0 and trace.sigmas[i] == 0.0
         # z1 = y1, so W = T4(y1)/||Tx|| and V's row is zero; R's outputs
         # stay unit
-        z1, z2 = second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))
-        np.testing.assert_array_equal(z1[i].prefix, trace.y1[i].prefix)
+        _, y1, _ = systems(trace)
+        z1, z2 = second_split(y1, trace.norms_Tx, theorem2_partner2(sp))
+        np.testing.assert_array_equal(z1[i].prefix, y1[i].prefix)
         assert_block_holds_z_images(block, trace, T4, z1, z2)
         np.testing.assert_array_equal(block._V[i], 0.0)
         np.testing.assert_allclose(
@@ -758,7 +777,7 @@ class TestAssemblyFromImages:
             f_basis = random_subspace(sp, "H1", 4, rng)
             block, target, trace = theorem2_construct(T, f_basis, sp)
             partner2 = theorem2_partner2(sp)
-        z1, z2 = second_split(trace.y1, trace.norms_Tx, partner2)
+        z1, z2 = second_split(list(systems(trace))[1], trace.norms_Tx, partner2)
         assert_block_holds_z_images(block, trace, target, z1, z2)
 
     @pytest.mark.parametrize("theorem, aligned", [
@@ -896,7 +915,7 @@ class TestCertificate:
         for name in ("bound_measured", "bound_exact", "defect_max",
                      "expansivity_min", "orthogonality_max"):
             assert getattr(dirty, name) == getattr(clean, name), name
-        assert dirty.bound_measured == (0.24999999999999997 if theorem == 1
+        assert dirty.bound_measured == (0.24999999999999994 if theorem == 1
                                         else 0.7757007605029318)
 
     def test_domain_mismatch(self):
@@ -999,7 +1018,8 @@ class TestCertificate:
         sp = prepare_space(4)
         f_basis = standard_f_basis(sp, 2)
         block, T4, trace = theorem2_construct(T, f_basis, sp)
-        defect, expansivity = exact_certificate(Scaled(block, 2.0), sp.allocated)
+        defect, expansivity, _ = exact_certificate(Scaled(block, 2.0),
+                                                   sp.allocated)
         assert defect == pytest.approx(9 / 16, abs=1e-12)
         assert expansivity == pytest.approx(4.0, abs=1e-12)
 
@@ -1122,8 +1142,9 @@ class TestRecordedQuantities:
 
     def test_certificate_reuses_the_constructors_residuals(self, monkeypatch):
         # the constructors computed e_U, e_W, e_K and e_WV on the same rows;
-        # the certificate computes only e_UK, e_WK and e_VK, and adds the
-        # same floats in the same order as seven fresh calls would
+        # the certificate computes only e_UK, e_WK and e_VK (from W's and V's
+        # coefficient form), and agrees with seven fresh calls on the dense
+        # rows to rounding
         T = expansive_generator(8, "svd_random", seed=4)
         sp = prepare_space(8)
         f_basis = standard_f_basis(sp, 4)
@@ -1146,13 +1167,14 @@ class TestRecordedQuantities:
                                     operator_norm_T=T.operator_norm,
                                     bound_theoretical=(T.operator_norm + 1) / 4)
         assert len(calls) == 3
-        assert cert.defect_max == 10.0 * fresh_eta()
+        assert cert.defect_max == pytest.approx(10.0 * fresh_eta(), rel=1e-12)
         # the last coordinate of H4 lies outside R's span: R extends, so
-        # only e_U is recomputed over its new rows, once
+        # e_U is recomputed over its new rows, once, and e_WK has a second
+        # term, over R's extension rows
         count = block.R.defined_count
         block.apply(sp.basis_vector(sp.allocated - 1))
         assert block.R.defined_count == count + 1
-        for expected in (4, 3):
+        for expected in (5, 4):
             calls.clear()
             eta = block.hypothesis_residual()
             assert len(calls) == expected
@@ -1179,8 +1201,9 @@ class TestRecordedQuantities:
             return np.array([residual(W), residual(W, block._V),
                              residual(W, block._K)])
 
-        at_construction = fixed()
-        assert (R.e_W, block._e_WV) == tuple(at_construction[:2])
+        at_construction = fixed()  # the stored ones, from the coefficient form
+        assert np.all(np.abs(np.array([R.e_W, block._e_WV]) - at_construction[:2])
+                      <= 8 * R.defined_count * np.finfo(float).eps)
         rng = np.random.default_rng(7)
         count = R.defined_count
         for _ in range(40):  # each random vector of the allocated span is new
@@ -1397,6 +1420,76 @@ class TestLazyReference:
         assert_exact_within_structural(cert, perturbed, sp.allocated)
 
 
+class TestCoefficientForm:
+    """A constructed block keeps W and V as coefficients on the rows T x
+    (Theorem 2) or 2x and their partner values (Theorem 1); the block
+    rebuilt from the rows they stand for, dense, is the same operator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(theorem=st.sampled_from([1, 2]),
+           family=st.sampled_from(["scalar", "diagonal", "svd_random",
+                                   "id_plus_psd"]),
+           dim=st.integers(1, 6), n_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_block_of_its_rows(self, theorem, family, dim,
+                                                 n_frac, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + int(n_frac * (dim - 1))
+        coeffs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        T = expansive_generator(dim, family, seed=seed,
+                                diag=1.0 + 3.0 * rng.random(dim))
+
+        def build():  # F random in H1, not aligned with the coordinates
+            sp = prepare_space(dim)
+            f_basis = [sp.vector(c, sp.labels["H1"]) for c in coeffs]
+            if theorem == 1:
+                return sp, theorem1_construct(f_basis, sp)[0]
+            return sp, theorem2_construct(T, f_basis, sp)[0]
+
+        sp, block = build()
+        dense_sp, twin = build()
+        R = LazyIsometry(dense_sp, twin.R.defined_inputs, twin.R.defined_outputs)
+        dense = BrownianBlock(R, twin._K, twin._V)
+        # copies per base: Tx on H1..H4, or 2x on F and its values on f, g;
+        # the rebuilt block holds its rows as one copy each
+        assert [len(g[2]) for g in block._Vc.groups] == (
+            [1, 2] if theorem == 1 else [4])
+        assert [len(g[2]) for g in dense._Vc.groups] == [1]
+        norm = block.operator_norm
+        assert abs(norm - dense.operator_norm) <= 1e-12 * norm
+        assert abs(block.hypothesis_residual() - dense.hypothesis_residual()) <= 1e-12
+
+        m = sp.allocated
+        X = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        for got, want in zip(block._step(X), dense._step(X)):
+            width = max(got.shape[1], want.shape[1])
+            np.testing.assert_allclose(
+                padded(got, width), padded(want, width), rtol=0,
+                atol=1e-12 * norm * np.linalg.norm(X))
+        for c in X:  # each application extends R on both sides alike
+            want = dense.apply(Vector(c, dense_sp))
+            got = block.apply(Vector(c, sp))
+            assert sp.allocated == dense_sp.allocated
+            np.testing.assert_allclose(got.coords, want.coords, rtol=0,
+                                       atol=1e-12 * norm * np.linalg.norm(c))
+        assert block.R.defined_count == dense.R.defined_count
+        assert abs(block.hypothesis_residual() - dense.hypothesis_residual()) <= 1e-12
+
+    def test_block_retains_the_rows_tx_not_w_and_v_at_dim_128(self):
+        # U and K (2 x 0.52e6 B) and x and Tx (2 x 0.26e6 B): measured
+        # 1.60e6 B retained, 3.43e6 B with W and V stored dense
+        T = expansive_generator(128, "svd_random", seed=1)
+        sp = prepare_space(128)
+        f_basis = standard_f_basis(sp, 128)
+        tracemalloc.start()
+        try:
+            block, T4, trace = theorem2_construct(T, f_basis, sp)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.9e6
+
+
 class TestRowPipeline:
     """The row construction against `reference_construct` on random F that
     are not coordinate-aligned: inside H1 for Theorem 2, anywhere in the
@@ -1449,7 +1542,7 @@ class TestRowPipeline:
 
         (block, trace), (ref_block, systems) = got, want
         for name, ref_vectors in systems.items():
-            vectors = getattr(trace, name)
+            vectors = row_vectors(getattr(trace, name + "_rows"), sp)
             assert len(vectors) == len(ref_vectors)
             for v, ref_v in zip(vectors, ref_vectors):
                 np.testing.assert_allclose(v.coords, ref_v.coords,
@@ -1479,7 +1572,7 @@ class TestRowPipeline:
 def random_combination(basis, rng):
     """A random nonzero vector of span(basis), with complex coefficients."""
     c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    return sum((cj * v for cj, v in zip(c, basis)), basis[0].space.zero())
+    return sum((cj * v for cj, v in zip(c, basis)), Vector(np.zeros(0), basis[0].space))
 
 
 class TestPointwiseIdentity:
@@ -1615,7 +1708,7 @@ class TestCertifiedObstruction:
         assert stated == pytest.approx(1.0 - small, abs=1e-9)
 
         block, _ = theorem1_construct(f_basis, sp)
-        x = sum((c * f for c, f in zip(ev[:, 0], f_basis)), sp.zero())
+        x = sum((c * f for c, f in zip(ev[:, 0], f_basis)), Vector(np.zeros(0), sp))
         assert x.norm() == pytest.approx(1.0, abs=1e-12)
         assert (block.apply(x) - T1.apply(x)).norm() >= stated - 1e-12
 

@@ -166,12 +166,15 @@ class TestEmitReport:
         text = emit_report([row], "report", None)
         for key in CSV_HEADER[1:]:
             assert key in text
+        assert "  defect3_max: 0\n" in text  # twice defect_max
 
     def test_report_format_of_an_error_row(self):
         row = Certificate(3, 1 / 3, *[np.nan] * 7, error="out of budget")
         lines = emit_report([row], "report", None).splitlines()
         assert lines[0] == "run n=3"
-        assert lines[2:] == [f"  {key}: nan" for key in CSV_HEADER[2:]] + [
+        keys = list(CSV_HEADER[2:])
+        keys.insert(keys.index("defect_max") + 1, "defect3_max")
+        assert lines[2:] == [f"  {key}: nan" for key in keys] + [
             "  error: out of budget"]
 
     def test_read_rejects_a_wrong_header(self):

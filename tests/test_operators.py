@@ -14,7 +14,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     read_operator, standard_f_basis, theorem1_construct,
                     theorem2_construct, three_isometry_from_nilpotent,
                     write_operator)
-from isolab.spaces import padded
+from isolab.spaces import padded, row_vectors
 
 from conftest import make_space, second_split, theorem2_partner2, vec
 
@@ -69,9 +69,7 @@ def reference_lazy_coords(R, x, xnorm):
     image = coeffs @ W
     if rnorm > R.extension_tol * max(xnorm, 1e-300):
         new_index = int(R.space.allocate(1)[0])
-        w_new = np.zeros(new_index + 1, dtype=np.complex128)
-        w_new[new_index] = 1.0
-        R._append(v / rnorm, w_new)
+        R._append(v / rnorm, new_index)  # its output: the fresh unit vector
         image = padded(image, new_index + 1)
         image[new_index] += rnorm
     return image
@@ -382,7 +380,7 @@ class TestBrownianBlock:
         sp = make_space(2)
         basis = [sp.basis_vector(0), sp.basis_vector(1)]
         B = BrownianBlock(LazyIsometry(sp), K_basis=basis,
-                          V_images=[sp.zero(), sp.zero()])
+                          V_images=[Vector(np.zeros(0), sp), Vector(np.zeros(0), sp)])
         x = vec(sp, [1, 2j])
         np.testing.assert_allclose(B.apply(x).coords, x.coords, atol=1e-14)
         assert B.operator_norm == pytest.approx(1.0)
@@ -430,7 +428,7 @@ class TestBrownianBlock:
             c = complex(*rng.standard_normal(2))
             block, trace = theorem1_construct([vec(sp, [c])], sp)
             assert sp.allocated == 3
-            y2 = trace.y2[0]
+            y2 = Vector(trace.y2_rows[0], sp)
             image = block.apply(y2)
             assert sp.allocated == 3
             assert image.norm() == pytest.approx(block.operator_norm * y2.norm())
@@ -731,7 +729,7 @@ class TestDirectSumPower:
     (lambda sp: BrownianBlock(LazyIsometry(sp), K_basis=[sp.basis_vector(0)],
                               V_images=[]), "equal length"),
     (lambda sp: BrownianBlock(LazyIsometry(sp), K_basis=[vec(sp, [1, 1])],
-                              V_images=[sp.zero()]), "not orthonormal"),
+                              V_images=[Vector(np.zeros(0), sp)]), "not orthonormal"),
     (lambda sp: direct_sum_power(DenseOperator(np.eye(2)), 3), "k must be"),
     (lambda sp: direct_sum_power(DenseOperator(np.ones((2, 3))), 2),
      "square"),
@@ -770,7 +768,7 @@ def test_stored_rows_on_unallocated_coordinates_rejected(which, form):
     lambda sp: DenseOperator(np.eye(2), sp, sp.labels["H1"]),
     lambda sp: LazyIsometry(sp),
     lambda sp: BrownianBlock(LazyIsometry(sp), [sp.basis_vector(0)],
-                             [sp.zero()]),
+                             [Vector(np.zeros(0), sp)]),
 ], ids=["dense", "lazy", "block"])
 def test_vector_of_another_space_rejected(build):
     # e1 would extend the lazy isometry of "lazy" and "block": nothing is
@@ -794,11 +792,13 @@ def test_cached_norms_are_fresh_norms(rng):
     R = LazyIsometry(sp, [sp.basis_vector(0)], [sp.basis_vector(1)])
     u = sp.vector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     w = sp.vector([2.0, -1j], indices=[7, 4])
-    made = [u, w, sp.basis_vector(5), sp.zero(), Vector(np.zeros(4), sp),
+    made = [u, w, sp.basis_vector(5), Vector(np.zeros(0), sp), Vector(np.zeros(4), sp),
             u + w, u - w, 2.5j * u, u * 3, -w, T4.apply(w),
             T.embedded(sp, sp.labels["H1"]).apply(u), R.apply(u),
-            block.apply(u), block.apply(block.apply(w)), *trace.y2,
-            *second_split(trace.y1, trace.norms_Tx, theorem2_partner2(sp))[1]]
+            block.apply(u), block.apply(block.apply(w)),
+            *row_vectors(trace.y2_rows, sp),
+            *second_split(row_vectors(trace.y1_rows, sp), trace.norms_Tx,
+                          theorem2_partner2(sp))[1]]
     for v in made:
         assert v.norm() == np.sqrt(np.vdot(v.prefix, v.prefix).real)
 

@@ -71,7 +71,7 @@ class TestVector:
 
     def test_repr_marks_only_a_cut_support(self):
         space = AmbientSpace(12)
-        assert repr(space.zero()) == "Vector(support=[], norm=0)"
+        assert repr(Vector(np.zeros(0), space)) == "Vector(support=[], norm=0)"
         eight, nine = (Vector(np.ones(k), space) for k in (8, 9))
         assert repr(eight) == f"Vector(support={list(range(8))}, norm={8 ** 0.5:.6g})"
         assert repr(nine) == f"Vector(support={list(range(8))}..., norm=3)"
@@ -190,4 +190,4 @@ class TestAmbientSpace:
         assert len(space.basis_vector(1).prefix) == 2
         assert len(space.vector([1.0, 0.0]).prefix) == 1
         assert len(space.vector([1.0], [2]).prefix) == 3
-        assert len(space.zero().prefix) == 0
+        assert len(Vector(np.zeros(0), space).prefix) == 0
