@@ -187,20 +187,18 @@ def _placement(from_indices, to_indices):
                                else padded(rows, end))[:, src])
 
 
-def _assemble(space, x, tx, partner1, images, epsilon):
+def _assemble(space, x, tx, partner1, z_images, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
     `x` holds an ONB of F as rows over F's leading coordinates and `tx` their
     target-images, pairwise orthogonal with norms ||Tx_i|| >= 1 -
-    EXPANSIVITY_TOL.  `partner1` maps the x_i, and a second partner map the
-    y1_i, isometrically onto a copy orthogonal to everything built so far;
-    `partner1` is a linear map rows -> (columns, values).  Both commute with
-    the target, so target(y1) = s Tx + eps P1(Tx) and its second partner
-    copy are the rows Tx (or their partner values) placed: `images(s, eps)`
-    lists them as (base rows, their copies' spans, weights in target(y1),
-    weights in its partner copy), and target(z1), target(z2) are per-copy
-    coefficients on those bases (CoefficientRows), with no target product,
-    no z1 or z2 and no dense row of W or V formed.
+    EXPANSIVITY_TOL.  `partner1` maps the x_i, and a second partner map P2
+    the y1_i, isometrically onto a copy orthogonal to everything built so
+    far; `partner1` is a linear map rows -> (columns, values).  Both commute
+    with the target, so target(y1) = s Tx + eps P1(Tx), and
+    `z_images(s, eps, a, b)` gives target(z1) and target(z2), z1 = a y1 +
+    b P2(y1) and z2 = b y1 - a P2(y1) (a, b per row), as CoefficientRows:
+    no target product is made, no z1 or z2 formed.
     The block is (R, V; 0, id_K), K spanned by y2, R lazily extended from
     y1_i -> target(z1_i)/||Tx_i||, and V(y2_i) = sigma_i target(z2_i),
     sigma_i = sqrt((1-eps^2)(1 - a_i^2))/eps, a_i = min(1/||Tx_i||, 1) the
@@ -228,20 +226,15 @@ def _assemble(space, x, tx, partner1, images, epsilon):
     inv = 1.0 / norms_Tx
     a = np.minimum(inv, 1.0)  # a norm just below 1 is roundoff: z1 = y1
     b = np.sqrt(1.0 - a * a)
-    layout = [(B, spans, np.array(w1)[:, None], np.array(w2)[:, None])
-              for B, spans, w1, w2 in images(s, eps)]
-
-    def target_z(u, v):  # u target(y1) + v P2(target(y1)), u, v per row
-        return CoefficientRows([(B, w1 * u + w2 * v, spans)
-                                for B, spans, w1, w2 in layout])
+    tz1, tz2 = z_images(s, eps, a, b)
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
     sigmas = s * b / eps
-    cache = {}  # target(z1) and target(z2) share the products with y2
-    ortho = max(gram_residual(target_z(a, b), y2, cache),
-                gram_residual(target_z(b, -a), y2, cache))
-    R = LazyIsometry(space, inputs=y1, outputs=target_z(a * inv, b * inv))
-    block = BrownianBlock(R, K_basis=y2, V_images=target_z(sigmas * b, -sigmas * a))
+    ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
+    W, V = (CoefficientRows(tz.base, tz.C * w, tz.starts)
+            for tz, w in ((tz1, inv), (tz2, sigmas)))
+    R = LazyIsometry(space, inputs=y1, outputs=W)
+    block = BrownianBlock(R, K_basis=y2, V_images=V)
 
     trace = ConstructionTrace(space=space, epsilon=eps, x_rows=x, y1_rows=y1,
                               y2_rows=y2, sigmas=sigmas.tolist(),
@@ -257,20 +250,24 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     As 2*id commutes with every linear map, the partner copies are 2 dim(F)
     fresh coordinates f, g, allocated once, not copies of H, and F may be any
     subspace of `space`: x_i -> f_i (rows -> their coefficients along x) and
-    y1_i = s x_i + eps f_i -> g_i (the f-coordinates / eps).  Both map 2x
-    and 2 y1 to twice the images of x and y1: target(y1) is s 2x on F and
-    eps P on f, P the coefficients of 2x along x, and its partner copy P on
-    g.  On F the block satisfies ||(B - 2 id)x|| = eps ||x|| exactly.
+    y1_i = s x_i + eps f_i -> g_i (rows -> their f-coordinates / eps).  Both
+    map 2x and 2 y1 to twice the images of x and y1, and W and V are dense
+    rows, the one-copy case.  On F the block satisfies ||(B - 2 id)x|| =
+    eps ||x|| exactly.
     """
     x = orthonormal_rows(as_rows(F_basis, space))
     n = len(x)
     f, g = (columns(space.allocate(n)) for _ in range(2))
     tx = 2.0 * x
-    P = tx @ np.conj(x).T
-    spans = ((f.start, f.stop), (g.start, g.stop))
-    return _assemble(space, x, tx, lambda rows: (f, rows @ np.conj(x).T),
-                     lambda s, eps: [(tx, ((0, tx.shape[1]),), (s,), (0,)),
-                                     (P, spans, (eps, 0), (0, 1))], epsilon)
+
+    def partner1(rows):
+        return f, rows @ np.conj(x).T
+
+    def z_images(s, eps, a, b):  # dense: g holds target(y1) on f over eps
+        ty1 = _combined(tx, partner1(tx), s, eps)
+        q, a, b = (g, ty1[:, f] / eps), a[:, None], b[:, None]
+        return [CoefficientRows(_combined(ty1, q, u, v)) for u, v in ((a, b), (b, -a))]
+    return _assemble(space, x, tx, partner1, z_images, epsilon)
 
 
 def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
@@ -295,11 +292,14 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
     x, tx = _diagonalizing_rows(T.embedded(space, h1), as_rows(F_basis, space))
-    spans = tuple((int(h[0]), int(h[-1]) + 1) for h in (h1, h2, h3, h4))  # runs
-    t1 = tx[:, slice(*spans[0])]  # Tx lies in H1: the one base of W and V
-    block, trace = _assemble(
-        space, x, tx, _placement(h1, h2),
-        lambda s, eps: [(t1, spans, (s, eps, 0, 0), (0, 0, s, eps))], epsilon)
+    # Tx lies in H1, a run like H2..H4: target(y1) = (s, eps, 0, 0) x Tx
+    # and its second partner copy (0, 0, s, eps) x Tx over H1..H4
+    starts, t1 = [int(h[0]) for h in (h1, h2, h3, h4)], tx[:, h1[0]:h1[-1] + 1]
+
+    def z_images(s, eps, a, b):
+        return [CoefficientRows(t1, np.array([s * u, eps * u, s * v, eps * v]),
+                                starts) for u, v in ((a, b), (b, -a))]
+    block, trace = _assemble(space, x, tx, _placement(h1, h2), z_images, epsilon)
     return block, direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4]), trace
 
 

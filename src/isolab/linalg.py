@@ -1,14 +1,11 @@
-"""Dense complex linear algebra: orthonormalization, row systems in
-coefficient form, Gram matrices and their residuals, and Hermitian
-eigendecomposition.
+"""Dense complex linear algebra: orthonormalization, rows in coefficient
+form, Gram matrices and residuals, and Hermitian eigendecomposition.
 
 All routines are deterministic.  Vectors carry their ambient space;
 matrices are plain complex ndarrays.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -67,117 +64,93 @@ def gram_matrix(vectors) -> np.ndarray:
     if not vectors:
         raise ValueError("empty vector list")
     rows = as_rows(vectors, vectors[0].space)
-    G = np.conj(rows) @ rows.T
+    G = products(rows, rows).T  # conj(rows) @ rows.T
     return 0.5 * (G + np.conj(G.T))  # symmetrize roundoff
 
 
 class CoefficientRows:
-    """Rows in coefficient form, as groups (base, C, spans): row i is the
-    sum over each group's copies j of C[j, i] base[i] on the columns lo:hi
-    = spans[j], every copy on columns of its own, C real.  A 2-d array of
-    rows is the one-copy case, given as such; `dense` builds the rows."""
+    """Rows in coefficient form: row i is the sum over the copies j of
+    C[j, i] base[i] on the columns starts[j] : starts[j] + base width, C
+    real, the copies disjoint and ascending.  A 2-d array of rows is the
+    one-copy case, weight 1 at column 0."""
 
-    def __init__(self, groups):
-        if isinstance(groups, np.ndarray):  # one copy of the rows, weight 1
-            groups = [(groups, np.ones((1, len(groups))), ((0, groups.shape[1]),))]
-        self.n = len(groups[0][0])
-        self.groups = groups if self.n else []
-        self.end = max((hi for *_, sp in self.groups for _, hi in sp), default=0)
-        self.layout = [(id(base), sp) for base, _, sp in self.groups]
-        self._sel = [slice(sp[0][0], sp[-1][1])  # a group's copies' columns
-                     if all(h == lo for (_, h), (lo, _) in zip(sp, sp[1:]))
-                     else np.concatenate([np.arange(*c) for c in sp])
-                     for *_, sp in self.groups]
+    def __init__(self, base: np.ndarray, C=None, starts=(0,)):
+        self.base, self.starts, d = base, tuple(starts), base.shape[1]
+        self.C = np.ones((1, len(base))) if C is None else C
+        self.end = self.starts[-1] + d
+        st = self.starts  # the copies' columns in order: a slice if adjacent
+        adjacent = all(t - s == d for s, t in zip(st, st[1:]))
+        self.cols = (slice(st[0], self.end) if adjacent
+                     else np.concatenate([np.arange(s, s + d) for s in st]))
 
     def __len__(self):
-        return self.n
+        return len(self.base)
+
+    def at(self, cols: np.ndarray) -> np.ndarray:
+        """The rows' entries on the columns `cols`, an index array."""
+        out = np.zeros((len(self.base), len(cols)), dtype=np.complex128)
+        for s, c in zip(self.starts, self.C):
+            on = (s <= cols) & (cols < s + self.base.shape[1])
+            out[:, on] = c[:, None] * self.base[:, cols[on] - s]
+        return out
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.end), dtype=np.complex128)
-        return add_images(out, (np.eye(self.n), self))
+        return self.at(np.arange(self.end))
 
 
-def add_images(out: np.ndarray, *terms) -> np.ndarray:
-    """out += the sum of p @ rows over the terms (p, rows) in place, p a
-    coefficient vector or rows of them: terms on one layout (bases and
-    copies) sum their weighted coefficients, so each base takes one product
-    for all copies and terms."""
-    (p, rows), rest = terms[0], terms[1:]
-    if any(other.layout != rows.layout for _, other in rest):
-        for term in terms:
-            add_images(out, term)
+def add_images(out: np.ndarray, p: np.ndarray, rows: CoefficientRows):
+    """out += p @ rows in place, p a coefficient vector or rows of them:
+    one product with the base for all copies."""
+    if not len(rows):
         return out
-    lead = p.shape[:-1]
-    for g, (base, C, _) in enumerate(rows.groups):
-        pc = (p[..., None, :] if lead else p) * C
-        for q, other in rest:
-            pc += (q[..., None, :] if lead else q) * other.groups[g][1]
-        out[..., rows._sel[g]] += (pc.reshape(-1, rows.n) @ base).reshape(
-            lead + (-1,))
+    if p.ndim == 1:  # copies x n
+        out[rows.cols] += ((p * rows.C) @ rows.base).reshape(-1)
+    else:  # rows x copies x n
+        pc = (p[:, None, :] * rows.C).reshape(-1, len(rows))
+        out[:, rows.cols] += (pc @ rows.base).reshape(len(p), -1)
     return out
 
 
-def _copies(rows) -> list:
-    return [(lo, hi, B, C[j:j + 1]) for B, C, sp in rows.groups
-            for j, (lo, hi) in enumerate(sp)]
-
-
-def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b* over equal widths, b conjugated in column blocks of at most
-    1 MiB: no operand is copied whole."""
-    step = max(1, (1 << 16) // max(len(b), 1))
-    if a.shape[1] <= step:
-        return a @ np.conj(b).T
-    out = a[:, :step] @ np.conj(b[:, :step]).T
-    for i in range(step, a.shape[1], step):
-        out += a[:, i:i + step] @ np.conj(b[:, i:i + step]).T
+def products(a, b) -> np.ndarray:
+    """a @ b* over the columns both carry, for arrays of rows or
+    CoefficientRows (a one if b is): (Ca^T Cb) o (base_a base_b*) on the
+    same copies, copy j meeting copy j only; an array meets each copy of a
+    on their shared columns; b on other copies is made dense.  b is
+    conjugated in column blocks of at most 1 MiB, never copied whole."""
+    if isinstance(b, CoefficientRows):
+        if a.starts != b.starts:
+            return products(a, b.dense())
+        return (a.C.T @ b.C) * products(a.base, b.base)
+    if isinstance(a, CoefficientRows):
+        out = np.zeros((len(a), len(b)), dtype=np.complex128)
+        for s, c in zip(a.starts, a.C):
+            if s < b.shape[1]:
+                out += c[:, None] * products(a.base, b[:, s:s + a.base.shape[1]])
+        return out
+    k, step = min(a.shape[1], b.shape[1]), max(1, (1 << 16) // max(len(b), 1))
+    out = a[:, :min(k, step)] @ np.conj(b[:, :min(k, step)]).T
+    for i in range(step, k, step):
+        out += a[:, i:min(i + step, k)] @ np.conj(b[:, i:min(i + step, k)]).T
     return out
 
 
-def products(a, b, cache: dict | None = None) -> np.ndarray:
-    """a @ b* of row systems, arrays or CoefficientRows (a is one if b
-    is), over the columns both carry: from the products of their bases
-    where copies meet, each made once per pair of bases and overlap and
-    kept in `cache`, across calls if one is given."""
-    if isinstance(a, np.ndarray):
-        k = min(a.shape[1], b.shape[1])
-        return _block_products(a[:, :k], b[:, :k])
-    cache = {} if cache is None else cache
-    if isinstance(b, np.ndarray):
-        pairs = product(_copies(a), [(0, b.shape[1], b, None)])
-    elif a.layout == b.layout:  # a copy meets its twin only: one product per base
-        pairs = [((0, B.shape[1], B, Ca), (0, B.shape[1], B, Cb))
-                 for (B, Ca, _), (_, Cb, _) in zip(a.groups, b.groups)]
-    else:
-        pairs = product(_copies(a), _copies(b))
-    out = np.zeros((len(a), len(b)), dtype=np.complex128)
-    for (la, ha, ba, ca), (lb, hb, bb, cb) in pairs:
-        lo, hi = max(la, lb), min(ha, hb)
-        if lo < hi:
-            key = (id(ba), id(bb), lo - la, lo - lb, hi - lo)
-            if key not in cache:
-                cache[key] = _block_products(ba[:, lo - la:hi - la],
-                                             bb[:, lo - lb:hi - lb])
-            out += (ca.T if cb is None else ca.T @ cb) * cache[key]
-    return out
-
-
-def gram_residual(rows, other=None, cache: dict | None = None) -> float:
+def gram_residual(rows, other=None) -> float:
     """Frobenius norm (a bound on the spectral one) of the rows' Gram matrix
     minus I, or of their inner products with the rows of `other` over the
-    columns both carry: how far they are from orthonormal, or from `other`.
-    Rows are arrays or CoefficientRows; see `products` for `cache`."""
-    G = products(rows, rows if other is None else other, cache)
+    columns both carry (see `products`): how far they are from orthonormal,
+    or from `other`."""
+    G = products(rows, rows if other is None else other)
     if other is None:
-        G.flat[::len(G) + 1] -= 1.0  # G - I, in place
+        G.reshape(-1)[::len(G) + 1] -= 1.0  # G - I, in place
     return float(np.linalg.norm(G))
 
 
-def spectral_norm(*blocks, cache: dict | None = None) -> float:
-    """||[blocks]||_2 of row blocks side by side (arrays or CoefficientRows),
-    from the sum of their Gram matrices: for a few wide rows, cheaper than
-    an SVD, and nothing stacked."""
-    gram = sum(products(b, b, cache) for b in blocks)
+def spectral_norm(*blocks) -> float:
+    """||[blocks]||_2 of row blocks side by side, from the sum of their Gram
+    matrices: for a few wide rows, cheaper than an SVD, and nothing stacked."""
+    gram = products(blocks[0], blocks[0])
+    for b in blocks[1:]:
+        gram += products(b, b)
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 

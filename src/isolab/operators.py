@@ -167,16 +167,9 @@ class LazyIsometry:
     def defined_outputs(self) -> np.ndarray:
         """The output rows (defined_count x W's columns), built when read."""
         out = np.zeros((self._m, self._wc), dtype=np.complex128)
-        out[:self._W.n, :self._W.end] = self._W.dense()
-        out[np.arange(self._W.n, self._m), self._fresh] = 1.0
+        out[:len(self._W)] = self._W.at(np.arange(self._wc))
+        out[np.arange(len(self._W), self._m), self._fresh] = 1.0
         return out
-
-    def _extensions(self) -> CoefficientRows:
-        """The extensions' outputs: unit rows, one copy per run of them."""
-        f, m = self._fresh, len(self._fresh)
-        runs = np.split(np.arange(m), np.flatnonzero(np.diff(f) != 1) + 1)
-        return CoefficientRows([(np.eye(m)[:, r], np.ones((1, m)),
-                                 ((int(f[r[0]]), int(f[r[-1]]) + 1),)) for r in runs])
 
     @property
     def e_U(self) -> float:
@@ -202,28 +195,26 @@ class LazyIsometry:
         return self._extended(np.zeros(self._wc, dtype=np.complex128),
                               padded(x.prefix, self._uc), x)
 
-    def _project(self, image: np.ndarray, r: np.ndarray, terms=()):
+    def _project(self, image: np.ndarray, r: np.ndarray):
         """One projection pass, in place, over `r` (one vector or rows over
         U's columns or more): its part in the defined span is taken off and
-        mapped through R onto `image` (over W's columns or more), with the
-        images of `terms` in the same contraction (`linalg.add_images`)."""
-        U, uc, n = self.defined_inputs, self._uc, self._W.n
+        mapped through R onto `image` (over W's columns or more)."""
+        U, uc, n = self.defined_inputs, self._uc, len(self._W)
         p = np.conj(np.conj(r[..., :uc]) @ U.T)
         r[..., :uc] -= p @ U
-        add_images(image, (p[..., :n], self._W), *terms)
+        add_images(image, p[..., :n], self._W)
         if n < self._m:
             image[..., self._fresh_cols] += p[..., n:]
         return image, r
 
-    def _extended(self, image, r, x: Vector, terms=()) -> Vector:
+    def _extended(self, image: np.ndarray, r: np.ndarray, x: Vector) -> Vector:
         """`image` plus R of `r` (one vector, in place), the part of `x` left
-        for R, plus the images of `terms`: one pass; above extension_tol *
-        ||x||, a second, then a fresh coordinate if still above (or
-        CapacityExceeded, nothing stored)."""
+        for R: one pass; above extension_tol * ||x||, a second, then a fresh
+        coordinate if still above (or CapacityExceeded, nothing stored)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
         tol = self.extension_tol * max(x.norm(), 1e-300)
-        image, r = self._project(image, r, terms)
+        image, r = self._project(image, r)
         rnorm = sqrt(np.vdot(r, r).real)
         if rnorm > tol:  # a residual R may store is reorthogonalized (CGS2)
             image, r = self._project(image, r)
@@ -247,9 +238,20 @@ def _stored_rows(items, space: AmbientSpace) -> np.ndarray:
 
 
 def _stored_form(items, space: AmbientSpace) -> CoefficientRows:
-    """CoefficientRows as given, else `_stored_rows` as the one-copy case."""
-    return (items if isinstance(items, CoefficientRows)
-            else CoefficientRows(_stored_rows(items, space)))
+    """`_stored_rows` as the one-copy case, or CoefficientRows as given,
+    refused past `space.allocated` as there, and unless finite with real
+    weights, one row per copy, on disjoint ascending copies."""
+    if not isinstance(items, CoefficientRows):
+        return CoefficientRows(_stored_rows(items, space))
+    B, C, starts = items.base, items.C, items.starts
+    if items.end > space.allocated:
+        raise ValueError("stored rows reach past the allocated coordinates")
+    if (np.iscomplexobj(C) or C.shape != (len(starts), len(B)) or starts[0] < 0
+            or any(t - s < B.shape[1] for s, t in zip(starts, starts[1:]))
+            or not (np.isfinite(C).all() and np.isfinite(B).all())):
+        raise ValueError("coefficient rows must be finite, with real weights, "
+                         "one row per copy, on disjoint ascending copies")
+    return items
 
 
 def _grown(buf: np.ndarray, rows: int, cols: int, limit: int) -> np.ndarray:
@@ -283,24 +285,20 @@ class BrownianBlock:
         self.R = R
         self.space = R.space
         self._K = _stored_rows(K_basis, R.space)
-        self._Vc = _stored_form(V_images, R.space)
+        self._Vc = V = _stored_form(V_images, R.space)
         self._e_K = gram_residual(self._K)
         if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        cache = {}  # V V* and W V* share their bases' products
-        self._vnorm = spectral_norm(self._Vc, cache=cache) if len(self._K) else 0.0
-        # Im(R) perpendicular to Im(V) on everything instantiated so far
-        self._e_WV = self._outputs_residual(self._Vc, cache)
+        self._vnorm = spectral_norm(V) if len(self._K) else 0.0
+        # Im(R) perpendicular to Im(V) on everything instantiated so far (R's
+        # extension rows are units at _fresh: they meet V's columns there)
+        self._e_WV = gram_residual(R._W, V)
+        if len(R._fresh):
+            self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(V.at(R._fresh))))
         if self._e_WV > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
     _V = property(lambda self: self._Vc.dense())
-
-    def _outputs_residual(self, rows, cache: dict) -> float:
-        """||W rows*||_F over R's outputs W, extension rows included."""
-        R, e = self.R, gram_residual(self.R._W, rows, cache)
-        return float(np.hypot(e, gram_residual(R._extensions(), rows))
-                     if len(R._fresh) else e)
 
     @property
     def operator_norm(self) -> float:
@@ -319,8 +317,8 @@ class BrownianBlock:
         """eta: the summed Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I
         (U, W: R's stored inputs and outputs, extension rows included) and
         e_UK, e_WK, e_WV, e_VK of UK*, WK*, WV*/nu, VK*/nu (nu = ||V||), of
-        the rows as stored (W and V share their bases' products with K);
-        nothing is extended or allocated.  With
+        the rows as stored (R's extension rows meet K and V in their columns
+        at `_fresh`); nothing is extended or allocated.  With
         s = 1 + nu^2 = max(1, ||B||^2), B as its rows define it satisfies
         ||B*^2 B^2 - 2B*B + I|| <= 10 eta s^2 and B*B >= 1 - 5 eta s.
         Why: `_step` maps a row x to [xM | xN], xN on fresh coordinates, with
@@ -340,30 +338,29 @@ class BrownianBlock:
         B y1 = R y1.
         e_W, e_K, e_WV are computed once: an extension adds to W a unit row
         on a fresh coordinate, where stored W, K, V rows vanish; R renews e_U."""
-        K, V, nu, cache = self._K, self._Vc, max(self._vnorm, 1e-300), {}
-        return (self.R.e_U + self.R.e_W + self._e_K
-                + gram_residual(self.R.defined_inputs, K)
-                + self._outputs_residual(K, cache)
-                + (self._e_WV + gram_residual(V, K, cache)) / nu)
+        R, K, V, nu = self.R, self._K, self._Vc, max(self._vnorm, 1e-300)
+        e_WK, f = gram_residual(R._W, K), R._fresh
+        if len(f):  # R's extension rows, units on f: they meet K's columns there
+            e_WK = float(np.hypot(e_WK, np.linalg.norm(K[:, f[f < K.shape[1]]])))
+        return (R.e_U + R.e_W + self._e_K + gram_residual(R.defined_inputs, K)
+                + e_WK + (self._e_WV + gram_residual(V, K)) / nu)
 
     def _corner_split(self, X: np.ndarray):
-        """Corner split of the rows of X, B X = E + V c + R X_L: (E, X_L,
-        ((c, V),)), E = P_K X as wide as K, V and W, c = X's coefficients
-        along K (R's first pass adds V c with its own image), and X_L = X -
-        P_K X as wide as K and U."""
-        K, k = self._K, self._K.shape[1]
+        """Corner split of the rows of X (or one vector), B X = E + R X_L:
+        (E, X_L), E = P_K X + V P_K X as wide as K, V and W, X_L = X - P_K X
+        as wide as K and U."""
+        K, V = self._K, self._Vc
+        k, v = K.shape[1], V.end
         XL = padded(X, max(k, self.R._uc))
         c = np.conj(np.conj(XL[..., :k]) @ K.T)
         xK = c @ K
         XL[..., :k] -= xK
-        E = np.zeros(X.shape[:-1] + (max(k, self._Vc.end, self.R._wc),),
-                     dtype=np.complex128)
+        E = np.zeros(X.shape[:-1] + (max(k, v, self.R._wc),), dtype=np.complex128)
         E[..., :k] = xK
-        return E, XL, ((c, self._Vc),)
+        return add_images(E, c, V), XL
 
     def apply(self, x: Vector) -> Vector:
-        E, XL, terms = self._corner_split(x.prefix)
-        return self.R._extended(E, XL, x, terms)
+        return self.R._extended(*self._corner_split(x.prefix), x)
 
 
 class _DirectSumPower(DenseOperator):

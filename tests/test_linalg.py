@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from isolab import (AllVectorsNegligible, NotHermitian, Vector, gram_matrix,
                     gram_schmidt, hermitian_eig)
-from isolab.linalg import RANK_TOL, orthonormal_rows
-from isolab.spaces import as_rows
+from isolab.linalg import (RANK_TOL, CoefficientRows, add_images,
+                           gram_residual, orthonormal_rows, products)
+from isolab.spaces import as_rows, padded
 
 from conftest import make_space, vec
 
@@ -186,6 +187,49 @@ class TestGramMatrix:
         images = [vec(sp, T[:, j]) for j in range(2)]
         np.testing.assert_allclose(gram_matrix(images),
                                    [[4, 2], [2, 5]], atol=1e-15)
+
+
+class TestCoefficientRows:
+    """Products, images and columns of rows in coefficient form against the
+    dense rows they stand for, on copies with gaps between them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           d=st.integers(1, 6), gaps=st.lists(st.integers(0, 3), min_size=1,
+                                              max_size=4))
+    def test_against_the_dense_rows(self, seed, n, d, gaps):
+        rng = np.random.default_rng(seed)
+        starts = [int(s) for s in np.cumsum(gaps) + d * np.arange(len(gaps))]
+
+        def rows(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a, b = (CoefficientRows(rows((k, d)), rng.standard_normal((len(gaps), k)),
+                                starts) for k in (n, n + 1))
+        A, B = a.dense(), b.dense()
+        assert A.shape == (n, starts[-1] + d)
+        for j, s in enumerate(starts):  # copy j, and zeros between copies
+            np.testing.assert_array_equal(A[:, s:s + d], a.C[j][:, None] * a.base)
+            A[:, s:s + d] = 0
+        assert not A.any()
+        A = a.dense()
+        K = rows((3, int(rng.integers(1, A.shape[1] + 3))))
+        k = min(A.shape[1], K.shape[1])
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(want).max()))
+
+        close(products(a, b), A @ np.conj(B).T)
+        close(products(a, K), A[:, :k] @ np.conj(K[:, :k]).T)
+        close(products(a, CoefficientRows(K)), A[:, :k] @ np.conj(K[:, :k]).T)
+        assert gram_residual(a) == pytest.approx(
+            np.linalg.norm(A @ np.conj(A).T - np.eye(n)), rel=1e-12)
+        for p in (rows(n), rows((2, n))):
+            close(add_images(np.zeros(p.shape[:-1] + A.shape[1:], complex), p, a),
+                  p @ A)
+        cols = rng.integers(0, A.shape[1] + 3, 5)
+        np.testing.assert_array_equal(a.at(cols), padded(A, A.shape[1] + 3)[:, cols])
 
 
 class TestHermitianEig:

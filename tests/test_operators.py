@@ -14,6 +14,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
                     read_operator, standard_f_basis, theorem1_construct,
                     theorem2_construct, three_isometry_from_nilpotent,
                     write_operator)
+from isolab.linalg import CoefficientRows
 from isolab.spaces import padded, row_vectors
 
 from conftest import make_space, second_split, theorem2_partner2, vec
@@ -762,6 +763,36 @@ def test_stored_rows_on_unallocated_coordinates_rejected(which, form):
     build(dict(good, **{which: [good[which][0] + [0, 0]]}))
     with pytest.raises(ValueError, match="past the allocated coordinates"):
         build(dict(good, **{which: [[0, 0, 1]]}))
+
+
+@pytest.mark.parametrize("which", ["W", "V"])
+def test_coefficient_rows_checked_as_stored(which):
+    # W = e1 (or V = e1 against K = e0) as one copy of the row [1] at
+    # column 1 over 2 allocated coordinates; the copy moved to column 2,
+    # non-finite entries, complex weights and copies that overlap or
+    # descend are refused
+    def build(rows):
+        sp = AmbientSpace(8)
+        sp.allocate(2)
+        e0 = np.array([[1, 0]], complex)
+        if which == "W":
+            return LazyIsometry(sp, e0, rows)
+        return BrownianBlock(LazyIsometry(sp), e0, rows)
+
+    one, w = np.ones((1, 1), complex), np.ones((1, 1))
+    kept = build(CoefficientRows(one, w, (1,)))
+    np.testing.assert_array_equal(
+        kept.defined_outputs if which == "W" else kept._V, [[0, 1]])
+    for rows, message in [
+            (CoefficientRows(one, w, (2,)), "past the allocated coordinates"),
+            (CoefficientRows(one * np.nan, w, (1,)), "must be finite"),
+            (CoefficientRows(one, w * np.inf, (1,)), "must be finite"),
+            (CoefficientRows(one, w + 0j, (1,)), "must be finite"),
+            (CoefficientRows(one, np.ones((2, 1)), (1, 1)), "must be finite"),
+            (CoefficientRows(one, np.ones((2, 1)), (1, 0)), "must be finite"),
+            (CoefficientRows(one, np.ones((2, 1)), (1,)), "must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            build(rows)
 
 
 @pytest.mark.parametrize("build", [
