@@ -26,6 +26,8 @@ from .operators import DenseOperator, ScalarOperator, defect_form, read_operator
 
 CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
               "defect_max", "expansivity_min", "orthogonality_max", "wall_ms")
+#: report lines that are not CSV columns, each after the column it pairs with
+_REPORT_AFTER = {"bound_measured": "bound_exact", "defect_max": "defect3_max"}
 
 #: largest sigma_max verify accepts: the order-3 defect operator and its
 #: scale take sigma_max^6, kept below 1e306
@@ -250,8 +252,8 @@ def emit_report(rows, fmt: str, path: str | None) -> str:
             buf.write(f"run n={row.n}\n")
             for key in CSV_HEADER[1:]:
                 buf.write(f"  {key}: {_fmt(getattr(row, key))}\n")
-                if key == "defect_max":  # a report line, not a CSV column
-                    buf.write(f"  defect3_max: {_fmt(row.defect3_max)}\n")
+                if extra := _REPORT_AFTER.get(key):
+                    buf.write(f"  {extra}: {_fmt(getattr(row, extra))}\n")
             if row.error is not None:
                 buf.write(f"  error: {row.error}\n")
     text = buf.getvalue()

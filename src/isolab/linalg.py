@@ -86,16 +86,12 @@ class CoefficientRows:
     def __len__(self):
         return len(self.base)
 
-    def at(self, cols: np.ndarray) -> np.ndarray:
-        """The rows' entries on the columns `cols`, an index array."""
-        out = np.zeros((len(self.base), len(cols)), dtype=np.complex128)
-        for s, c in zip(self.starts, self.C):
-            on = (s <= cols) & (cols < s + self.base.shape[1])
-            out[:, on] = c[:, None] * self.base[:, cols[on] - s]
-        return out
-
     def dense(self) -> np.ndarray:
-        return self.at(np.arange(self.end))
+        """The rows over columns 0 : end, zero off the copies."""
+        out = np.zeros((len(self.base), self.end), dtype=np.complex128)
+        for s, c in zip(self.starts, self.C):
+            out[:, s:s + self.base.shape[1]] = c[:, None] * self.base
+        return out
 
 
 def add_images(out: np.ndarray, p: np.ndarray, rows: CoefficientRows):

@@ -167,7 +167,7 @@ class LazyIsometry:
     def defined_outputs(self) -> np.ndarray:
         """The output rows (defined_count x W's columns), built when read."""
         out = np.zeros((self._m, self._wc), dtype=np.complex128)
-        out[:len(self._W)] = self._W.at(np.arange(self._wc))
+        out[:len(self._W), :self._W.end] = self._W.dense()
         out[np.arange(len(self._W), self._m), self._fresh] = 1.0
         return out
 
@@ -294,7 +294,8 @@ class BrownianBlock:
         # extension rows are units at _fresh: they meet V's columns there)
         self._e_WV = gram_residual(R._W, V)
         if len(R._fresh):
-            self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(V.at(R._fresh))))
+            self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(
+                padded(V.dense(), R._wc)[:, R._fresh])))
         if self._e_WV > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
 
@@ -375,13 +376,10 @@ class _DirectSumPower(DenseOperator):
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
         """Each row as k rows of T's width, multiplied only on the copies
-        some row reaches; a lone row is multiplied on all, as a 1-row
-        product rounds differently (the output stays bit for bit the same)."""
+        some row reaches."""
         d = self._matrix.shape[1]
         copies = rows.reshape(-1, self.k, d)
         live = np.flatnonzero(copies.any(axis=(0, 2)))
-        if len(copies) * len(live) < 2:
-            live = np.arange(self.k)
         out = np.zeros(copies.shape, dtype=np.complex128)
         out[:, live] = (copies[:, live].reshape(-1, d) @ self._matrix.T).reshape(
             len(copies), len(live), d)

@@ -24,6 +24,17 @@ def make_space(dim, capacity=None):
     return space
 
 
+def gapped_space(dim):
+    """Space with H1, H2, H3, H4 of `dim` coordinates each and unlabeled
+    coordinates after H1 and after H2, so that neither H1 + H2 nor H2
+    directly follows the copy before it."""
+    sp = make_space(dim, capacity=64 * dim)
+    for label, gap in (("H2", 3), ("H3", 2), ("H4", 0)):
+        sp.allocate(gap)
+        sp.allocate(dim, label=label)
+    return sp
+
+
 def vec(space, values):
     return space.vector(values)
 

@@ -162,10 +162,11 @@ class TestEmitReport:
         row = Certificate(n=4, epsilon=0.25, norm_T=2.0, bound_theoretical=0.75,
                           bound_measured=0.25, defect_max=0.0,
                           expansivity_min=1.0, orthogonality_max=0.0,
-                          wall_ms=1.0)
+                          wall_ms=1.0, bound_exact=0.25)
         text = emit_report([row], "report", None)
         for key in CSV_HEADER[1:]:
             assert key in text
+        assert "  bound_measured: 0.25\n  bound_exact: 0.25\n" in text
         assert "  defect3_max: 0\n" in text  # twice defect_max
 
     def test_report_format_of_an_error_row(self):
@@ -173,6 +174,7 @@ class TestEmitReport:
         lines = emit_report([row], "report", None).splitlines()
         assert lines[0] == "run n=3"
         keys = list(CSV_HEADER[2:])
+        keys.insert(keys.index("bound_measured") + 1, "bound_exact")
         keys.insert(keys.index("defect_max") + 1, "defect3_max")
         assert lines[2:] == [f"  {key}: nan" for key in keys] + [
             "  error: out of budget"]

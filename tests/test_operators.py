@@ -17,7 +17,8 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
 from isolab.linalg import CoefficientRows
 from isolab.spaces import padded, row_vectors
 
-from conftest import make_space, second_split, theorem2_partner2, vec
+from conftest import (gapped_space, make_space, second_split,
+                      theorem2_partner2, vec)
 
 
 class FullCapacityIsometry:
@@ -680,6 +681,50 @@ class TestDirectSumPower:
             Tk._apply_rows(off)
         with pytest.raises(DomainMismatch):
             Tk.apply(sp.basis_vector(outside))
+
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_one_copy_is_t_bit_for_bit(self, dim):
+        # a vector of H1 reaches one copy of four: T^(4) multiplies that
+        # copy alone, the same 1-row product as T on H1
+        T = expansive_generator(dim, "svd_random", seed=1)
+        sp = gapped_space(dim)
+        h = [sp.labels[k] for k in ("H1", "H2", "H3", "H4")]
+        T4 = direct_sum_power(T, 4, sp, np.concatenate(h))
+        rng = np.random.default_rng(dim)
+        x = sp.vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+                      h[0])
+        image = T4.apply(x).prefix
+        np.testing.assert_array_equal(
+            image, padded(T.embedded(sp, h[0]).apply(x).prefix, len(image)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
+           reach=st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_on_some_copies_match_the_dense_matrix(self, d, k, reach,
+                                                        seed):
+        # each row reaches its own subset of the k copies of gapped_space,
+        # none for an all-zero row: images on the copies it misses are 0
+        rng = np.random.default_rng(seed)
+        T = DenseOperator(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+        sp = gapped_space(d)
+        h = [sp.labels[key] for key in ("H1", "H2", "H3", "H4")][:k]
+        indices = np.concatenate(h)
+        Tk = direct_sum_power(T, k, sp, indices)
+        rows = np.zeros((len(reach), sp.allocated), dtype=np.complex128)
+        for row, on in zip(rows, reach):
+            for copy, hit in zip(h, on):
+                if hit:
+                    row[copy] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        expected = np.zeros_like(rows)
+        expected[:, indices] = rows[:, indices] @ Tk.matrix.T
+        image = Tk._apply_rows(rows)
+        assert image.shape == rows.shape
+        tol = 1e-14 * T.operator_norm * np.linalg.norm(rows, axis=1)
+        assert np.all(np.abs(image - expected).max(axis=1) <= tol)
+        assert not image[expected == 0].any()  # missed copies, zero rows
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
