@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NotExpansive, SubspaceNotContained
 from .generators import EXPANSIVITY_TOL
-from .linalg import (CoefficientRows, gram_residual, hermitian_eig,
-                     orthonormal_rows, spectral_norm)
+from .linalg import (CoefficientRows, gram_residual, orthonormal_rows,
+                     spectral_norm)
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         direct_sum_power)
 from .spaces import AmbientSpace, Vector, as_rows, columns, padded, row_vectors
@@ -136,10 +136,10 @@ def diagonalizing_basis(T: DenseOperator, F_basis):
 
 def _diagonalizing_rows(T: DenseOperator, rows: np.ndarray):
     """`diagonalizing_basis` on rows: (x, Tx), an orthonormal basis x of the
-    row span and its T-images, both as rows."""
+    row span and its T-images, both as rows, by descending ||Tx||."""
     onb = orthonormal_rows(rows)
     images = T._apply_rows(onb)
-    _, eigvecs = hermitian_eig(np.conj(images) @ images.T)
+    eigvecs = np.linalg.eigh(np.conj(images) @ images.T)[1][:, ::-1]
     return eigvecs.T @ onb, eigvecs.T @ images
 
 
@@ -217,10 +217,10 @@ def _assemble(space, x, tx, partner1, z_images, epsilon):
                            "every expansive B has ||(B - T(4))x|| >= "
                            f"{1.0 - norms_Tx.min()} at this x")
 
-    # Step 1: split across the first partner copy
+    # Step 1: split across the first partner copy (y1 below, where R needs it)
     s = np.sqrt(1.0 - eps * eps)
     p = partner1(x)
-    y1, y2 = _combined(x, p, s, eps), _combined(x, p, eps, -s)
+    y2 = _combined(x, p, eps, -s)
 
     # Step 2: split target(y1) once more, across the second partner copy
     inv = 1.0 / norms_Tx
@@ -230,9 +230,10 @@ def _assemble(space, x, tx, partner1, z_images, epsilon):
 
     # Step 3: K on the y2, V scaled per direction, R lazily extended
     sigmas = s * b / eps
-    ortho = max(gram_residual(tz, y2) for tz in (tz1, tz2))
+    ortho = max(gram_residual((tz1, tz2), y2))
     W, V = (CoefficientRows(tz.base, tz.C * w, tz.starts)
             for tz, w in ((tz1, inv), (tz2, sigmas)))
+    y1 = _combined(x, p, s, eps)  # not alive during the products above
     R = LazyIsometry(space, inputs=y1, outputs=W)
     block = BrownianBlock(R, K_basis=y2, V_images=V)
 

@@ -94,35 +94,66 @@ class CoefficientRows:
         return out
 
 
-def add_images(out: np.ndarray, p: np.ndarray, rows: CoefficientRows):
-    """out += p @ rows in place, p a coefficient vector or rows of them:
-    one product with the base for all copies."""
-    if not len(rows):
+def add_images(out: np.ndarray, *terms):
+    """out += the sum of p @ rows over the terms (p, rows), in place, each p
+    a coefficient vector or rows of them, by one product with the base for
+    all copies per run of terms on one base array and copies (`_runs`);
+    rows go in blocks of at most 1 MiB of weights."""
+    if out.ndim == 1:
+        for rows, pc in _runs(terms):  # pc copies x n
+            out[rows.cols] += (pc @ rows.base).reshape(-1)
         return out
-    if p.ndim == 1:  # copies x n
-        out[rows.cols] += ((p * rows.C) @ rows.base).reshape(-1)
-    else:  # rows x copies x n
-        pc = (p[:, None, :] * rows.C).reshape(-1, len(rows))
-        out[:, rows.cols] += (pc @ rows.base).reshape(len(p), -1)
+    step = max(1, (1 << 16) // max([r.C.size for _, r in terms] + [1]))
+    for i in range(0, len(out), step):  # pc rows x copies x n
+        for rows, pc in _runs([(p[i:i + step, None, :], r) for p, r in terms]):
+            out[i:i + step, rows.cols] += (pc.reshape(-1, len(rows)) @ rows.base
+                                           ).reshape(len(pc), -1)
     return out
 
 
-def products(a, b) -> np.ndarray:
+def _runs(terms):
+    """(rows, the sum of p * C) per run of consecutive terms (p, rows) on
+    one base array and copies, forms without rows left out."""
+    rows = None
+    for p, r in terms:
+        if rows is not None and r.base is rows.base and r.starts == rows.starts:
+            pc += p * r.C
+            continue
+        if rows is not None and rows.C.size:
+            yield rows, pc
+        rows, pc = r, p * r.C
+    if rows.C.size:
+        yield rows, pc
+
+
+def products(a, b):
     """a @ b* over the columns both carry, for arrays of rows or
     CoefficientRows (a one if b is): (Ca^T Cb) o (base_a base_b*) on the
     same copies, copy j meeting copy j only; an array meets each copy of a
     on their shared columns; b on other copies is made dense.  b is
-    conjugated in column blocks of at most 1 MiB, never copied whole."""
-    if isinstance(b, CoefficientRows):
-        if a.starts != b.starts:
-            return products(a, b.dense())
-        return (a.C.T @ b.C) * products(a.base, b.base)
-    if isinstance(a, CoefficientRows):
-        out = np.zeros((len(a), len(b)), dtype=np.complex128)
-        for s, c in zip(a.starts, a.C):
+    conjugated in column blocks of at most 1 MiB, never copied whole.  A
+    tuple a gives an iterator over its forms' products: if all hold one
+    base array on the same copies, they contract it with b once (a form's
+    result made as it is read, a copy's product used by all at once)."""
+    if isinstance(a, tuple):
+        f = a[0]
+        if not all(isinstance(g, CoefficientRows) and g.base is f.base
+                   and g.starts == f.starts for g in a):
+            return (products(g, b) for g in a)
+        if isinstance(b, CoefficientRows) and f.starts != b.starts:
+            b = b.dense()
+        if isinstance(b, CoefficientRows):
+            base = products(f.base, b.base)
+            return ((g.C.T @ b.C) * base for g in a)
+        outs = [np.zeros((len(f), len(b)), dtype=np.complex128) for _ in a]
+        for j, s in enumerate(f.starts):
             if s < b.shape[1]:
-                out += c[:, None] * products(a.base, b[:, s:s + a.base.shape[1]])
-        return out
+                base = products(f.base, b[:, s:s + f.base.shape[1]])
+                for out, g in zip(outs, a):
+                    out += g.C[j][:, None] * base
+        return iter(outs)
+    if isinstance(a, CoefficientRows):
+        return next(products((a,), b))
     k, step = min(a.shape[1], b.shape[1]), max(1, (1 << 16) // max(len(b), 1))
     out = a[:, :min(k, step)] @ np.conj(b[:, :min(k, step)]).T
     for i in range(step, k, step):
@@ -134,8 +165,10 @@ def gram_residual(rows, other=None) -> float:
     """Frobenius norm (a bound on the spectral one) of the rows' Gram matrix
     minus I, or of their inner products with the rows of `other` over the
     columns both carry (see `products`): how far they are from orthonormal,
-    or from `other`."""
+    or from `other` (a list for a tuple of rows, by one `products` call)."""
     G = products(rows, rows if other is None else other)
+    if isinstance(rows, tuple):
+        return [float(np.linalg.norm(g)) for g in G]
     if other is None:
         G.reshape(-1)[::len(G) + 1] -= 1.0  # G - I, in place
     return float(np.linalg.norm(G))

@@ -15,9 +15,9 @@ as rows over the leading coordinates that carry them (at most the
 allocated ones), each at its own width, the outputs W and V as
 `linalg.CoefficientRows`, and `Vector`s hold only their leading
 prefixes, so memory and the cost of an application grow with the
-instantiated span, not with the capacity.  R applies itself
-(`LazyIsometry._extended` projects through `_project` and extends), and a
-block adds only its corner split (`BrownianBlock._corner_split`) before it.
+instantiated span, not with the capacity.  R applies itself by one
+`_project` pass and `_extended`; a block's `_first_pass` is its corner split
+and R's first pass, the corner's and R's images made in one product.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainMismatch, NotNilpotent, OddDimension
 from .linalg import (CoefficientRows, add_images, gram_matrix, gram_residual,
-                     spectral_norm)
+                     products)
 from .spaces import AmbientSpace, Vector, as_rows, columns, padded
 
 
@@ -192,29 +192,28 @@ class LazyIsometry:
 
     def apply(self, x: Vector) -> Vector:
         """Evaluate, extending R first off its span."""
-        return self._extended(np.zeros(self._wc, dtype=np.complex128),
-                              padded(x.prefix, self._uc), x)
+        return self._extended(*self._project(np.zeros(self._wc, dtype=np.complex128),
+                                             padded(x.prefix, self._uc)), x)
 
-    def _project(self, image: np.ndarray, r: np.ndarray):
+    def _project(self, image: np.ndarray, r: np.ndarray, *terms):
         """One projection pass, in place, over `r` (one vector or rows over
         U's columns or more): its part in the defined span is taken off and
-        mapped through R onto `image` (over W's columns or more)."""
+        mapped through R onto `image` (W's columns or more), with `terms`."""
         U, uc, n = self.defined_inputs, self._uc, len(self._W)
         p = np.conj(np.conj(r[..., :uc]) @ U.T)
         r[..., :uc] -= p @ U
-        add_images(image, p[..., :n], self._W)
+        add_images(image, *terms, (p[..., :n], self._W))
         if n < self._m:
             image[..., self._fresh_cols] += p[..., n:]
         return image, r
 
     def _extended(self, image: np.ndarray, r: np.ndarray, x: Vector) -> Vector:
         """`image` plus R of `r` (one vector, in place), the part of `x` left
-        for R: one pass; above extension_tol * ||x||, a second, then a fresh
-        coordinate if still above (or CapacityExceeded, nothing stored)."""
+        for R after one pass: above extension_tol * ||x||, a second, then a
+        fresh coordinate if still above (or CapacityExceeded, nothing stored)."""
         if x.space is not self.space:
             raise DomainMismatch("vector lives in a different space")
         tol = self.extension_tol * max(x.norm(), 1e-300)
-        image, r = self._project(image, r)
         rnorm = sqrt(np.vdot(r, r).real)
         if rnorm > tol:  # a residual R may store is reorthogonalized (CGS2)
             image, r = self._project(image, r)
@@ -289,10 +288,11 @@ class BrownianBlock:
         self._e_K = gram_residual(self._K)
         if self._e_K > 1e-10:
             raise ValueError("K basis is not orthonormal to 1e-10")
-        self._vnorm = spectral_norm(V) if len(self._K) else 0.0
         # Im(R) perpendicular to Im(V) on everything instantiated so far (R's
         # extension rows are units at _fresh: they meet V's columns there)
-        self._e_WV = gram_residual(R._W, V)
+        gram = products((R._W, V), V)  # WV*, VV*: one base product if shared
+        self._e_WV = float(np.linalg.norm(next(gram)))
+        self._vnorm = float(np.sqrt(np.linalg.eigvalsh(next(gram)).max(initial=0.0)))
         if len(R._fresh):
             self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(
                 padded(V.dense(), R._wc)[:, R._fresh])))
@@ -312,7 +312,7 @@ class BrownianBlock:
         r being X_L off R's span after two passes, which R maps to fresh
         coordinates; rows over leading prefixes, E as wide as K, V and W,
         r as X, K and U."""
-        return self.R._project(*self.R._project(*self._corner_split(X)))
+        return self.R._project(*self._first_pass(X))
 
     def hypothesis_residual(self) -> float:
         """eta: the summed Frobenius norms e_U, e_W, e_K of UU*, WW*, KK* - I
@@ -340,28 +340,27 @@ class BrownianBlock:
         e_W, e_K, e_WV are computed once: an extension adds to W a unit row
         on a fresh coordinate, where stored W, K, V rows vanish; R renews e_U."""
         R, K, V, nu = self.R, self._K, self._Vc, max(self._vnorm, 1e-300)
-        e_WK, f = gram_residual(R._W, K), R._fresh
+        (e_WK, e_VK), f = gram_residual((R._W, V), K), R._fresh
         if len(f):  # R's extension rows, units on f: they meet K's columns there
             e_WK = float(np.hypot(e_WK, np.linalg.norm(K[:, f[f < K.shape[1]]])))
         return (R.e_U + R.e_W + self._e_K + gram_residual(R.defined_inputs, K)
-                + e_WK + (self._e_WV + gram_residual(V, K)) / nu)
+                + e_WK + (self._e_WV + e_VK) / nu)
 
-    def _corner_split(self, X: np.ndarray):
-        """Corner split of the rows of X (or one vector), B X = E + R X_L:
-        (E, X_L), E = P_K X + V P_K X as wide as K, V and W, X_L = X - P_K X
-        as wide as K and U."""
-        K, V = self._K, self._Vc
-        k, v = K.shape[1], V.end
-        XL = padded(X, max(k, self.R._uc))
+    def _first_pass(self, X: np.ndarray):
+        """The corner split of the rows of X (or one vector), E = P_K X + V P_K X,
+        X_L = X - P_K X, then R's first pass over X_L, V P_K X and its image
+        made in one product: (E, r), E as wide as K, V, W, r as X, K, U."""
+        K, V, R = self._K, self._Vc, self.R
+        k = K.shape[1]
+        XL = padded(X, max(k, R._uc))
         c = np.conj(np.conj(XL[..., :k]) @ K.T)
-        xK = c @ K
-        XL[..., :k] -= xK
-        E = np.zeros(X.shape[:-1] + (max(k, v, self.R._wc),), dtype=np.complex128)
-        E[..., :k] = xK
-        return add_images(E, c, V), XL
+        E = np.zeros(X.shape[:-1] + (max(k, V.end, R._wc),), dtype=np.complex128)
+        E[..., :k] = c @ K
+        XL[..., :k] -= E[..., :k]
+        return R._project(E, XL, (c, V))
 
     def apply(self, x: Vector) -> Vector:
-        return self.R._extended(*self._corner_split(x.prefix), x)
+        return self.R._extended(*self._first_pass(x.prefix), x)
 
 
 class _DirectSumPower(DenseOperator):
@@ -474,7 +473,7 @@ def read_operator(path) -> np.ndarray:
     """Read a matrix stored by write_operator; a bad file raises OSError,
     ValueError, KeyError, TypeError, OverflowError or RecursionError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.loads(text := fh.read())
     rows, cols = doc["rows"], doc["cols"]
     if not all(type(v) is int and v >= 1 for v in (rows, cols)):
         raise ValueError("rows and cols must be JSON integers >= 1, "
@@ -482,5 +481,8 @@ def read_operator(path) -> np.ndarray:
     entries = doc["entries"]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
+    # complex(True, False) is 1; no finite number holds a u or an f
+    if ("u" in text or "f" in text) and any(type(v) is bool for e in entries for v in e):
+        raise ValueError("matrix entries must be JSON numbers, not true or false")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(rows, cols)

@@ -550,6 +550,9 @@ class TestMain:
         (["verify"], '{"rows": true, "cols": true, "entries": [[2, 0]]}',
          "JSON integers"),
         (["verify"], '{"rows": 0, "cols": 0, "entries": []}', "JSON integers"),
+        # so are the entries numbers: complex(True, False) would read as 1
+        (["verify"], '{"rows": 2, "cols": 2, "entries": '
+         '[[true, false], [0, 0], [0, 0], [true, 0]]}', "not true or false"),
         (["verify"], '{"rows": "1", "cols": 1, "entries": [[2, 0]]}',
          "JSON integers"),
         # the tolerance lies in (0, 1), else the contraction 0.5 passes
@@ -615,7 +618,7 @@ class TestMain:
             "scalar-below-one",
             "scalar-above-limit", "scalar-1e77", "scalar-1e100", "diag-1e200",
             "verify-above-limit", "verify-1e60", "float-rows", "bool-shape",
-            "zero-shape", "string-rows", "tol-verify-inf", "tol-verify-1.5",
+            "zero-shape", "bool-entries", "string-rows", "tol-verify-inf", "tol-verify-1.5",
             "tol-verify-nan", "config-tol-verify-inf", "n-not-integer",
             "n-zero", "diag-no-entries", "n-empty-entry", "diag-empty-entry",
             "unknown-family",

@@ -226,8 +226,8 @@ class TestCoefficientRows:
         assert gram_residual(a) == pytest.approx(
             np.linalg.norm(A @ np.conj(A).T - np.eye(n)), rel=1e-12)
         for p in (rows(n), rows((2, n))):
-            close(add_images(np.zeros(p.shape[:-1] + A.shape[1:], complex), p, a),
-                  p @ A)
+            close(add_images(np.zeros(p.shape[:-1] + A.shape[1:], complex),
+                             (p, a)), p @ A)
 
 
 class TestHermitianEig:
