@@ -8,10 +8,10 @@ forward application, and certifies the quantitative approximation bound
 
 from .errors import (AllVectorsNegligible, CapacityExceeded, DomainMismatch,
                      InvalidFamilyParameter, IsolabError, NotExpansive,
-                     NotHermitian, NotNilpotent, OddDimension,
-                     SubspaceNotContained, UsageError)
+                     NotNilpotent, OddDimension, SubspaceNotContained,
+                     UsageError)
 from .spaces import AmbientSpace, Vector
-from .linalg import gram_schmidt, gram_matrix, hermitian_eig
+from .linalg import gram_schmidt, gram_matrix
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         ScalarOperator, compressed_gram, defect_form,
                         direct_sum_power, random_2nilpotent, read_operator,

@@ -80,6 +80,9 @@ class Certificate:
         so 20 eta, twice defect_max (the order-2 gate covers it)."""
         return 2.0 * self.defect_max
 
+    #: orthogonality_max relative to ||T|| (a report line, not a column)
+    orthogonality_rel = property(lambda self: self.orthogonality_max / self.norm_T)
+
     @property
     def bound_holds(self) -> bool:
         """Relative: no absolute floor for bound_measured's roundoff (about
@@ -328,13 +331,14 @@ def certificate_evaluate(target, block, trace, G_basis, *,
         raise SubspaceNotContained("G is not contained in span(F) to tolerance")
     # the projection onto F keeps roundoff off R's undefined directions
     q = orthonormal_rows(g_in_f)
+    eta = block.hypothesis_residual()  # first: it frees the block's VV*
     eq, rq = block._step(q)
     moved = target._apply_rows(q)  # a new array, at least as wide as q
     if eq.shape[1] < moved.shape[1]:
         eq = padded(eq, moved.shape[1])
     eq[:, :moved.shape[1]] -= moved  # (B - target)Q, then (target - I)Q,
     moved[:, :q.shape[1]] -= q       # in place: only narrower rows are padded
-    eps, eta = trace.epsilon, block.hypothesis_residual()
+    eps = trace.epsilon
 
     return Certificate(n=len(trace.x_rows), epsilon=eps,
                        norm_T=operator_norm_T,

@@ -17,10 +17,6 @@ class DomainMismatch(IsolabError):
     """A vector was fed to an operator whose domain does not contain it."""
 
 
-class NotHermitian(IsolabError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class NotExpansive(IsolabError):
     """An operator expected to satisfy ||Tx|| >= ||x|| fails to."""
 

@@ -27,7 +27,8 @@ from .operators import DenseOperator, ScalarOperator, defect_form, read_operator
 CSV_HEADER = ("n", "epsilon", "norm_T", "bound_theoretical", "bound_measured",
               "defect_max", "expansivity_min", "orthogonality_max", "wall_ms")
 #: report lines that are not CSV columns, each after the column it pairs with
-_REPORT_AFTER = {"bound_measured": "bound_exact", "defect_max": "defect3_max"}
+_REPORT_AFTER = {"bound_measured": "bound_exact", "defect_max": "defect3_max",
+                 "orthogonality_max": "orthogonality_rel"}
 
 #: largest sigma_max verify accepts: the order-3 defect operator and its
 #: scale take sigma_max^6, kept below 1e306

@@ -1,5 +1,5 @@
 """Dense complex linear algebra: orthonormalization, rows in coefficient
-form, Gram matrices and residuals, and Hermitian eigendecomposition.
+form, Gram matrices and residuals, and spectral norms.
 
 All routines are deterministic.  Vectors carry their ambient space;
 matrices are plain complex ndarrays.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AllVectorsNegligible, NotHermitian
+from .errors import AllVectorsNegligible
 from .spaces import as_rows, row_vectors
 
 
@@ -182,19 +182,3 @@ def spectral_norm(*blocks) -> float:
         gram += products(b, b)
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
-
-def hermitian_eig(M: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, eigenvector columns).  The columns are
-    orthonormal and satisfy ``M v_k = w_k v_k`` to solver precision.
-
-    Raises NotHermitian if M deviates from M^H by more than 1e-10 relative.
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    scale = max(np.max(np.abs(M)), 1e-300)
-    if np.max(np.abs(M - np.conj(M.T))) > 1e-10 * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(0.5 * (M + np.conj(M.T)))
-    order = np.argsort(w)[::-1]
-    return w[order].real, V[:, order]

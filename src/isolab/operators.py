@@ -84,18 +84,30 @@ class DenseOperator:
 
     def _apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Images of the vectors of the attached space whose coordinates
-        over a leading prefix are the rows of `rows`, over the same prefix
-        (widened to cover the operator's indices)."""
+        over a leading prefix are the rows of `rows`, over the same prefix,
+        widened to cover an index-array domain, or a run's copies of T
+        from its start through the last one the rows reach, the only ones
+        multiplied; the off-domain test reads only columns the rows have."""
         if self.space is None:
             raise DomainMismatch("operator is not attached to a space")
-        if rows.shape[1] < self._end:  # no copy when wide enough
-            rows = padded(rows, self._end)
-        sel = self._sel
-        off = np.linalg.norm(np.delete(rows, sel, axis=1), axis=1)
-        if np.any(off > 1e-10 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300)):
+        sel, w, d = self._sel, rows.shape[1], self._matrix.shape[1]
+        if isinstance(sel, slice):  # the rows' own columns off the run
+            lo = sel.start
+            stop = lo + min(max(w - lo + d - 1, 0) // d * d, sel.stop - lo)
+            off = [rows[:, :lo], rows[:, sel.stop:]]
+            sel, width = slice(lo, stop), max(w, stop) if stop > lo else w
+            part = rows[:, sel] if w >= stop else padded(rows[:, lo:], stop - lo)
+        else:
+            rows = rows if w >= self._end else padded(rows, self._end)
+            off, part = [np.delete(rows, sel, axis=1)], rows[:, sel]
+            width = rows.shape[1]
+        off = [np.linalg.norm(o, axis=1) for o in off if o.size]
+        if off and np.any(np.hypot.reduce(off) > 1e-10 * np.maximum(
+                np.linalg.norm(rows, axis=1), 1e-300)):
             raise DomainMismatch("vector has support outside operator domain")
-        out = np.zeros_like(rows)
-        out[:, sel] = self._product(rows[:, sel])
+        out = np.zeros((len(rows), width), dtype=np.complex128)
+        if part.size:
+            out[:, sel] = self._product(part)
         return out
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
@@ -291,13 +303,19 @@ class BrownianBlock:
         # Im(R) perpendicular to Im(V) on everything instantiated so far (R's
         # extension rows are units at _fresh: they meet V's columns there)
         gram = products((R._W, V), V)  # WV*, VV*: one base product if shared
-        self._e_WV = float(np.linalg.norm(next(gram)))
-        self._vnorm = float(np.sqrt(np.linalg.eigvalsh(next(gram)).max(initial=0.0)))
+        self._e_WV, self._VV = float(np.linalg.norm(next(gram))), next(gram)
         if len(R._fresh):
             self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(
                 padded(V.dense(), R._wc)[:, R._fresh])))
-        if self._e_WV > 1e-10 * self._vnorm:
+        # V's largest row norm is at most ||V||: only past it is ||V|| read
+        row_max = sqrt(np.diagonal(self._VV).real.max(initial=0.0))
+        if self._e_WV > 1e-10 * row_max and self._e_WV > 1e-10 * self._vnorm:
             raise ValueError("R*V = 0 hypothesis violated")
+
+    @cached_property
+    def _vnorm(self) -> float:
+        """||V||, from the VV* kept by the constructor, dropped once read."""
+        return sqrt(np.linalg.eigvalsh(self.__dict__.pop("_VV")).max(initial=0.0))
 
     _V = property(lambda self: self._Vc.dense())
 
@@ -374,11 +392,13 @@ class _DirectSumPower(DenseOperator):
     matrix = property(lambda self: np.kron(np.eye(self.k), self._matrix))
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
-        """Each row as k rows of T's width, multiplied only on the copies
-        some row reaches."""
+        """Each row as rows of T's width, one per copy it spans (any whole
+        number), multiplied only on the copies some row reaches."""
         d = self._matrix.shape[1]
-        copies = rows.reshape(-1, self.k, d)
+        copies = rows.reshape(-1, rows.shape[-1] // d, d)
         live = np.flatnonzero(copies.any(axis=(0, 2)))
+        if len(live) == copies.shape[1]:  # every copy: no gather
+            return (copies.reshape(-1, d) @ self._matrix.T).reshape(rows.shape)
         out = np.zeros(copies.shape, dtype=np.complex128)
         out[:, live] = (copies[:, live].reshape(-1, d) @ self._matrix.T).reshape(
             len(copies), len(live), d)

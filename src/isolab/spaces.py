@@ -71,7 +71,8 @@ class AmbientSpace:
         indices = np.asarray(indices)
         if indices.dtype.kind not in "iu":
             raise ValueError(f"indices {indices.tolist()} are not integers")
-        if indices.shape != values.shape or len(set(indices.tolist())) != len(indices):
+        if (indices.shape != values.shape
+                or np.any(np.diff(np.sort(indices)) == 0)):
             raise ValueError("need one distinct index per value")
         if np.min(indices) < 0 or np.max(indices) >= self.allocated:
             raise ValueError("values placed on unallocated coordinates")
@@ -95,8 +96,11 @@ class Vector:
         coords = np.asarray(coords, dtype=np.complex128)
         if coords.ndim != 1 or len(coords) > space.capacity:
             raise ValueError("coords must be 1-d and at most the capacity long")
-        nonzero = coords.nonzero()[0]
-        self.prefix = coords[:nonzero[-1] + 1 if nonzero.size else 0]
+        if len(coords) and coords[-1] != 0:  # no trailing zeros to cut
+            self.prefix = coords
+        else:
+            nonzero = coords.nonzero()[0]
+            self.prefix = coords[:nonzero[-1] + 1 if nonzero.size else 0]
         # a finite sum of squares proves every entry finite; an overflowing
         # one (huge but finite entries) needs the entrywise check
         self._sq = float(np.vdot(self.prefix, self.prefix).real)

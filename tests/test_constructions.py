@@ -12,8 +12,7 @@ from isolab import (AllVectorsNegligible, AmbientSpace, BrownianBlock,
                     ScalarOperator, SubspaceNotContained, Vector,
                     certificate_evaluate, compressed_gram, defect_form,
                     diagonalizing_basis, direct_sum_power, expansive_generator,
-                    gram_matrix, gram_schmidt, hermitian_eig,
-                    prepare_space, random_2nilpotent, split_pair,
+                    gram_matrix, gram_schmidt, prepare_space, random_2nilpotent, split_pair,
                     standard_f_basis, theorem1_construct, theorem2_construct,
                     three_isometry_from_nilpotent, translate, write_operator)
 
@@ -64,7 +63,7 @@ def reference_construct(T, F_basis, space):
             space.allocate(T.dim, label=name)
         h = [space.labels[k] for k in ("H1", "H2", "H3", "H4")]
         T1 = T.embedded(space, h[0])
-        _, ev = hermitian_eig(compressed_gram(T1, x))
+        ev = np.linalg.eigh(compressed_gram(T1, x))[1][:, ::-1]
         x = [sum((ev[j, k] * x[j] for j in range(n)), Vector(np.zeros(0), space))
              for k in range(n)]
         norms = [T1.apply(v).norm() for v in x]

@@ -176,8 +176,21 @@ class TestEmitReport:
         keys = list(CSV_HEADER[2:])
         keys.insert(keys.index("bound_measured") + 1, "bound_exact")
         keys.insert(keys.index("defect_max") + 1, "defect3_max")
+        keys.insert(keys.index("orthogonality_max") + 1, "orthogonality_rel")
         assert lines[2:] == [f"  {key}: nan" for key in keys] + [
             "  error: out of budget"]
+
+    def test_report_gives_orthogonality_relative_to_norm_t(self, capsys):
+        # diag:1,1e30 at n = 3: absolute orthogonality 3.5e13, relative to
+        # ||T|| = 1e30 within rounding; the CSV header stays as it is
+        assert main(["sweep", "--family", "diag:1,1e30", "--n", "1,2,3,4",
+                     "--dim-h", "4", "--format", "report"]) == 0
+        runs = capsys.readouterr().out.split("run n=")[1:]
+        fields = dict(line.strip().split(": ")
+                      for line in runs[2].splitlines()[1:])
+        assert float(fields["orthogonality_max"]) > 1e13
+        assert float(fields["orthogonality_rel"]) <= 1e-10
+        assert "orthogonality_rel" not in CSV_HEADER
 
     def test_read_rejects_a_wrong_header(self):
         with pytest.raises(ValueError, match="unexpected header"):

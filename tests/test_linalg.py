@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isolab import (AllVectorsNegligible, NotHermitian, Vector, gram_matrix,
-                    gram_schmidt, hermitian_eig)
+from isolab import AllVectorsNegligible, Vector, gram_matrix, gram_schmidt
 from isolab.linalg import (RANK_TOL, CoefficientRows, add_images,
                            gram_residual, orthonormal_rows, products)
 from isolab.spaces import as_rows
@@ -229,35 +228,3 @@ class TestCoefficientRows:
             close(add_images(np.zeros(p.shape[:-1] + A.shape[1:], complex),
                              (p, a)), p @ A)
 
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, V = hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(w, [1, 1, 1])
-        np.testing.assert_allclose(np.conj(V.T) @ V, np.eye(3), atol=1e-12)
-
-    def test_diagonal_sorted_descending(self):
-        w, V = hermitian_eig(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(w, [9, 4])
-        np.testing.assert_allclose(np.abs(V), [[0, 1], [1, 0]], atol=1e-12)
-
-    def test_hand_characteristic_polynomial(self):
-        # [[4,2],[2,5]]: lambda^2 - 9 lambda + 16 = 0
-        w, _ = hermitian_eig(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        expected = [(9 + np.sqrt(17)) / 2, (9 - np.sqrt(17)) / 2]
-        np.testing.assert_allclose(w, expected, atol=1e-12)
-
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @pytest.mark.parametrize("dim", [2, 5, 17])
-    def test_reconstruction(self, dim, rng):
-        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        M = A + np.conj(A.T)
-        w, V = hermitian_eig(M)
-        recon = V @ np.diag(w) @ np.conj(V.T)
-        scale = np.max(np.abs(M))
-        assert np.max(np.abs(M - recon)) <= 1e-9 * scale
-        for k in range(dim):
-            assert np.linalg.norm(M @ V[:, k] - w[k] * V[:, k]) <= 1e-9 * scale

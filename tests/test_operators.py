@@ -376,6 +376,18 @@ class TestLazyIsometry:
         assert R.defined_count > 10
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the matrices numpy.linalg.eigvalsh is called on."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
 class TestBrownianBlock:
     def test_identity_block(self):
         # V = 0, K the whole instantiated span: B acts as the identity
@@ -396,6 +408,51 @@ class TestBrownianBlock:
         with pytest.raises(ValueError):
             BrownianBlock(R, K_basis=[sp.basis_vector(0)],
                           V_images=[sp.basis_vector(3)])
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_norm_of_v_is_one_eigvalsh_on_first_read(self, theorem,
+                                                      eigvalsh_calls):
+        # the construction reads no ||V||; the first read makes it, once,
+        # from the VV* the constructor kept, and drops that
+        sp = prepare_space(8)
+        f_basis = standard_f_basis(sp, 8)
+        if theorem == 1:
+            block, _ = theorem1_construct(f_basis, sp)
+        else:
+            T = expansive_generator(8, "svd_random", seed=3)
+            block, _, _ = theorem2_construct(T, f_basis, sp)
+        assert eigvalsh_calls == []
+        norm = block.operator_norm
+        assert eigvalsh_calls == [(8, 8)] and "_VV" not in vars(block)
+        assert block.operator_norm == norm
+        block.hypothesis_residual()
+        assert eigvalsh_calls == [(8, 8)]
+        assert norm == pytest.approx(
+            np.sqrt(1.0 + np.linalg.norm(block._V, 2) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("c, raises, count", [
+        (0.0, False, 0), (0.85e-10, False, 1), (2e-10, True, 1)],
+        ids=["orthogonal", "between-thresholds", "above-both"])
+    def test_r_star_v_is_tested_against_the_norm_of_v(self, c, raises, count,
+                                                      eigvalsh_calls):
+        # two equal unit V rows: ||V|| = sqrt(2) times the largest row norm.
+        # <w, v> = c gives e_WV = sqrt(2) c: below both thresholds, between
+        # 1e-10 (row norm) and 1e-10 ||V||, where ||V|| is read and the
+        # block is built, or above both, where it raises
+        sp = make_space(5, capacity=8)
+        e = np.eye(5)
+        w = np.sqrt(1.0 - c * c) * e[4] + c * e[2]
+        R = LazyIsometry(sp, inputs=e[3:4], outputs=w[None, :])
+        build = lambda: BrownianBlock(R, K_basis=e[:2], V_images=e[[2, 2]])
+        if raises:
+            with pytest.raises(ValueError, match="R\\*V = 0"):
+                build()
+        else:
+            block = build()
+        assert len(eigvalsh_calls) == count
+        if not raises:
+            assert block._e_WV == pytest.approx(np.sqrt(2.0) * c, rel=1e-12)
+            assert block._vnorm == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_row_arrays_build_the_same_block(self, rng):
         blocks = []
@@ -696,6 +753,55 @@ class TestDirectSumPower:
         image = T4.apply(x).prefix
         np.testing.assert_array_equal(
             image, padded(T.embedded(sp, h[0]).apply(x).prefix, len(image)))
+
+    @pytest.mark.parametrize("dim", [1, 5, 16])
+    def test_rows_come_back_through_the_last_copy_they_reach(self, dim):
+        # T^(4) on the run H1..H4: rows over H1 come back H1-wide and bit
+        # for bit T's rows; rows reaching into H3 come back through H3;
+        # all-zero rows as wide as given
+        T = expansive_generator(dim, "svd_random", seed=2)
+        sp = prepare_space(dim)
+        for label in ("H2", "H3", "H4"):
+            sp.allocate(dim, label=label)
+        T4 = direct_sum_power(T, 4, sp, np.arange(4 * dim))
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        image = T4._apply_rows(rows)
+        assert image.shape == rows.shape
+        np.testing.assert_array_equal(image, rows @ T.matrix.T)
+
+        wide = padded(rows, 2 * dim + 1)
+        wide[:, 2 * dim] = 1.0  # the first coordinate of H3
+        image = T4._apply_rows(wide)
+        assert image.shape == (3, 3 * dim)
+        expected = padded(wide, 4 * dim) @ T4.matrix.T
+        tol = 1e-14 * T.operator_norm * np.linalg.norm(wide, axis=1).max()
+        assert np.abs(image - expected[:, :3 * dim]).max() <= tol
+        assert not expected[:, 3 * dim:].any()
+
+        for width, out in ((0, 0), (1, dim), (dim, dim), (3 * dim + 1, 4 * dim),
+                           (5 * dim, 5 * dim)):
+            image = T4._apply_rows(np.zeros((2, width), dtype=np.complex128))
+            assert image.shape == (2, out) and not image.any()
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_rows_before_the_domain_run(self, dim):
+        # T on H2: rows narrower than H2's start are off the domain,
+        # zero rows map to zero rows as wide as given
+        T = expansive_generator(dim, "svd_random", seed=4)
+        sp = prepare_space(dim)
+        T2 = T.embedded(sp, sp.allocate(dim, label="H2"))
+        image = T2._apply_rows(np.zeros((3, dim), dtype=np.complex128))
+        assert image.shape == (3, dim) and not image.any()
+        rows = np.zeros((3, dim), dtype=np.complex128)
+        rows[1, -1] = 1.0
+        with pytest.raises(DomainMismatch):
+            T2._apply_rows(rows)
+        with pytest.raises(DomainMismatch):
+            T2.apply(sp.basis_vector(dim - 1))
+        x = padded(rows, 2 * dim)[1:2, ::-1]  # H2's last coordinate
+        np.testing.assert_array_equal(T2._apply_rows(x)[:, dim:],
+                                      x[:, dim:] @ T.matrix.T)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
