@@ -189,5 +189,6 @@ class TestAmbientSpace:
         space = make_space(3, capacity=1000)
         assert len(space.basis_vector(1).prefix) == 2
         assert len(space.vector([1.0, 0.0]).prefix) == 1
+        assert len(space.vector([1.0, -0.0, complex(0.0, -0.0)]).prefix) == 1
         assert len(space.vector([1.0], [2]).prefix) == 3
         assert len(Vector(np.zeros(0), space).prefix) == 0
