@@ -180,16 +180,6 @@ def _combined(x, p, s, c):
     return out
 
 
-def _placement(from_indices, to_indices):
-    """The partner map moving the entries on `from_indices` onto `to_indices`:
-    rows -> (columns, values) for `_combined`, the values a view when the
-    rows reach the copy's end and the indices are one run."""
-    src, dst, end = (columns(from_indices), columns(to_indices),
-                     1 + from_indices.max())
-    return lambda rows: (dst, (rows if rows.shape[1] >= end
-                               else padded(rows, end))[:, src])
-
-
 def _assemble(space, x, tx, partner1, z_images, epsilon):
     """Steps 1-3 shared by both constructions; returns (block, trace).
 
@@ -293,6 +283,9 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
         elif len(have := space.labels.get(name, ())) != d:
             raise ValueError(f"label {name} has {len(have)} "
                              f"coordinates, T acts on {d}")
+        elif np.any(np.diff(have) != 1):
+            raise ValueError(f"label {name} is not {d} consecutive "
+                             "ascending coordinates")
     h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
 
     x, tx = _diagonalizing_rows(T.embedded(space, h1), as_rows(F_basis, space))
@@ -300,10 +293,15 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     # and its second partner copy (0, 0, s, eps) x Tx over H1..H4
     starts, t1 = [int(h[0]) for h in (h1, h2, h3, h4)], tx[:, h1[0]:h1[-1] + 1]
 
+    def partner1(rows):  # H1 onto H2, a view when the rows reach H1's end
+        on_h1 = rows[:, starts[0]:starts[0] + d]
+        return (slice(starts[1], starts[1] + d),
+                on_h1 if on_h1.shape[1] == d else padded(on_h1, d))
+
     def z_images(s, eps, a, b):
         return [CoefficientRows(t1, np.array([s * u, eps * u, s * v, eps * v]),
                                 starts) for u, v in ((a, b), (b, -a))]
-    block, trace = _assemble(space, x, tx, _placement(h1, h2), z_images, epsilon)
+    block, trace = _assemble(space, x, tx, partner1, z_images, epsilon)
     return block, direct_sum_power(T, 4, space, np.r_[h1, h2, h3, h4]), trace
 
 

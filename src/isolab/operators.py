@@ -39,9 +39,13 @@ class DenseOperator:
 
     `singular_values`, from one SVD made when first read, give `operator_norm`
     and sigma_min.  When attached, the operator acts on integer ``indices``
-    of the ambient space, one per column, and annihilates nothing silently:
-    a significant component outside its domain raises DomainMismatch.
+    of the ambient space, one per column, one ascending run per copy of the
+    matrix (`k` copies, the runs in any order), and annihilates nothing
+    silently: a significant component outside its domain raises
+    DomainMismatch.
     """
+
+    k = 1  # copies of the matrix on the diagonal
 
     def __init__(self, matrix, space: AmbientSpace | None = None, indices=None):
         M = self._matrix = np.asarray(matrix, dtype=np.complex128)
@@ -51,22 +55,20 @@ class DenseOperator:
         if not np.all(np.isfinite(M.view(np.float64))):
             raise ValueError("non-finite matrix entries")
         self.space = space
-        self.indices = None if indices is None else np.asarray(indices)
         if space is not None:
-            idx = self.indices
+            idx = None if indices is None else np.asarray(indices)
             if (idx is None or idx.dtype.kind not in "iu"
                     or not len(idx) == len(set(idx.tolist())) == self.dim
                     or np.any(idx < 0) or np.any(idx >= space.capacity)):
                 raise ValueError("indices must give one coordinate per column")
-            self._sel = columns(idx)  # one selector of the domain's columns
-            self._end = int(idx.max(initial=-1)) + 1
+            runs = idx.reshape(self.k, M.shape[1])
+            if np.any(runs != runs[:, :1] + np.arange(M.shape[1])):
+                raise ValueError("indices must be one ascending run per copy")
+            self._starts = sorted(runs[:, :1].ravel().tolist())
 
     matrix = property(lambda self: self._matrix)
+    dim = property(lambda self: self.k * self._matrix.shape[1])
     operator_norm = property(lambda self: float(self.singular_values.max(initial=0)))
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[1]
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -80,38 +82,43 @@ class DenseOperator:
             if x.space is not self.space:
                 raise DomainMismatch("vector lives in a different space")
             return Vector(self._apply_rows(x.prefix[None, :])[0], self.space)
-        return self._product(np.asarray(x, dtype=np.complex128).T).T
+        x = np.asarray(x, dtype=np.complex128)
+        if len(x) != self.dim:
+            raise ValueError(f"{len(x)} coordinates, the operator has "
+                             f"{self.dim}")
+        return self._product(x.T).T
 
     def _apply_rows(self, rows: np.ndarray) -> np.ndarray:
         """Images of the vectors of the attached space whose coordinates
-        over a leading prefix are the rows of `rows`, over the same prefix,
-        widened to cover an index-array domain, or a run's copies of T
-        from its start through the last one the rows reach, the only ones
-        multiplied; the off-domain test reads only columns the rows have."""
+        over a leading prefix are the rows of `rows`, as wide as the rows
+        or through the last copy they reach (one whose start lies within
+        them).  Each reached copy with a nonzero entry is multiplied alone,
+        its run padded only where the rows stop inside it; the off-domain
+        test reads only the rows' own columns outside the reached copies."""
         if self.space is None:
             raise DomainMismatch("operator is not attached to a space")
-        sel, w, d = self._sel, rows.shape[1], self._matrix.shape[1]
-        if isinstance(sel, slice):  # the rows' own columns off the run
-            lo = sel.start
-            stop = lo + min(max(w - lo + d - 1, 0) // d * d, sel.stop - lo)
-            off = [rows[:, :lo], rows[:, sel.stop:]]
-            sel, width = slice(lo, stop), max(w, stop) if stop > lo else w
-            part = rows[:, sel] if w >= stop else padded(rows[:, lo:], stop - lo)
-        else:
-            rows = rows if w >= self._end else padded(rows, self._end)
-            off, part = [np.delete(rows, sel, axis=1)], rows[:, sel]
-            width = rows.shape[1]
-        off = [np.linalg.norm(o, axis=1) for o in off if o.size]
+        w, d = rows.shape[1], self._matrix.shape[1]
+        reached = [s for s in self._starts if s < w]
+        edges = [0, *(e for s in reached for e in (s, s + d)), w]
+        off = [np.linalg.norm(rows[:, a:b], axis=1)
+               for a, b in zip(edges[::2], edges[1::2]) if a < b]
         if off and np.any(np.hypot.reduce(off) > 1e-10 * np.maximum(
                 np.linalg.norm(rows, axis=1), 1e-300)):
             raise DomainMismatch("vector has support outside operator domain")
-        out = np.zeros((len(rows), width), dtype=np.complex128)
-        if part.size:
-            out[:, sel] = self._product(part)
+        out = np.zeros((len(rows), max(w, edges[-2])), dtype=np.complex128)
+        for s in reached:
+            if (part := rows[:, s:s + d]).any():
+                out[:, s:s + d] = self._product(
+                    part if part.shape[1] == d else padded(part, d))
         return out
 
     def _product(self, rows: np.ndarray) -> np.ndarray:
-        return rows @ self._matrix.T  # rows over the operator's own columns
+        """The matrix on each copy of its width in `rows` (any whole number
+        of copies per row), more than one stacked into one product."""
+        d = self._matrix.shape[1]
+        if rows.shape[-1] == d:
+            return rows @ self._matrix.T
+        return (rows.reshape(-1, d) @ self._matrix.T).reshape(rows.shape)
 
 
 class ScalarOperator:
@@ -317,8 +324,6 @@ class BrownianBlock:
         """||V||, from the VV* kept by the constructor, dropped once read."""
         return sqrt(np.linalg.eigvalsh(self.__dict__.pop("_VV")).max(initial=0.0))
 
-    _V = property(lambda self: self._Vc.dense())
-
     @property
     def operator_norm(self) -> float:
         # ||B||^2 = 1 + ||V||^2: the supremum of ||Bx||^2 over unit x
@@ -388,21 +393,7 @@ class _DirectSumPower(DenseOperator):
         self.k = k
         super().__init__(T.matrix, space, indices)
 
-    dim = property(lambda self: self.k * self._matrix.shape[1])
     matrix = property(lambda self: np.kron(np.eye(self.k), self._matrix))
-
-    def _product(self, rows: np.ndarray) -> np.ndarray:
-        """Each row as rows of T's width, one per copy it spans (any whole
-        number), multiplied only on the copies some row reaches."""
-        d = self._matrix.shape[1]
-        copies = rows.reshape(-1, rows.shape[-1] // d, d)
-        live = np.flatnonzero(copies.any(axis=(0, 2)))
-        if len(live) == copies.shape[1]:  # every copy: no gather
-            return (copies.reshape(-1, d) @ self._matrix.T).reshape(rows.shape)
-        out = np.zeros(copies.shape, dtype=np.complex128)
-        out[:, live] = (copies[:, live].reshape(-1, d) @ self._matrix.T).reshape(
-            len(copies), len(live), d)
-        return out.reshape(rows.shape)
 
 
 def direct_sum_power(T: DenseOperator, k: int,
@@ -411,7 +402,8 @@ def direct_sum_power(T: DenseOperator, k: int,
     """Block-diagonal operator with k copies of T (k in {2, 4}), applied
     copy by copy, its dense `matrix` built when read.  Its `singular_values`
     are T's: exact for its sigma_max (||T||) and sigma_min.  It is attached
-    to `space` at `indices` (the k copies' coordinates, concatenated) if given.
+    to `space` at `indices` (the k copies' coordinates, concatenated, each
+    one ascending run) if given.
     """
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")

@@ -96,7 +96,7 @@ def assert_block_holds_z_images(block, trace, target, z1, z2):
     tol = 1e-12 * target.operator_norm * max(1.0, *trace.sigmas)
     for i in range(len(z1)):
         w = Vector(block.R.defined_outputs[i], trace.space)
-        v = Vector(block._V[i], trace.space)
+        v = Vector(block._Vc.dense()[i], trace.space)
         assert (w - (1.0 / trace.norms_Tx[i]) * target.apply(z1[i])).norm() <= tol
         assert (v - trace.sigmas[i] * target.apply(z2[i])).norm() <= tol
 
@@ -118,7 +118,7 @@ def copy_to(block, space):
     # every stored row is supported on the instantiated prefix
     R = LazyIsometry(space, block.R.defined_inputs[:, :m],
                      block.R.defined_outputs[:, :m])
-    return BrownianBlock(R, block._K[:, :m], block._V[:, :m])
+    return BrownianBlock(R, block._K[:, :m], block._Vc.dense()[:, :m])
 
 
 def reference_certificate(target, block, trace, G_basis):
@@ -197,7 +197,7 @@ def block_state(block):
     R = block.R
     return (block.space.allocated, R.defined_count,
             *(rows.copy() for rows in (R.defined_inputs, R.defined_outputs,
-                                       block._K, block._V)))
+                                       block._K, block._Vc.dense())))
 
 
 def assert_same_state(state, block):
@@ -493,12 +493,12 @@ class TestTheorem2:
         widths = {"x": 8, "y1": 1 + max(h[1]), "y2": 1 + max(h[1])}
         for name, width in widths.items():
             assert getattr(trace, name + "_rows").shape == (8, width), name
-        for rows in (block.R.defined_outputs, block._V):
+        for rows in (block.R.defined_outputs, block._Vc.dense()):
             assert rows.shape == (8, 1 + max(h[3]))
         for _ in range(3):  # extensions keep the storage on the allocated span
             block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
             for rows in (block.R.defined_inputs, block.R.defined_outputs,
-                         block._K, block._V):
+                         block._K, block._Vc.dense()):
                 assert rows.shape[1] <= sp.allocated
         assert block.R._U.shape[1] <= 2 * sp.allocated
 
@@ -576,7 +576,7 @@ class TestTheorem2:
         block, T4, trace, sp, _ = self.run(T, n)
         R = block.R
         assert block._K.shape == R.defined_inputs.shape == (n, 2 * d)
-        assert block._V.shape == R.defined_outputs.shape == (n, 4 * d)
+        assert block._Vc.dense().shape == R.defined_outputs.shape == (n, 4 * d)
         if n < d:  # e_n lies in H1 off F: R stores its residual over H1, H2
             block.apply(sp.basis_vector(n))
             assert R.defined_inputs.shape == (n + 1, 2 * d)
@@ -653,7 +653,7 @@ class TestTheorem2:
         z1, z2 = second_split(y1, trace.norms_Tx, theorem2_partner2(sp))
         np.testing.assert_array_equal(z1[i].prefix, y1[i].prefix)
         assert_block_holds_z_images(block, trace, T4, z1, z2)
-        np.testing.assert_array_equal(block._V[i], 0.0)
+        np.testing.assert_array_equal(block._Vc.dense()[i], 0.0)
         np.testing.assert_allclose(
             np.linalg.norm(block.R.defined_outputs, axis=1), 1.0, atol=1e-15)
         with pytest.raises(NotExpansive):
@@ -669,6 +669,28 @@ class TestTheorem2:
                 sp.allocate(size, label=label)
             with pytest.raises(ValueError, match=message):
                 theorem2_construct(T, standard_f_basis(sp, 2), sp)
+
+    @pytest.mark.parametrize("label, coords", [("H1", [0, 2, 1, 3]),
+                                               ("H2", [5, 4, 6, 7])],
+                             ids=["H1", "H2"])
+    def test_permuted_label_named_before_diagonalizing(self, label, coords,
+                                                        monkeypatch):
+        # a label's own coordinates in another order: T^(4) and the partner
+        # map H1 -> H2 act on one ascending run per copy, so the label is
+        # refused before any eigensolve or allocation
+        T = expansive_generator(4, "svd_random", seed=1)
+        sp = AmbientSpace(64)
+        sp.labels["H1"] = sp.allocate(4)
+        sp.allocate(3)
+        sp.labels[label] = np.array(coords)
+        eigh, eigh_calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: eigh_calls.append(a) or eigh(a))
+        with pytest.raises(ValueError, match=f"label {label} is not 4 "
+                                             "consecutive ascending"):
+            theorem2_construct(T, standard_f_basis(sp, 2), sp)
+        assert not eigh_calls and sp.allocated == 7
+        assert set(sp.labels) == {"H1", label}
 
     def test_space_without_h1_label_named(self):
         # coordinates allocated, but none of them under the label H1
@@ -1082,7 +1104,7 @@ def seven_term_eta(block):
     UU* - I, WW* - I, KK* - I, UK*, WK*, WV*/nu and VK*/nu over the
     columns each pair carries, in the order the certificate sums them."""
     U, W = block.R.defined_inputs, block.R.defined_outputs
-    K, V = block._K, block._V
+    K, V = block._K, block._Vc.dense()
     nu = np.linalg.norm(V, 2)
 
     def fro(a, b=None):
@@ -1150,7 +1172,7 @@ class TestRecordedQuantities:
 
         def fresh_eta(stored=False):  # on the dense rows, or as stored
             U, W = block.R.defined_inputs, block.R.defined_outputs
-            K, V, nu = block._K, block._V, block._vnorm
+            K, V, nu = block._K, block._Vc.dense(), block._vnorm
             if stored:
                 W, V = block.R._W, block._Vc
             return (residual(U) + residual(W) + residual(K) + residual(U, K)
@@ -1197,7 +1219,7 @@ class TestRecordedQuantities:
         # the stored ones, fresh calls on W and V in coefficient form
         at_construction = fixed(R._W, block._Vc)
         assert (R.e_W, block._e_WV) == tuple(at_construction[:2])
-        dense = fixed(R.defined_outputs, block._V)
+        dense = fixed(R.defined_outputs, block._Vc.dense())
         assert np.all(np.abs(dense - at_construction)
                       <= 8 * R.defined_count * np.finfo(float).eps)
         rng = np.random.default_rng(7)
@@ -1206,8 +1228,8 @@ class TestRecordedQuantities:
             block.apply(random_instantiated(sp, rng))
         assert R.defined_count >= count + 40
         m = R.defined_count
-        assert np.all(np.abs(fixed(R.defined_outputs, block._V) - at_construction)
-                      <= 8 * m * np.finfo(float).eps)
+        assert np.all(np.abs(fixed(R.defined_outputs, block._Vc.dense())
+                             - at_construction) <= 8 * m * np.finfo(float).eps)
         eta = block.hypothesis_residual()
         assert R.e_U == residual(R.defined_inputs)
         assert eta == pytest.approx(seven_term_eta(block), rel=1e-12)
@@ -1510,7 +1532,7 @@ class TestCoefficientForm:
         sp, block = build()
         dense_sp, twin = build()
         R = LazyIsometry(dense_sp, twin.R.defined_inputs, twin.R.defined_outputs)
-        dense = BrownianBlock(R, twin._K, twin._V)
+        dense = BrownianBlock(R, twin._K, twin._Vc.dense())
         # copies of the base: Tx on H1..H4, or one of the dense rows
         assert len(block._Vc.starts) == (1 if theorem == 1 else 4)
         assert len(dense._Vc.starts) == 1
@@ -1680,7 +1702,7 @@ class TestRowPipeline:
 
         def stored(b):  # U, W, K, V: y1, z1's and z2's images, y2
             return [padded(a, sp.capacity) for a in (
-                b.R.defined_inputs, b.R.defined_outputs, b._K, b._V)]
+                b.R.defined_inputs, b.R.defined_outputs, b._K, b._Vc.dense())]
 
         for rows, ref_rows in zip(stored(block), stored(ref_block)):
             np.testing.assert_allclose(rows, ref_rows, rtol=0,

@@ -81,7 +81,7 @@ def reference_block_apply(block, x):
     """B x by the K/L split: x_K = P_K x goes to V x_K + x_K, and x_L to R
     through `reference_lazy_coords`, tested relative to ||x||.  Returns the
     image's capacity-long coordinates."""
-    K, V = block._K, block._V
+    K, V = block._K, block._Vc.dense()
     coords = x.coords
     k = K.shape[1]
     c = np.conj(np.conj(coords[:k]) @ K.T)
@@ -139,6 +139,38 @@ class TestDenseOperator:
         with pytest.raises(ValueError, match="one coordinate per column"):
             direct_sum_power(DenseOperator(np.eye(1)), 2,  # two copies of T
                              make_space(2, capacity=4), indices)
+
+    def test_attached_copy_must_be_one_ascending_run(self):
+        # [1, 0] is H1 read backwards: T would act on the reversed
+        # coordinates; the runs themselves may come in any order
+        sp = gapped_space(2)
+        h1, h2 = sp.labels["H1"], sp.labels["H2"]
+        T = DenseOperator([[2, 1], [0, 2]])
+        for build in (lambda: DenseOperator(T.matrix, sp, h1[::-1]),
+                      lambda: T.embedded(sp, [1, 0]),
+                      lambda: T.embedded(sp, np.r_[h1[0], h2[0]]),
+                      lambda: direct_sum_power(T, 2, sp, np.r_[h1[::-1], h2]),
+                      lambda: direct_sum_power(T, 2, sp, np.r_[h1[0], h2[0],
+                                                               h1[1], h2[1]])):
+            with pytest.raises(ValueError, match="one ascending run per copy"):
+                build()
+        rows = np.zeros((1, sp.allocated), dtype=np.complex128)
+        rows[0, np.r_[h1, h2]] = [1, 2, 3, 4j]
+        expected = np.zeros_like(rows)
+        expected[0, np.r_[h1, h2]] = [4, 4, 6 + 4j, 8j]
+        for order in (np.r_[h1, h2], np.r_[h2, h1]):
+            np.testing.assert_array_equal(
+                direct_sum_power(T, 2, sp, order)._apply_rows(rows), expected)
+
+    def test_plain_array_of_another_size_is_refused(self):
+        # a whole number of T's widths is not enough: the size must be dim
+        T = DenseOperator([[2, 1], [0, 2]])
+        for op, size in ((T, 4), (direct_sum_power(T, 4), 6),
+                         (direct_sum_power(T, 2), 8)):
+            with pytest.raises(ValueError, match=f"{size} coordinates"):
+                op.apply(np.ones(size))
+            with pytest.raises(ValueError, match=f"{size} coordinates"):
+                op.apply(np.ones((size, 3)))
 
     def test_operator_norm_is_largest_singular_value(self, rng):
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -427,8 +459,8 @@ class TestBrownianBlock:
         assert block.operator_norm == norm
         block.hypothesis_residual()
         assert eigvalsh_calls == [(8, 8)]
-        assert norm == pytest.approx(
-            np.sqrt(1.0 + np.linalg.norm(block._V, 2) ** 2), rel=1e-12)
+        assert norm == pytest.approx(np.sqrt(
+            1.0 + np.linalg.norm(block._Vc.dense(), 2) ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("c, raises, count", [
         (0.0, False, 0), (0.85e-10, False, 1), (2e-10, True, 1)],
@@ -836,9 +868,9 @@ class TestDirectSumPower:
     @given(d=st.integers(1, 6), k=st.sampled_from([2, 4]),
            lead=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_contiguous_and_permuted_copies_agree(self, d, k, lead, seed):
-        # the same k copies on one contiguous run, listed in order (a slice
-        # selects them) and in reverse (an index array does): equal images,
-        # and the same verdict on rows with parts off the run on either side
+        # the same k copies on one contiguous run, listed in order and in
+        # reverse: equal images, and the same verdict on rows with parts off
+        # the run on either side
         rng = np.random.default_rng(seed)
         T = DenseOperator(rng.standard_normal((d, d))
                           + 1j * rng.standard_normal((d, d)))
@@ -848,8 +880,6 @@ class TestDirectSumPower:
         after = int(sp.allocate(1)[0])
         run = direct_sum_power(T, k, sp, np.concatenate(copies))
         permuted = direct_sum_power(T, k, sp, np.concatenate(copies[::-1]))
-        assert isinstance(run._sel, slice)
-        assert isinstance(permuted._sel, np.ndarray)
 
         rows = np.zeros((3, sp.allocated), dtype=np.complex128)
         rows[:, lead:after] = (rng.standard_normal((3, k * d))
@@ -933,7 +963,7 @@ def test_coefficient_rows_checked_as_stored(which):
     one, w = np.ones((1, 1), complex), np.ones((1, 1))
     kept = build(CoefficientRows(one, w, (1,)))
     np.testing.assert_array_equal(
-        kept.defined_outputs if which == "W" else kept._V, [[0, 1]])
+        kept.defined_outputs if which == "W" else kept._Vc.dense(), [[0, 1]])
     for rows, message in [
             (CoefficientRows(one, w, (2,)), "past the allocated coordinates"),
             (CoefficientRows(one * np.nan, w, (1,)), "must be finite"),
