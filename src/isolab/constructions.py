@@ -21,7 +21,7 @@ from .linalg import (CoefficientRows, gram_residual, orthonormal_rows,
                      spectral_norm)
 from .operators import (BrownianBlock, DenseOperator, LazyIsometry,
                         direct_sum_power)
-from .spaces import AmbientSpace, Vector, as_rows, columns, padded, row_vectors
+from .spaces import AmbientSpace, Vector, as_rows, padded, row_vectors
 
 DEFAULT_CAPACITY_FACTOR = 64  # coordinates per dim(H): 16 * (4 copies)
 
@@ -169,12 +169,11 @@ def split_pair(xs, c: float, partner):
 
 
 def _combined(x, p, s, c):
-    """s x + c p for rows x and partner rows p = (columns, values), s and c
-    scalars or columns: s x placed, then c p added on p's columns, where x's
-    rows vanish (disjoint copies), so each entry is the zero-padded sum's."""
+    """s x + c p for rows x and partner rows p = (column slice, values), s
+    and c scalars or columns: s x placed, then c p added on p's columns, where
+    x's rows vanish (disjoint copies), so each entry is the zero-padded sum's."""
     cols, vals = p
-    end = cols.stop if isinstance(cols, slice) else 1 + cols.max()
-    out = np.zeros((len(x), max(x.shape[1], end)), dtype=np.complex128)
+    out = np.zeros((len(x), max(x.shape[1], cols.stop)), dtype=np.complex128)
     np.multiply(x, s, out=out[:, :x.shape[1]])
     out[:, cols] += c * vals
     return out
@@ -187,8 +186,8 @@ def _assemble(space, x, tx, partner1, z_images, epsilon):
     target-images, pairwise orthogonal with norms ||Tx_i|| >= 1 -
     EXPANSIVITY_TOL.  `partner1` maps the x_i, and a second partner map P2
     the y1_i, isometrically onto a copy orthogonal to everything built so
-    far; `partner1` is a linear map rows -> (columns, values).  Both commute
-    with the target, so target(y1) = s Tx + eps P1(Tx), and
+    far; `partner1` is a linear map rows -> (column slice, values).  Both
+    commute with the target, so target(y1) = s Tx + eps P1(Tx), and
     `z_images(s, eps, a, b)` gives target(z1) and target(z2), z1 = a y1 +
     b P2(y1) and z2 = b y1 - a P2(y1) (a, b per row), as CoefficientRows:
     no target product is made, no z1 or z2 formed.
@@ -251,7 +250,8 @@ def theorem1_construct(F_basis, space: AmbientSpace, *, epsilon=None):
     """
     x = orthonormal_rows(as_rows(F_basis, space))
     n = len(x)
-    f, g = (columns(space.allocate(n)) for _ in range(2))
+    lo = int(space.allocate(2 * n)[0])  # f and g in one run, or nothing
+    f, g = slice(lo, lo + n), slice(lo + n, lo + 2 * n)
     tx = 2.0 * x
 
     def partner1(rows):
@@ -276,17 +276,24 @@ def theorem2_construct(T: DenseOperator, F_basis, space: AmbientSpace, *,
     Returns (block, T4, trace).  Raises NotExpansive if some ||Tx_i|| <
     1 - EXPANSIVITY_TOL.
     """
-    d = T.dim
-    for name in ("H1", "H2", "H3", "H4"):  # only H1 must exist already
-        if name != "H1" and name not in space.labels:
-            space.allocate(d, label=name)
+    d, end, free, names = T.dim, 0, space.allocated, ("H1", "H2", "H3", "H4")
+    missing = [k for k in names[1:] if k not in space.labels]  # H1 must exist
+    for name in names:  # checked before the missing ones go after `allocated`
+        if name in missing:
+            have, free = range(free, free + d), free + d
         elif len(have := space.labels.get(name, ())) != d:
             raise ValueError(f"label {name} has {len(have)} "
                              f"coordinates, T acts on {d}")
         elif np.any(np.diff(have) != 1):
             raise ValueError(f"label {name} is not {d} consecutive "
                              "ascending coordinates")
-    h1, h2, h3, h4 = (space.labels[k] for k in ("H1", "H2", "H3", "H4"))
+        if have[0] < end:
+            raise ValueError(f"label {name} starts at {have[0]}, before the "
+                             f"label ahead of it ends at {end}")
+        end = have[0] + d
+    for name in missing:
+        space.allocate(d, label=name)
+    h1, h2, h3, h4 = (space.labels[k] for k in names)
 
     x, tx = _diagonalizing_rows(T.embedded(space, h1), as_rows(F_basis, space))
     # Tx lies in H1, a run like H2..H4: target(y1) = (s, eps, 0, 0) x Tx

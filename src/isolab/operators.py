@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainMismatch, NotNilpotent, OddDimension
 from .linalg import (CoefficientRows, add_images, gram_matrix, gram_residual,
                      products)
-from .spaces import AmbientSpace, Vector, as_rows, columns, padded
+from .spaces import AmbientSpace, Vector, as_rows, padded
 
 
 class DenseOperator:
@@ -167,7 +167,7 @@ class LazyIsometry:
         self._U, self._W = _stored_rows(inputs, space), _stored_form(outputs, space)
         self._m = len(self._U)                                  # stored rows
         self._uc, self._wc = self._U.shape[1], self._W.end      # their widths
-        self._fresh, self._fresh_cols = np.zeros(0, dtype=np.intp), slice(0, 0)
+        self._fresh = slice(0, 0)  # fresh outputs: a run, else index array
         self._e_U, self.e_W = None, gram_residual(self._W)
         for e, which in ((self.e_U, "inputs"), (self.e_W, "outputs")):
             if e > 1e-10:
@@ -183,14 +183,6 @@ class LazyIsometry:
         return self._U[:self._m, :self._uc]
 
     @property
-    def defined_outputs(self) -> np.ndarray:
-        """The output rows (defined_count x W's columns), built when read."""
-        out = np.zeros((self._m, self._wc), dtype=np.complex128)
-        out[:len(self._W), :self._W.end] = self._W.dense()
-        out[np.arange(len(self._W), self._m), self._fresh] = 1.0
-        return out
-
-    @property
     def e_U(self) -> float:
         """||UU* - I||_F of the stored inputs, kept until `_append` (a plain
         attribute: popping a cached_property slows R's attribute reads)."""
@@ -201,12 +193,12 @@ class LazyIsometry:
     def _append(self, u: np.ndarray, index: int):
         """Store one more input, given over leading coordinates (U grows only
         to its own width), its output the fresh coordinate `index`."""
-        m, cap = self._m, self.space.capacity
+        m, f, k = self._m, self._fresh, self._m - len(self._W)
         self._uc, self._wc = max(self._uc, len(u)), max(self._wc, index + 1)
-        self._U = _grown(self._U, m + 1, self._uc, cap)
+        self._U = _grown(self._U, m + 1, self._uc, self.space.capacity)
         self._U[m, :len(u)] = u
-        self._fresh = np.append(self._fresh, index)
-        self._fresh_cols = columns(self._fresh)
+        run = isinstance(f, slice) and (not k or index == f.stop)
+        self._fresh = slice(index - k, index + 1) if run else np.r_[f, index]
         self._m, self._e_U = m + 1, None  # e_U is stale
 
     def apply(self, x: Vector) -> Vector:
@@ -223,7 +215,7 @@ class LazyIsometry:
         r[..., :uc] -= p @ U
         add_images(image, *terms, (p[..., :n], self._W))
         if n < self._m:
-            image[..., self._fresh_cols] += p[..., n:]
+            image[..., self._fresh] += p[..., n:]
         return image, r
 
     def _extended(self, image: np.ndarray, r: np.ndarray, x: Vector) -> Vector:
@@ -311,7 +303,7 @@ class BrownianBlock:
         # extension rows are units at _fresh: they meet V's columns there)
         gram = products((R._W, V), V)  # WV*, VV*: one base product if shared
         self._e_WV, self._VV = float(np.linalg.norm(next(gram))), next(gram)
-        if len(R._fresh):
+        if R._m > len(R._W):
             self._e_WV = float(np.hypot(self._e_WV, np.linalg.norm(
                 padded(V.dense(), R._wc)[:, R._fresh])))
         # V's largest row norm is at most ||V||: only past it is ||V|| read
@@ -363,7 +355,7 @@ class BrownianBlock:
         e_W, e_K, e_WV are computed once: an extension adds to W a unit row
         on a fresh coordinate, where stored W, K, V rows vanish; R renews e_U."""
         R, K, V, nu = self.R, self._K, self._Vc, max(self._vnorm, 1e-300)
-        (e_WK, e_VK), f = gram_residual((R._W, V), K), R._fresh
+        (e_WK, e_VK), f = gram_residual((R._W, V), K), np.r_[R._fresh]
         if len(f):  # R's extension rows, units on f: they meet K's columns there
             e_WK = float(np.hypot(e_WK, np.linalg.norm(K[:, f[f < K.shape[1]]])))
         return (R.e_U + R.e_W + self._e_K + gram_residual(R.defined_inputs, K)

@@ -177,14 +177,6 @@ def padded(a: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def columns(indices: np.ndarray):
-    """A selector of the columns `indices`: a slice when they are one
-    ascending run (views, no gather), else the index array."""
-    lo = int(indices[0]) if len(indices) else 0
-    run = np.array_equal(indices, np.arange(lo, lo + len(indices)))
-    return slice(lo, lo + len(indices)) if run else indices
-
-
 def row_vectors(rows: np.ndarray, space: AmbientSpace) -> list:
     """The rows of `rows`, coordinates over a leading prefix, as Vectors."""
     return [Vector(coords, space) for coords in rows]

@@ -39,6 +39,15 @@ def vec(space, values):
     return space.vector(values)
 
 
+def defined_outputs(R):
+    """The output rows of a LazyIsometry R (defined_count x W's columns):
+    the stored W, then a unit row at each of R's fresh coordinates."""
+    out = np.zeros((R._m, R._wc), dtype=np.complex128)
+    out[:len(R._W), :R._W.end] = R._W.dense()
+    out[np.arange(len(R._W), R._m), np.r_[R._fresh]] = 1.0
+    return out
+
+
 def second_split(y1, norms_Tx, partner2):
     """The second splitting of a construction on Vector lists: (z1, z2) with
     z1_i = a_i y1_i + b_i q_i and z2_i = b_i y1_i - a_i q_i, q_i =

@@ -23,7 +23,7 @@ from isolab.linalg import (CoefficientRows, add_images, gram_residual, products,
                            spectral_norm)
 from isolab.spaces import padded, row_vectors
 
-from conftest import (gapped_space, make_space, second_split,
+from conftest import (defined_outputs, gapped_space, make_space, second_split,
                       theorem2_partner2, vec)
 
 
@@ -95,7 +95,7 @@ def assert_block_holds_z_images(block, trace, target, z1, z2):
     sigma_i target(z2_i), for z1, z2 rebuilt by `second_split`."""
     tol = 1e-12 * target.operator_norm * max(1.0, *trace.sigmas)
     for i in range(len(z1)):
-        w = Vector(block.R.defined_outputs[i], trace.space)
+        w = Vector(defined_outputs(block.R)[i], trace.space)
         v = Vector(block._Vc.dense()[i], trace.space)
         assert (w - (1.0 / trace.norms_Tx[i]) * target.apply(z1[i])).norm() <= tol
         assert (v - trace.sigmas[i] * target.apply(z2[i])).norm() <= tol
@@ -117,7 +117,7 @@ def copy_to(block, space):
                          f"the block needs {m}")
     # every stored row is supported on the instantiated prefix
     R = LazyIsometry(space, block.R.defined_inputs[:, :m],
-                     block.R.defined_outputs[:, :m])
+                     defined_outputs(block.R)[:, :m])
     return BrownianBlock(R, block._K[:, :m], block._Vc.dense()[:, :m])
 
 
@@ -196,7 +196,7 @@ def block_state(block):
     """Everything the block and its space have instantiated, copied."""
     R = block.R
     return (block.space.allocated, R.defined_count,
-            *(rows.copy() for rows in (R.defined_inputs, R.defined_outputs,
+            *(rows.copy() for rows in (R.defined_inputs, defined_outputs(R),
                                        block._K, block._Vc.dense())))
 
 
@@ -383,6 +383,15 @@ class TestTheorem1:
         with pytest.raises(AllVectorsNegligible, match="no input vectors"):
             theorem1_construct([], sp)
 
+    def test_capacity_refusal_allocates_nothing(self):
+        # the 2n partner coordinates f, g are taken in one allocation: a
+        # space without room for all of them is left as it was
+        sp = prepare_space(4, capacity=9)
+        with pytest.raises(CapacityExceeded,
+                           match="need 6 coordinates, 5 left of 9"):
+            theorem1_construct(standard_f_basis(sp, 3), sp)
+        assert sp.allocated == 4 and set(sp.labels) == {"H1"}
+
     def test_f_wider_than_h_rejected(self):
         with pytest.raises(ValueError, match="exceeds dim"):
             standard_f_basis(prepare_space(4), 5)
@@ -493,11 +502,11 @@ class TestTheorem2:
         widths = {"x": 8, "y1": 1 + max(h[1]), "y2": 1 + max(h[1])}
         for name, width in widths.items():
             assert getattr(trace, name + "_rows").shape == (8, width), name
-        for rows in (block.R.defined_outputs, block._Vc.dense()):
+        for rows in (defined_outputs(block.R), block._Vc.dense()):
             assert rows.shape == (8, 1 + max(h[3]))
         for _ in range(3):  # extensions keep the storage on the allocated span
             block.apply(block.apply(sp.basis_vector(sp.allocated - 1)))
-            for rows in (block.R.defined_inputs, block.R.defined_outputs,
+            for rows in (block.R.defined_inputs, defined_outputs(block.R),
                          block._K, block._Vc.dense()):
                 assert rows.shape[1] <= sp.allocated
         assert block.R._U.shape[1] <= 2 * sp.allocated
@@ -576,11 +585,11 @@ class TestTheorem2:
         block, T4, trace, sp, _ = self.run(T, n)
         R = block.R
         assert block._K.shape == R.defined_inputs.shape == (n, 2 * d)
-        assert block._Vc.dense().shape == R.defined_outputs.shape == (n, 4 * d)
+        assert block._Vc.dense().shape == defined_outputs(R).shape == (n, 4 * d)
         if n < d:  # e_n lies in H1 off F: R stores its residual over H1, H2
             block.apply(sp.basis_vector(n))
             assert R.defined_inputs.shape == (n + 1, 2 * d)
-            assert R.defined_outputs.shape == (n + 1, 4 * d + 1)
+            assert defined_outputs(R).shape == (n + 1, 4 * d + 1)
 
     def test_memory_is_independent_of_capacity(self):
         # construction, certificate and 20 defect forms (every fifth on the
@@ -655,7 +664,7 @@ class TestTheorem2:
         assert_block_holds_z_images(block, trace, T4, z1, z2)
         np.testing.assert_array_equal(block._Vc.dense()[i], 0.0)
         np.testing.assert_allclose(
-            np.linalg.norm(block.R.defined_outputs, axis=1), 1.0, atol=1e-15)
+            np.linalg.norm(defined_outputs(block.R), axis=1), 1.0, atol=1e-15)
         with pytest.raises(NotExpansive):
             self.run(DenseOperator(np.diag([1 - 2e-10, 2.0])), n=2)
 
@@ -691,6 +700,33 @@ class TestTheorem2:
             theorem2_construct(T, standard_f_basis(sp, 2), sp)
         assert not eigh_calls and sp.allocated == 7
         assert set(sp.labels) == {"H1", label}
+
+    @pytest.mark.parametrize("layout, name, start, end", [
+        ((("H2", 0, 4), ("H1", 4, 8)), "H2", 0, 8),
+        ((("H1", 0, 4), ("H2", 2, 6)), "H2", 2, 4),
+        ((("H1", 0, 4), ("H3", 4, 8)), "H3", 4, 12)],
+        ids=["H2-before-H1", "H2-overlaps-H1", "H3-before-missing-H2"])
+    def test_labels_out_of_order_named_before_diagonalizing(
+            self, layout, name, start, end, monkeypatch):
+        # the copies must be disjoint and ascending, a missing label going
+        # after everything allocated (H2 at 8..11 in the last layout): the
+        # first label that starts before the one ahead of it ends is named
+        # before any eigensolve or allocation
+        T = expansive_generator(4, "svd_random", seed=1)
+        sp = AmbientSpace(64)
+        for label, lo, hi in layout:
+            sp.allocate(max(0, hi - sp.allocated))
+            sp.labels[label] = np.arange(lo, hi)
+        allocated = sp.allocated
+        eigh, eigh_calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: eigh_calls.append(a) or eigh(a))
+        with pytest.raises(ValueError, match=f"label {name} starts at {start}, "
+                                             "before the label ahead of it "
+                                             f"ends at {end}"):
+            theorem2_construct(T, standard_f_basis(sp, 2), sp)
+        assert not eigh_calls and sp.allocated == allocated
+        assert set(sp.labels) == {label for label, _, _ in layout}
 
     def test_space_without_h1_label_named(self):
         # coordinates allocated, but none of them under the label H1
@@ -1103,7 +1139,7 @@ def seven_term_eta(block):
     """The block's hypothesis residual written out: Frobenius norms of
     UU* - I, WW* - I, KK* - I, UK*, WK*, WV*/nu and VK*/nu over the
     columns each pair carries, in the order the certificate sums them."""
-    U, W = block.R.defined_inputs, block.R.defined_outputs
+    U, W = block.R.defined_inputs, defined_outputs(block.R)
     K, V = block._K, block._Vc.dense()
     nu = np.linalg.norm(V, 2)
 
@@ -1171,7 +1207,7 @@ class TestRecordedQuantities:
             return residual(*args)
 
         def fresh_eta(stored=False):  # on the dense rows, or as stored
-            U, W = block.R.defined_inputs, block.R.defined_outputs
+            U, W = block.R.defined_inputs, defined_outputs(block.R)
             K, V, nu = block._K, block._Vc.dense(), block._vnorm
             if stored:
                 W, V = block.R._W, block._Vc
@@ -1219,7 +1255,7 @@ class TestRecordedQuantities:
         # the stored ones, fresh calls on W and V in coefficient form
         at_construction = fixed(R._W, block._Vc)
         assert (R.e_W, block._e_WV) == tuple(at_construction[:2])
-        dense = fixed(R.defined_outputs, block._Vc.dense())
+        dense = fixed(defined_outputs(R), block._Vc.dense())
         assert np.all(np.abs(dense - at_construction)
                       <= 8 * R.defined_count * np.finfo(float).eps)
         rng = np.random.default_rng(7)
@@ -1228,7 +1264,7 @@ class TestRecordedQuantities:
             block.apply(random_instantiated(sp, rng))
         assert R.defined_count >= count + 40
         m = R.defined_count
-        assert np.all(np.abs(fixed(R.defined_outputs, block._Vc.dense())
+        assert np.all(np.abs(fixed(defined_outputs(R), block._Vc.dense())
                              - at_construction) <= 8 * m * np.finfo(float).eps)
         eta = block.hypothesis_residual()
         assert R.e_U == residual(R.defined_inputs)
@@ -1243,7 +1279,7 @@ class TestRecordedQuantities:
             sp.allocate(2)
             R = LazyIsometry(sp, [sp.basis_vector(0)], [sp.basis_vector(1)])
             R.apply(sp.basis_vector(1))
-            assert R._fresh.tolist() == [2]
+            assert np.r_[R._fresh].tolist() == [2]
             return sp, R
 
         sp, R = extended()
@@ -1531,7 +1567,7 @@ class TestCoefficientForm:
 
         sp, block = build()
         dense_sp, twin = build()
-        R = LazyIsometry(dense_sp, twin.R.defined_inputs, twin.R.defined_outputs)
+        R = LazyIsometry(dense_sp, twin.R.defined_inputs, defined_outputs(twin.R))
         dense = BrownianBlock(R, twin._K, twin._Vc.dense())
         # copies of the base: Tx on H1..H4, or one of the dense rows
         assert len(block._Vc.starts) == (1 if theorem == 1 else 4)
@@ -1702,7 +1738,7 @@ class TestRowPipeline:
 
         def stored(b):  # U, W, K, V: y1, z1's and z2's images, y2
             return [padded(a, sp.capacity) for a in (
-                b.R.defined_inputs, b.R.defined_outputs, b._K, b._Vc.dense())]
+                b.R.defined_inputs, defined_outputs(b.R), b._K, b._Vc.dense())]
 
         for rows, ref_rows in zip(stored(block), stored(ref_block)):
             np.testing.assert_allclose(rows, ref_rows, rtol=0,

@@ -17,7 +17,7 @@ from isolab import (AmbientSpace, BrownianBlock, CapacityExceeded,
 from isolab.linalg import CoefficientRows
 from isolab.spaces import padded, row_vectors
 
-from conftest import (gapped_space, make_space, second_split,
+from conftest import (defined_outputs, gapped_space, make_space, second_split,
                       theorem2_partner2, vec)
 
 
@@ -58,7 +58,7 @@ def reference_lazy_coords(R, x, xnorm):
     reference for `_project` and `_extended`: `x` lists a vector over a
     leading prefix, and the extension test is relative to `xnorm`."""
     k = R.defined_inputs.shape[1]
-    U, W = R.defined_inputs, R.defined_outputs
+    U, W = R.defined_inputs, defined_outputs(R)
     w = k + support_width(x[k:])  # x[:w] holds all of x
     v = np.zeros(w, dtype=np.complex128)
     v[:len(x)] = x[:w]
@@ -250,6 +250,22 @@ class TestLazyIsometry:
         assert out.norm() == pytest.approx(2.0)
         assert abs(out.coords[1]) == pytest.approx(2.0)  # coordinate 1 is fresh
 
+    def test_fresh_coordinates_kept_as_run_then_index_array(self):
+        # R's extension outputs are one slice while each fresh coordinate
+        # follows the last; an allocation in between turns them into indices
+        sp = make_space(3, capacity=16)
+        R = LazyIsometry(sp)
+        for i in (0, 1):
+            R.apply(sp.basis_vector(i))
+        assert R._fresh == slice(3, 5)
+        sp.allocate(1)
+        R.apply(sp.basis_vector(2))
+        assert np.r_[R._fresh].tolist() == [3, 4, 6]
+        for i, image in ((0, 3), (1, 4), (2, 6)):  # read off, not extended
+            np.testing.assert_array_equal(R.apply(sp.basis_vector(i)).prefix,
+                                          sp.basis_vector(image).prefix)
+        assert R.defined_count == 3 and sp.allocated == 7
+
     def test_half_defined_superposition(self):
         # (v1 + v2)/sqrt(2) with v1 defined, v2 fresh: image (w1 + w2)/sqrt(2)
         sp = make_space(2, capacity=8)
@@ -260,7 +276,7 @@ class TestLazyIsometry:
         out = R.apply(x)
         assert out.norm() == pytest.approx(1.0)
         assert w1.inner(out) == pytest.approx(1 / np.sqrt(2))
-        W = R.defined_outputs
+        W = defined_outputs(R)
         G = np.conj(W) @ W.T
         assert np.max(np.abs(G - np.eye(2))) <= 1e-12
 
@@ -348,12 +364,12 @@ class TestLazyIsometry:
         R = LazyIsometry(sp, inputs=[sp.basis_vector(0)],
                          outputs=[sp.basis_vector(3)])
         before = (R.defined_count, sp.allocated, R.defined_inputs.copy(),
-                  R.defined_outputs.copy())
+                  defined_outputs(R).copy())
         with pytest.raises(CapacityExceeded):
             R.apply(vec(sp, [1, 1j]))
         assert (R.defined_count, sp.allocated) == before[:2]
         np.testing.assert_array_equal(R.defined_inputs, before[2])
-        np.testing.assert_array_equal(R.defined_outputs, before[3])
+        np.testing.assert_array_equal(defined_outputs(R), before[3])
         out = R.apply(2j * sp.basis_vector(0))
         np.testing.assert_allclose(out.coords, [0, 0, 0, 2j], atol=1e-15)
 
@@ -649,7 +665,7 @@ class TestBrownianBlock:
                         / (scale * x.norm() ** 2))
         assert block.R.defined_count > start + 300
         assert worst <= 1e-12
-        for M in (block.R.defined_inputs, block.R.defined_outputs):
+        for M in (block.R.defined_inputs, defined_outputs(block.R)):
             drift = np.max(np.abs(np.conj(M) @ M.T - np.eye(len(M))))
             assert drift <= 1e-12
 
@@ -963,7 +979,7 @@ def test_coefficient_rows_checked_as_stored(which):
     one, w = np.ones((1, 1), complex), np.ones((1, 1))
     kept = build(CoefficientRows(one, w, (1,)))
     np.testing.assert_array_equal(
-        kept.defined_outputs if which == "W" else kept._Vc.dense(), [[0, 1]])
+        defined_outputs(kept) if which == "W" else kept._Vc.dense(), [[0, 1]])
     for rows, message in [
             (CoefficientRows(one, w, (2,)), "past the allocated coordinates"),
             (CoefficientRows(one * np.nan, w, (1,)), "must be finite"),
